@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race ci faults faults-netsim fuzz bench bench-smoke bench-check bench-scale bench-scale-smoke serve-smoke serve-loadtest
+.PHONY: all build vet staticcheck test race ci faults faults-netsim fuzz bench bench-smoke bench-check bench-scale bench-scale-smoke serve-smoke serve-loadtest perfbench-test
 
 # Committed benchmark baseline the regression gate compares against.
 BENCH_BASELINE ?= BENCH_pr8.json
@@ -35,8 +35,10 @@ faults:
 	$(GO) run ./cmd/hqfaults -verify
 
 # Wire-fault smoke: the small-d netsim scenario campaign under the
-# race detector, plus a byte-identical -verify replay of the netsim
-# scenario family. Full-depth coverage lives in
+# race detector — including the event-by-event comparison of the
+# striped validator with the single-mutex reference
+# (TestDualValidatorUnderLinkFaults) — plus a byte-identical -verify
+# replay of the netsim scenario family. Full-depth coverage lives in
 # TestFaultedRunsTerminateClean (d<=8, plain `test`/`race`).
 faults-netsim:
 	$(GO) test -race -run 'Faulted|DualValidatorUnderLinkFaults' ./internal/netsim/...
@@ -89,7 +91,13 @@ serve-smoke:
 serve-loadtest:
 	$(GO) run ./cmd/hqserved -loadtest
 
-ci: build vet staticcheck race faults faults-netsim serve-smoke bench-smoke bench-scale-smoke bench-check
+# The benchmark harness is its own module (perfbench/go.mod), so the
+# root `go test ./...` never builds it: vet and test it here, so an
+# edit to an API it imports fails CI rather than the next benchmark run.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+ci: build vet staticcheck race faults faults-netsim serve-smoke bench-smoke bench-scale-smoke bench-check perfbench-test
 
 # Short real fuzz runs of the fault-plan parser and the engine under
 # fuzzed fault application (regression corpus always runs under `test`).

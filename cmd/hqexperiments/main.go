@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"hypersearch/internal/experiments"
 	"hypersearch/internal/sched"
@@ -21,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (T2,T3,T4,T5,T7,T8,V1,V2,X1..X9) or 'all'")
+		exp     = flag.String("exp", "all", "experiment id ("+strings.Join(experiments.IDs(), ", ")+") or 'all'")
 		maxD    = flag.Int("maxd", 10, "largest hypercube dimension in sweeps")
 		seeds   = flag.Int("seeds", 10, "adversarial seeds for robustness experiments")
 		figures = flag.Bool("figures", false, "render the four figures instead of tables")
@@ -37,56 +38,15 @@ func main() {
 	}
 
 	var reports []experiments.Report
-	switch *exp {
-	case "all":
+	if *exp == "all" {
 		reports = experiments.All(*maxD, *seeds, *workers)
-	case "T2":
-		reports = []experiments.Report{experiments.T2(*maxD)}
-	case "T3":
-		reports = []experiments.Report{experiments.T3(*maxD)}
-	case "T4":
-		reports = []experiments.Report{experiments.T4(*maxD)}
-	case "T5":
-		reports = []experiments.Report{experiments.T5(*maxD)}
-	case "T7":
-		reports = []experiments.Report{experiments.T7(*maxD)}
-	case "T8":
-		reports = []experiments.Report{experiments.T8(*maxD)}
-	case "V1":
-		reports = []experiments.Report{experiments.V1(*maxD)}
-	case "V2":
-		reports = []experiments.Report{experiments.V2(*maxD)}
-	case "X1":
-		reports = []experiments.Report{experiments.X1(*maxD)}
-	case "X2":
-		reports = []experiments.Report{experiments.X2()}
-	case "X3":
-		reports = []experiments.Report{experiments.X3(*seeds, *workers)}
-	case "X4":
-		reports = []experiments.Report{experiments.X4(6)}
-	case "X5":
-		reports = []experiments.Report{experiments.X5(7)}
-	case "X6":
-		reports = []experiments.Report{experiments.XIntruder(6, *seeds, *workers)}
-	case "X7":
-		reports = []experiments.Report{experiments.X7(*maxD)}
-	case "X8":
-		m := *maxD
-		if m > 8 {
-			m = 8
+	} else {
+		r, ok := experiments.Run(*exp, *maxD, *seeds, *workers)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "hqexperiments: unknown experiment %q (want one of %s, or all)\n", *exp, strings.Join(experiments.IDs(), ", "))
+			os.Exit(2)
 		}
-		reports = []experiments.Report{experiments.X8(m)}
-	case "X9":
-		m := *maxD
-		if m > 10 {
-			m = 10
-		}
-		reports = []experiments.Report{experiments.X9(m, *seeds, *workers)}
-	case "X10":
-		reports = []experiments.Report{experiments.X10()}
-	default:
-		fmt.Fprintf(os.Stderr, "hqexperiments: unknown experiment %q\n", *exp)
-		os.Exit(2)
+		reports = []experiments.Report{r}
 	}
 	for _, r := range reports {
 		fmt.Println(r.Render())

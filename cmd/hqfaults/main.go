@@ -1,10 +1,11 @@
 // Command hqfaults runs the deterministic fault-injection campaign:
 // declarative named fault scenarios executed against the
-// crash-tolerant goroutine runtimes, the discrete-event engine, and —
+// crash-tolerant goroutine runtime, the discrete-event engine, and —
 // with wire-level link faults — the message-passing netsim engine,
 // each checked against its fault-free baseline (runtime scenarios by
-// the trace-replay invariant verifier; netsim scenarios by both the
-// striped and locked validators, which must agree field-for-field).
+// the trace-replay invariant verifier; netsim scenarios by the
+// engine's validator replay, whose agreement with the single-mutex
+// reference validator the netsim tests check event by event).
 //
 // Usage:
 //
@@ -78,10 +79,12 @@ func campaign() []scenario {
 			}}
 		}},
 		{"synchronizer-crash", engineCleanFT, func(d int) *faults.Plan {
-			// The d=2 synchronizer makes only 4 moves, so the trigger
-			// must scale with the cube: 2d-1 fires at every d >= 2.
+			// Phase 0 takes the synchronizer's first 2d moves (an escort
+			// round trip per root child) and move 2d+1 walks it to node
+			// 1, so move 2d+2 crashes it on node 1's first escort round
+			// trip, inside the level-1 walk, at every d >= 2.
 			return &faults.Plan{Name: "synchronizer-crash", Seed: 102, Faults: []faults.Fault{
-				{Kind: faults.Crash, Target: faults.TargetSync, At: 2*d - 1},
+				{Kind: faults.Crash, Target: faults.TargetSync, At: 2*d + 2},
 			}}
 		}},
 		{"cleaner-stall", engineCleanFT, func(d int) *faults.Plan {
@@ -108,6 +111,9 @@ func campaign() []scenario {
 			}}
 		}},
 		{"mixed", engineCleanFT, func(d int) *faults.Plan {
+			// Synchronizer move 2d-1 walks to the last root child: this
+			// crash lands in phase 0, the synchronizer-crash scenario's
+			// in the level walk.
 			return &faults.Plan{Name: "mixed", Seed: 107, Faults: []faults.Fault{
 				{Kind: faults.Crash, Target: "order:p0.e0", At: 1},
 				{Kind: faults.Crash, Target: faults.TargetSync, At: 2*d - 1},
@@ -139,10 +145,10 @@ type baseline struct {
 	moves, mkspan int64
 }
 
-// ftConfig is the goroutine-runtime configuration of the campaign: a
+// runtimeConfig is the goroutine-runtime configuration of the campaign: a
 // fixed scheduler seed, mild real latency, and a lease TTL short
 // enough for a snappy CLI run yet still 60x the heartbeat.
-func ftConfig(seed int64, plan *faults.Plan) runtime.Config {
+func runtimeConfig(seed int64, plan *faults.Plan) runtime.Config {
 	return runtime.Config{
 		Seed:           seed,
 		MaxLatency:     300 * time.Microsecond,
@@ -168,11 +174,11 @@ func checkLog(l *trace.Log, d int) string {
 	return "ok"
 }
 
-func runFT(d int, engine string, plan *faults.Plan) (runtime.FTReport, error) {
+func runRuntime(d int, engine string, plan *faults.Plan) (runtime.Report, error) {
 	if engine == engineVisFT {
-		return runtime.RunVisibilityFT(d, ftConfig(7, plan))
+		return runtime.RunVisibility(d, runtimeConfig(7, plan))
 	}
-	return runtime.RunCleanFT(d, ftConfig(7, plan))
+	return runtime.RunClean(d, runtimeConfig(7, plan))
 }
 
 func runDES(d int, plan *faults.Plan) (metrics.Result, *strategy.Env, error) {
@@ -204,7 +210,7 @@ func runScenario(d int, s scenario, bases map[string]baseline) outcome {
 		o.invariant = checkLog(env.Log(), d)
 		o.pass = res.Ok() && o.invariant == "ok"
 	default:
-		rep, err := runFT(d, s.engine, plan)
+		rep, err := runRuntime(d, s.engine, plan)
 		if err != nil {
 			o.invariant = err.Error()
 			return o
@@ -402,57 +408,44 @@ type netBaseline struct {
 	moves, agentMsgs, beaconMsgs int64
 }
 
-func netsimConfig(plan *faults.Plan, mode netsim.ValidatorMode) netsim.Config {
-	return netsim.Config{
-		Seed:       7,
-		MaxLatency: 300 * time.Microsecond,
-		Validator:  mode,
-		Faults:     plan,
-	}
-}
-
-func runNetsim(a *netarena.Arena, d int, engine string, plan *faults.Plan, mode netsim.ValidatorMode) netsim.Stats {
+func runNetsim(a *netarena.Arena, d int, engine string, plan *faults.Plan) netsim.Stats {
+	cfg := netsim.Config{Seed: 7, MaxLatency: 300 * time.Microsecond, Faults: plan}
 	switch engine {
 	case engineNetsimClone:
-		return a.RunCloning(d, netsimConfig(plan, mode))
+		return a.RunCloning(d, cfg)
 	case engineNetsimClean:
-		return a.RunClean(d, netsimConfig(plan, mode))
+		return a.RunClean(d, cfg)
 	default:
-		return a.Run(d, netsimConfig(plan, mode))
+		return a.Run(d, cfg)
 	}
 }
 
-// runNetScenario executes one wire-fault scenario under both validator
-// implementations: the run must terminate monotone, contiguous and
-// all-clean with zero recontaminations on both, with field-identical
-// stats, and recovery must leave the logical run unchanged against
-// the fault-free baseline.
+// runNetScenario executes one wire-fault scenario: the run must
+// terminate monotone, contiguous and all-clean with zero
+// recontaminations, and recovery must leave the logical run unchanged
+// against the fault-free baseline.
 func runNetScenario(a *netarena.Arena, d int, s netScenario, bases map[string]netBaseline) netOutcome {
 	o := netOutcome{name: s.name, engine: s.engine}
-	plan := s.plan(d)
-	striped := runNetsim(a, d, s.engine, plan, netsim.ValidatorStriped)
-	locked := runNetsim(a, d, s.engine, plan, netsim.ValidatorLocked)
+	st := runNetsim(a, d, s.engine, s.plan(d))
 
-	o.moves = striped.TotalMoves
-	o.agentMsgs, o.beaconMsgs = striped.AgentMessages, striped.BeaconMessages
-	o.frames, o.drops = striped.Link.Frames, striped.Link.Drops
-	o.retransmits, o.dups = striped.Link.Retransmits, striped.Link.Dups
-	o.crashes, o.cascades = striped.Link.Crashes, striped.Link.Cascades
-	o.partitioned = striped.Link.Partitioned
-	o.dTime = striped.Link.WireTime // a fault-free wire bills zero
+	o.moves = st.TotalMoves
+	o.agentMsgs, o.beaconMsgs = st.AgentMessages, st.BeaconMessages
+	o.frames, o.drops = st.Link.Frames, st.Link.Drops
+	o.retransmits, o.dups = st.Link.Retransmits, st.Link.Dups
+	o.crashes, o.cascades = st.Link.Crashes, st.Link.Cascades
+	o.partitioned = st.Link.Partitioned
+	o.dTime = st.Link.WireTime // a fault-free wire bills zero
 
 	o.check = "ok"
 	switch b := bases[s.engine]; {
-	case striped != locked:
-		o.check = "validator stats diverge"
-	case !striped.Captured || !striped.MonotoneOK || !striped.ContiguousOK:
+	case !st.Captured || !st.MonotoneOK || !st.ContiguousOK:
 		o.check = fmt.Sprintf("not clean: captured=%v monotone=%v contiguous=%v",
-			striped.Captured, striped.MonotoneOK, striped.ContiguousOK)
-	case striped.Recontaminations != 0:
-		o.check = fmt.Sprintf("%d recontaminations", striped.Recontaminations)
-	case striped.AgentMessages != b.agentMsgs || striped.BeaconMessages != b.beaconMsgs:
+			st.Captured, st.MonotoneOK, st.ContiguousOK)
+	case st.Recontaminations != 0:
+		o.check = fmt.Sprintf("%d recontaminations", st.Recontaminations)
+	case st.AgentMessages != b.agentMsgs || st.BeaconMessages != b.beaconMsgs:
 		o.check = fmt.Sprintf("recovery changed the wire: agents %d->%d beacons %d->%d",
-			b.agentMsgs, striped.AgentMessages, b.beaconMsgs, striped.BeaconMessages)
+			b.agentMsgs, st.AgentMessages, b.beaconMsgs, st.BeaconMessages)
 	}
 	o.dMoves = o.moves - bases[s.engine].moves
 	o.pass = o.check == "ok"
@@ -462,7 +455,7 @@ func runNetScenario(a *netarena.Arena, d int, s netScenario, bases map[string]ne
 // netReport renders the wire-fault section deterministically.
 func netReport(bases map[string]netBaseline, outs []netOutcome) (string, bool) {
 	var sb strings.Builder
-	sb.WriteString("netsim wire-fault scenarios (striped + locked validators)\n\n")
+	sb.WriteString("netsim wire-fault scenarios\n\n")
 	fmt.Fprintf(&sb, "baselines (fault-free): ")
 	for _, e := range []string{engineNetsimVis, engineNetsimClone, engineNetsimClean} {
 		b := bases[e]
@@ -524,7 +517,7 @@ func runNetsimCampaign(d, workers int, keep map[string]bool) (string, bool, erro
 	}
 	engines := []string{engineNetsimVis, engineNetsimClone, engineNetsimClean}
 	baseRuns, err := sched.CollectW(workers, len(engines), func(w, i int) netBaseline {
-		s := runNetsim(arenas[w], d, engines[i], nil, netsim.ValidatorStriped)
+		s := runNetsim(arenas[w], d, engines[i], nil)
 		return netBaseline{s.TotalMoves, s.AgentMessages, s.BeaconMessages}
 	})
 	if err != nil {
@@ -571,7 +564,7 @@ func runCampaign(d, workers int, keep map[string]bool) (string, bool, error) {
 			}
 			return baseline{res.TotalMoves, res.Makespan}, nil
 		}
-		rep, err := runFT(d, engines[i], nil)
+		rep, err := runRuntime(d, engines[i], nil)
 		if err != nil {
 			return baseline{}, err
 		}

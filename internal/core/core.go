@@ -154,7 +154,7 @@ func runDES(spec Spec, src strategy.Source) (metrics.Result, *strategy.Env, erro
 			return metrics.Result{}, nil, err
 		}
 		if spec.Faults.RequiresRecovery() {
-			return metrics.Result{}, nil, fmt.Errorf("core: plan %q carries crash faults, which need the crash-tolerant goroutine runtime (runtime.RunCleanFT/RunVisibilityFT)", spec.Faults.Name)
+			return metrics.Result{}, nil, fmt.Errorf("core: plan %q carries crash faults, which need the goroutine runtime's crash recovery (runtime.RunClean with Config.Faults)", spec.Faults.Name)
 		}
 		if spec.Faults.HasLinkFaults() {
 			return metrics.Result{}, nil, fmt.Errorf("core: plan %q carries link faults, which need the network engine", spec.Faults.Name)
@@ -196,18 +196,21 @@ func runDES(spec Spec, src strategy.Source) (metrics.Result, *strategy.Env, erro
 
 func runGoroutines(spec Spec) (metrics.Result, *strategy.Env, error) {
 	if spec.Faults != nil {
-		return metrics.Result{}, nil, fmt.Errorf("core: fault plans on the goroutine engine go through runtime.RunCleanFT/RunVisibilityFT, not Spec.Faults")
+		return metrics.Result{}, nil, fmt.Errorf("core: fault plans on the goroutine engine go through runtime.Config.Faults, not Spec.Faults")
 	}
 	cfg := runtime.Config{
 		Seed:       spec.Seed,
 		MaxLatency: time.Duration(spec.AdversarialLatency) * time.Microsecond,
 	}
+	var rep runtime.Report
+	var err error
 	switch spec.Strategy {
 	case Clean:
-		return runtime.RunClean(spec.Dim, cfg), nil, nil
+		rep, err = runtime.RunClean(spec.Dim, cfg)
 	case Visibility:
-		return runtime.RunVisibility(spec.Dim, cfg), nil, nil
+		rep, err = runtime.RunVisibility(spec.Dim, cfg)
 	default:
 		return metrics.Result{}, nil, fmt.Errorf("core: strategy %q has no goroutine engine", spec.Strategy)
 	}
+	return rep.Result, nil, err
 }

@@ -86,7 +86,9 @@ func TestDelayStepNearZeroAllocs(t *testing.T) {
 	measure(1000) // warmup
 	base := measure(1000)
 	big := measure(51000)
-	perDelay := float64(big-base) / 50000
+	// Signed: the long run can read fewer mallocs than the short one,
+	// and a uint64 difference would wrap to ~1.8e19.
+	perDelay := float64(int64(big)-int64(base)) / 50000
 	if perDelay > 0.01 {
 		t.Errorf("Delay allocates %.3f per step, want ~0 (base=%d big=%d)", perDelay, base, big)
 	}
@@ -127,7 +129,9 @@ func TestFireReusesWaiterArrays(t *testing.T) {
 	measure(100) // warmup
 	base := measure(100)
 	big := measure(5100)
-	perWave := float64(big-base) / 5000
+	// Signed, as in the Delay test: the long run can read fewer mallocs
+	// than the short one.
+	perWave := float64(int64(big)-int64(base)) / 5000
 	if perWave > 0.05 {
 		t.Errorf("Fire wave allocates %.3f, want ~0 (base=%d big=%d)", perWave, base, big)
 	}

@@ -106,9 +106,7 @@ func netArenas(workers int) []*netarena.Arena {
 	return arenas
 }
 
-// T2 reproduces Theorem 2: the team size of Algorithm CLEAN.
-func T2(maxD int) Report { return t2(envpool.New(), maxD) }
-
+// t2 reproduces Theorem 2: the team size of Algorithm CLEAN.
 func t2(src strategy.Source, maxD int) Report {
 	t := metrics.NewTable("d", "n", "team (measured)", "closed form", "peak away", "n/log n", "n/sqrt(log n)", "team/(n/sqrt log n)")
 	for d := 2; d <= maxD; d++ {
@@ -132,9 +130,7 @@ func t2(src strategy.Source, maxD int) Report {
 	}
 }
 
-// T3 reproduces Theorem 3: total moves of Algorithm CLEAN.
-func T3(maxD int) Report { return t3(envpool.New(), maxD) }
-
+// t3 reproduces Theorem 3: total moves of Algorithm CLEAN.
 func t3(src strategy.Source, maxD int) Report {
 	t := metrics.NewTable("d", "n", "agent moves", "(d+1)2^(d-1) - d", "sync moves", "total", "total/(n log n)")
 	for d := 2; d <= maxD; d++ {
@@ -155,9 +151,7 @@ func t3(src strategy.Source, maxD int) Report {
 	}
 }
 
-// T4 reproduces Theorem 4: ideal time of Algorithm CLEAN.
-func T4(maxD int) Report { return t4(envpool.New(), maxD) }
-
+// t4 reproduces Theorem 4: ideal time of Algorithm CLEAN.
 func t4(src strategy.Source, maxD int) Report {
 	t := metrics.NewTable("d", "n", "makespan", "sync moves", "makespan/(n log n)")
 	for d := 2; d <= maxD; d++ {
@@ -175,9 +169,7 @@ func t4(src strategy.Source, maxD int) Report {
 	}
 }
 
-// T5 reproduces Theorem 5: team size of CLEAN WITH VISIBILITY.
-func T5(maxD int) Report { return t5(envpool.New(), maxD) }
-
+// t5 reproduces Theorem 5: team size of CLEAN WITH VISIBILITY.
 func t5(src strategy.Source, maxD int) Report {
 	t := metrics.NewTable("d", "n", "team", "n/2", "exact?")
 	exact := true
@@ -197,9 +189,7 @@ func t5(src strategy.Source, maxD int) Report {
 	}
 }
 
-// T7 reproduces Theorem 7: time of CLEAN WITH VISIBILITY.
-func T7(maxD int) Report { return t7(envpool.New(), maxD) }
-
+// t7 reproduces Theorem 7: time of CLEAN WITH VISIBILITY.
 func t7(src strategy.Source, maxD int) Report {
 	t := metrics.NewTable("d", "n", "makespan", "log n", "exact?")
 	exact := true
@@ -219,9 +209,7 @@ func t7(src strategy.Source, maxD int) Report {
 	}
 }
 
-// T8 reproduces Theorem 8: moves of CLEAN WITH VISIBILITY.
-func T8(maxD int) Report { return t8(envpool.New(), maxD) }
-
+// t8 reproduces Theorem 8: moves of CLEAN WITH VISIBILITY.
 func t8(src strategy.Source, maxD int) Report {
 	t := metrics.NewTable("d", "n", "moves", "(d+1)2^(d-2)", "moves/(n log n)", "exact?")
 	exact := true
@@ -242,9 +230,7 @@ func t8(src strategy.Source, maxD int) Report {
 	}
 }
 
-// V1 reproduces the Section 5 cloning observation.
-func V1(maxD int) Report { return v1(envpool.New(), maxD) }
-
+// v1 reproduces the Section 5 cloning observation.
 func v1(src strategy.Source, maxD int) Report {
 	t := metrics.NewTable("d", "n", "agents", "n/2", "moves", "n-1", "makespan")
 	exact := true
@@ -263,9 +249,7 @@ func v1(src strategy.Source, maxD int) Report {
 	}
 }
 
-// V2 reproduces the Section 5 synchronous observation.
-func V2(maxD int) Report { return v2(envpool.New(), maxD) }
-
+// v2 reproduces the Section 5 synchronous observation.
 func v2(src strategy.Source, maxD int) Report {
 	t := metrics.NewTable("d", "n", "agents", "moves", "makespan", "recontaminations")
 	exact := true
@@ -286,9 +270,7 @@ func v2(src strategy.Source, maxD int) Report {
 	}
 }
 
-// X1 regenerates the headline trade-off comparison of Section 1.3.
-func X1(maxD int) Report { return x1(envpool.New(), maxD) }
-
+// x1 regenerates the headline trade-off comparison of Section 1.3.
 func x1(src strategy.Source, maxD int) Report {
 	t := metrics.NewTable("d", "n", "clean agents", "vis agents", "clean time", "vis time", "clean moves", "vis moves", "clone moves")
 	for d := 2; d <= maxD; d++ {
@@ -400,9 +382,7 @@ func X3(seeds, workers int) Report {
 	}
 }
 
-// X4 quantifies why contamination-oblivious sweeps fail.
-func X4(d int) Report { return x4(envpool.New(), d) }
-
+// x4 quantifies why contamination-oblivious sweeps fail.
 func x4(src strategy.Source, d int) Report {
 	t := metrics.NewTable("baseline", "team", "moves", "captured", "recontaminations", "monotone violations")
 	rd := runSpec(src, core.Spec{Strategy: core.NaiveDFS, Dim: d})
@@ -641,12 +621,10 @@ func X9(maxD, seeds, workers int) Report {
 	}
 }
 
-// XIntruder demonstrates the concrete randomized intruder against the
+// xIntruder demonstrates the concrete randomized intruder against the
 // visibility strategy (the scenario of the paper's introduction). The
 // recorded schedule is replayed once per seed, each replay on its own
 // worker against a fresh board and intruder token.
-func XIntruder(d, seeds, workers int) Report { return xIntruder(envpool.New(), d, seeds, workers) }
-
 func xIntruder(src strategy.Source, d, seeds, workers int) Report {
 	t := metrics.NewTable("seed", "intruder relocations", "captured")
 	allCaptured := true
@@ -730,6 +708,66 @@ func figureRun(name string) *strategy.Env {
 	return env
 }
 
+// sweep is the size of one evaluation: the largest dimension of the
+// dimension sweeps, the seeds of the robustness sweeps, and the
+// scheduler workers of the seed sweeps.
+type sweep struct{ maxD, seeds, workers int }
+
+// experiment is one registry entry: the ID of the report it produces,
+// and how to produce it at a sweep size, drawing DES environments
+// from src.
+type experiment struct {
+	id  string
+	run func(s sweep, src strategy.Source) Report
+}
+
+// registry is the one ordered table of experiments: All runs every
+// entry in this order and Run runs one by ID, so both share each
+// experiment's fixed dimensions and caps.
+var registry = []experiment{
+	{"T2", func(s sweep, src strategy.Source) Report { return t2(src, s.maxD) }},
+	{"T3", func(s sweep, src strategy.Source) Report { return t3(src, s.maxD) }},
+	{"T4", func(s sweep, src strategy.Source) Report { return t4(src, s.maxD) }},
+	{"T5", func(s sweep, src strategy.Source) Report { return t5(src, s.maxD) }},
+	{"T7", func(s sweep, src strategy.Source) Report { return t7(src, s.maxD) }},
+	{"T8", func(s sweep, src strategy.Source) Report { return t8(src, s.maxD) }},
+	{"V1", func(s sweep, src strategy.Source) Report { return v1(src, s.maxD) }},
+	{"V2", func(s sweep, src strategy.Source) Report { return v2(src, s.maxD) }},
+	{"X1", func(s sweep, src strategy.Source) Report { return x1(src, s.maxD) }},
+	{"X2", func(sweep, strategy.Source) Report { return X2() }},
+	{"X3", func(s sweep, _ strategy.Source) Report { return X3(s.seeds, s.workers) }},
+	{"X4", func(_ sweep, src strategy.Source) Report { return x4(src, 6) }},
+	{"X5", func(sweep, strategy.Source) Report { return X5(7) }},
+	{"X6", func(s sweep, src strategy.Source) Report { return xIntruder(src, 6, s.seeds, s.workers) }},
+	{"X7", func(s sweep, _ strategy.Source) Report { return X7(s.maxD) }},
+	// The greedy heuristic's frontier scan is O(n^3).
+	{"X8", func(s sweep, _ strategy.Source) Report { return X8(min(s.maxD, 8)) }},
+	{"X9", func(s sweep, _ strategy.Source) Report {
+		return X9(min(s.maxD, x9Ceiling(goruntime.NumCPU())), s.seeds, s.workers)
+	}},
+	{"X10", func(sweep, strategy.Source) Report { return X10() }},
+}
+
+// IDs lists every experiment ID, in report order.
+func IDs() []string {
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// Run runs the experiment with the given ID at the given sweep size,
+// reporting false for an unknown ID.
+func Run(id string, maxD, seeds, workers int) (Report, bool) {
+	for _, e := range registry {
+		if e.id == id {
+			return e.run(sweep{maxD, seeds, workers}, envpool.New()), true
+		}
+	}
+	return Report{}, false
+}
+
 // All runs every experiment at the given sweep size. The experiments
 // are independent, so they fan out across the scheduler's workers,
 // each worker drawing execution environments from its own pool (one
@@ -738,36 +776,9 @@ func figureRun(name string) *strategy.Env {
 // byte) is identical for any worker count. workers <= 1 is the legacy
 // serial path on the calling goroutine.
 func All(maxD, seeds, workers int) []Report {
-	x8max := maxD
-	if x8max > 8 {
-		x8max = 8 // the greedy heuristic's frontier scan is O(n^3)
-	}
-	x9max := maxD
-	if c := x9Ceiling(goruntime.NumCPU()); x9max > c {
-		x9max = c
-	}
-	runs := []func(src strategy.Source) Report{
-		func(src strategy.Source) Report { return t2(src, maxD) },
-		func(src strategy.Source) Report { return t3(src, maxD) },
-		func(src strategy.Source) Report { return t4(src, maxD) },
-		func(src strategy.Source) Report { return t5(src, maxD) },
-		func(src strategy.Source) Report { return t7(src, maxD) },
-		func(src strategy.Source) Report { return t8(src, maxD) },
-		func(src strategy.Source) Report { return v1(src, maxD) },
-		func(src strategy.Source) Report { return v2(src, maxD) },
-		func(src strategy.Source) Report { return x1(src, maxD) },
-		func(strategy.Source) Report { return X2() },
-		func(strategy.Source) Report { return X3(seeds, workers) },
-		func(src strategy.Source) Report { return x4(src, 6) },
-		func(strategy.Source) Report { return X5(7) },
-		func(src strategy.Source) Report { return xIntruder(src, 6, seeds, workers) },
-		func(strategy.Source) Report { return X7(maxD) },
-		func(strategy.Source) Report { return X8(x8max) },
-		func(strategy.Source) Report { return X9(x9max, seeds, workers) },
-		func(strategy.Source) Report { return X10() },
-	}
+	s := sweep{maxD, seeds, workers}
 	pools := sourcePools(workers)
-	out, err := sched.CollectW(workers, len(runs), func(w, i int) Report { return runs[i](pools[w]) })
+	out, err := sched.CollectW(workers, len(registry), func(w, i int) Report { return registry[i].run(s, pools[w]) })
 	if err != nil {
 		panic(err)
 	}

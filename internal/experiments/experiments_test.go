@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"hypersearch/internal/envpool"
 )
 
 func TestReportRender(t *testing.T) {
-	r := T5(4)
+	r := t5(envpool.New(), 4)
 	out := r.Render()
 	for _, want := range []string{"## T5", "Paper claim", "Verdict", "| d "} {
 		if !strings.Contains(out, want) {
@@ -17,7 +20,8 @@ func TestReportRender(t *testing.T) {
 
 func TestTheoremReportsReproduce(t *testing.T) {
 	const maxD = 7
-	for _, rep := range []Report{T5(maxD), T7(maxD), T8(maxD), V1(maxD), V2(maxD)} {
+	pool := envpool.New()
+	for _, rep := range []Report{t5(pool, maxD), t7(pool, maxD), t8(pool, maxD), v1(pool, maxD), v2(pool, maxD)} {
 		if rep.Verdict != "REPRODUCED" {
 			t.Errorf("%s verdict = %q", rep.ID, rep.Verdict)
 		}
@@ -28,7 +32,7 @@ func TestTheoremReportsReproduce(t *testing.T) {
 }
 
 func TestT2Verdict(t *testing.T) {
-	rep := T2(7)
+	rep := t2(envpool.New(), 7)
 	if !strings.Contains(rep.Verdict, "REPRODUCED") {
 		t.Errorf("T2 verdict = %q", rep.Verdict)
 	}
@@ -38,7 +42,8 @@ func TestT2Verdict(t *testing.T) {
 }
 
 func TestT3T4HaveBoundedRatios(t *testing.T) {
-	for _, rep := range []Report{T3(7), T4(7)} {
+	pool := envpool.New()
+	for _, rep := range []Report{t3(pool, 7), t4(pool, 7)} {
 		if rep.Table.Rows() == 0 {
 			t.Errorf("%s empty", rep.ID)
 		}
@@ -69,7 +74,7 @@ func TestX3AllSeedsSafe(t *testing.T) {
 }
 
 func TestX4ShowsBaselineFailure(t *testing.T) {
-	rep := X4(5)
+	rep := x4(envpool.New(), 5)
 	md := rep.Table.Markdown()
 	if !strings.Contains(md, "false") {
 		t.Errorf("X4 should show failed captures:\n%s", md)
@@ -88,7 +93,7 @@ func TestX5ShowsChordBreakage(t *testing.T) {
 }
 
 func TestXIntruderCaptures(t *testing.T) {
-	rep := XIntruder(5, 3, 1)
+	rep := xIntruder(envpool.New(), 5, 3, 1)
 	if rep.Verdict != "REPRODUCED" {
 		t.Errorf("intruder verdict = %q", rep.Verdict)
 	}
@@ -174,20 +179,31 @@ func TestX10Pareto(t *testing.T) {
 	}
 }
 
+// All and Run read one registry table: All's report IDs are exactly
+// the registry's IDs, in order and without duplicates, and Run
+// resolves each of them and nothing else.
 func TestAllProducesEveryReport(t *testing.T) {
 	reps := All(5, 2, 4)
-	if len(reps) != 18 {
-		t.Errorf("All produced %d reports", len(reps))
-	}
+	var got []string
 	seen := map[string]bool{}
 	for _, r := range reps {
 		if seen[r.ID] {
 			t.Errorf("duplicate report %s", r.ID)
 		}
 		seen[r.ID] = true
+		got = append(got, r.ID)
 		if r.Verdict == "MISMATCH" {
 			t.Errorf("%s mismatched", r.ID)
 		}
+	}
+	if want := IDs(); len(want) != 18 || !slices.Equal(got, want) {
+		t.Errorf("All report IDs %v, registry IDs %v", got, want)
+	}
+	if r, ok := Run("X4", 3, 1, 1); !ok || r.ID != "X4" {
+		t.Errorf("Run(X4) = %q, %v", r.ID, ok)
+	}
+	if _, ok := Run("X99", 3, 1, 1); ok {
+		t.Error("Run accepted an unknown experiment ID")
 	}
 }
 
@@ -219,7 +235,7 @@ func TestSeedSweepsParallelMatchSerial(t *testing.T) {
 	if s, p := X9(4, 3, 1).Render(), X9(4, 3, 4).Render(); s != p {
 		t.Error("X9 parallel rendering diverged from serial")
 	}
-	if s, p := XIntruder(4, 3, 1).Render(), XIntruder(4, 3, 4).Render(); s != p {
+	if s, p := xIntruder(envpool.New(), 4, 3, 1).Render(), xIntruder(envpool.New(), 4, 3, 4).Render(); s != p {
 		t.Error("XIntruder parallel rendering diverged from serial")
 	}
 }

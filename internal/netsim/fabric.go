@@ -37,7 +37,6 @@ type Fabric struct {
 	cnet *cleanNet // coordinated wiring, built on first use
 
 	striped *stripedValidator
-	locked  *lockedValidator
 	ids     []int // boot-time agent id scratch
 
 	completed bool
@@ -102,20 +101,11 @@ func (f *Fabric) begin() { f.completed = false }
 // complete marks the run finished; the fabric may be pooled again.
 func (f *Fabric) complete() { f.completed = true }
 
-// validator returns the run's invariant checker: the pooled
-// implementation the config selects, reset for a new run, or a fresh
-// one from the test hook.
+// validator returns the run's invariant checker: the pooled striped
+// validator reset for a new run, or a fresh one from the test hook.
 func (f *Fabric) validator(cfg Config) validator {
 	if cfg.newValidator != nil {
 		return cfg.newValidator(f.h)
-	}
-	if cfg.Validator == ValidatorLocked {
-		if f.locked == nil {
-			f.locked = newLockedValidator(f.h)
-		} else {
-			f.locked.reset()
-		}
-		return f.locked
 	}
 	if f.striped == nil {
 		f.striped = newStripedValidator(f.h)

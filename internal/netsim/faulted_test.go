@@ -91,6 +91,22 @@ func cascadeVictims(d int) []int {
 	return victims
 }
 
+// validatorMode is one way a test run checks its invariants: the
+// engines' own striped validator (hook nil), or the dual validator,
+// which also drives the single-mutex reference and fails the test on
+// any divergence between the two.
+type validatorMode struct {
+	name string
+	hook func(*hypercube.Hypercube) validator
+}
+
+func validatorModes(t *testing.T) []validatorMode {
+	return []validatorMode{
+		{"striped", nil},
+		{"dual", func(h *hypercube.Hypercube) validator { return newDualValidator(t, h) }},
+	}
+}
+
 // checkFaultedStats asserts the non-negotiables of a faulted run: it
 // terminated with all nodes clean, monotone and contiguous, with zero
 // recontaminations.
@@ -106,22 +122,22 @@ func checkFaultedStats(t *testing.T, s Stats, plan string) {
 }
 
 // TestFaultedRunsTerminateClean drives both engines through every
-// scenario with both validator implementations and asserts the run is
-// indistinguishable from a clean one at the protocol level: same
-// moves, same message counts, all nodes clean.
+// scenario with the striped and the dual validator and asserts the
+// run is indistinguishable from a clean one at the protocol level:
+// same moves, same message counts, all nodes clean.
 func TestFaultedRunsTerminateClean(t *testing.T) {
 	for d := 2; d <= 8; d++ {
 		if testing.Short() && d > 5 {
 			continue
 		}
-		for _, mode := range []ValidatorMode{ValidatorStriped, ValidatorLocked} {
-			base := Config{Seed: int64(31*d + 7), MaxLatency: 300 * time.Microsecond, Validator: mode}
+		for _, mode := range validatorModes(t) {
+			base := Config{Seed: int64(31*d + 7), MaxLatency: 300 * time.Microsecond, newValidator: mode.hook}
 			cleanVis := Run(d, base)
 			cleanClone := RunCloning(d, base)
 			for _, plan := range netsimFaultPlans(d) {
 				cfg := base
 				cfg.Faults = plan
-				name := fmt.Sprintf("d=%d mode=%d plan=%s", d, mode, plan.Name)
+				name := fmt.Sprintf("d=%d mode=%s plan=%s", d, mode.name, plan.Name)
 
 				s := Run(d, cfg)
 				checkFaultedStats(t, s, name+" visibility")
@@ -235,13 +251,13 @@ func TestCleanFaultedRunsTerminateClean(t *testing.T) {
 		if testing.Short() && d > 5 {
 			continue
 		}
-		for _, mode := range []ValidatorMode{ValidatorStriped, ValidatorLocked} {
-			base := Config{Seed: int64(17*d + 1), MaxLatency: 300 * time.Microsecond, Validator: mode}
+		for _, mode := range validatorModes(t) {
+			base := Config{Seed: int64(17*d + 1), MaxLatency: 300 * time.Microsecond, newValidator: mode.hook}
 			fresh := RunClean(d, base)
 			for _, plan := range deliveryOnlyPlans(d) {
 				cfg := base
 				cfg.Faults = plan
-				name := fmt.Sprintf("clean d=%d mode=%d plan=%s", d, mode, plan.Name)
+				name := fmt.Sprintf("clean d=%d mode=%s plan=%s", d, mode.name, plan.Name)
 				s := RunClean(d, cfg)
 				checkFaultedStats(t, s, name)
 				if s.TotalMoves != fresh.TotalMoves || s.SyncMoves != fresh.SyncMoves ||

@@ -44,7 +44,7 @@
 // receiving host loses its soft protocol state (amnesia), while the
 // layer's per-host order ledger — every frame the host has been
 // delivered, in admission order — survives, exactly like the
-// whiteboard order ledger that runtime.RunCleanFT replays after an
+// whiteboard order ledger that runtime.RunClean replays after an
 // agent crash. The layer invokes the crash callback and then redelivers
 // the full ledger with replay=true; the host rebuilds its state from
 // the replay, and engines skip validator/accounting effects for

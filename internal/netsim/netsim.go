@@ -9,8 +9,8 @@
 //
 // There is no shared memory between hosts: coordination is purely
 // message-passing (the per-host whiteboard is host-local state). A
-// locked board validates the global invariants as moves land, as in
-// the goroutine runtime.
+// sharded validator records every agent event and replays the run
+// onto a board to check the global invariants.
 //
 // When Config.Faults carries link faults, every message crosses the
 // wire-fault layer (internal/netsim/faultlink): frames can be dropped
@@ -82,12 +82,9 @@ type Config struct {
 	// ignored by this engine (they drive the DES/runtime injector).
 	Faults *faults.Plan
 
-	// Validator selects the invariant-checker implementation; the
-	// zero value is the sharded (striped) validator.
-	Validator ValidatorMode
-
 	// newValidator lets tests substitute a validator (e.g. the dual
-	// checker comparing both implementations on one run).
+	// checker comparing the striped validator with the single-mutex
+	// reference on one run).
 	newValidator func(*hypercube.Hypercube) validator
 }
 

@@ -15,11 +15,12 @@ import (
 
 // validator observes every agent lifecycle event of a network run and
 // checks the global invariants (monotonicity, contiguity, capture).
-// The atomic-move semantics are shared by both implementations: an
-// agent departs its host and arrives at the destination when the
-// arrival message is processed; between depart and arrive it is "on
-// the link", which the board models by keeping it on the source until
-// arrival.
+// The engines run the striped implementation; tests substitute others
+// through Config.newValidator. The atomic-move semantics are shared by
+// every implementation: an agent departs its host and arrives at the
+// destination when the arrival message is processed; between depart
+// and arrive it is "on the link", which the board models by keeping it
+// on the source until arrival.
 type validator interface {
 	place() int
 	clone(at int) int
@@ -30,39 +31,7 @@ type validator interface {
 	stats(team int, agentMsgs, beaconMsgs int64) Stats
 }
 
-// ValidatorMode selects the validator implementation.
-type ValidatorMode int
-
-// The two validator implementations.
-const (
-	// ValidatorStriped (the default) shards event recording over
-	// power-of-two stripes of the node index: hosts append to a
-	// per-stripe ledger under a per-stripe lock, and the invariants
-	// are checked once, at stats() time, by merging the ledgers in
-	// global sequence order and replaying them onto a fresh board.
-	// Hosts in different stripes never contend, which is what lets
-	// the visibility run complete at d=12 even under the race
-	// detector.
-	ValidatorStriped ValidatorMode = iota
-	// ValidatorLocked is the original single-mutex validator: every
-	// event applies to one shared board immediately, so invariant
-	// violations panic at the offending event instead of at stats().
-	ValidatorLocked
-)
-
-// makeValidator builds the configured validator over H_d.
-func (cfg Config) makeValidator(h *hypercube.Hypercube) validator {
-	if cfg.newValidator != nil {
-		return cfg.newValidator(h)
-	}
-	if cfg.Validator == ValidatorLocked {
-		return newLockedValidator(h)
-	}
-	return newStripedValidator(h)
-}
-
-// buildStats assembles the Stats shared by both validators from a
-// fully-applied board.
+// buildStats assembles a validator's Stats from a fully-applied board.
 func buildStats(b *board.Board, team int, agentMsgs, beaconMsgs int64) Stats {
 	return Stats{
 		Result: metrics.Result{
@@ -82,82 +51,6 @@ func buildStats(b *board.Board, team int, agentMsgs, beaconMsgs int64) Stats {
 		BeaconMessages: beaconMsgs,
 		BeaconBits:     beaconMsgs, // one bit each, by construction
 	}
-}
-
-// lockedValidator serializes every event through one mutex onto the
-// shared board.
-type lockedValidator struct {
-	mu      sync.Mutex
-	b       *board.Board
-	pending map[int]int // agent -> source host while migrating
-}
-
-func newLockedValidator(h *hypercube.Hypercube) *lockedValidator {
-	return &lockedValidator{b: board.New(h, 0)}
-}
-
-// reset re-arms a pooled locked validator: the board resets in O(n)
-// (identical to a fresh board.New, see board.Reset), migrations in
-// flight cannot exist after the previous run quiesced.
-func (v *lockedValidator) reset() {
-	v.b.Reset()
-	clear(v.pending)
-}
-
-func (v *lockedValidator) place() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.b.Place(0)
-}
-
-func (v *lockedValidator) clone(at int) int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.b.Clone(at, 0)
-}
-
-func (v *lockedValidator) depart(agent, from int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.pending == nil {
-		v.pending = make(map[int]int)
-	}
-	v.pending[agent] = from
-}
-
-func (v *lockedValidator) arrive(agent, from, to int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if src, ok := v.pending[agent]; ok {
-		delete(v.pending, agent)
-		if src != from {
-			panic(fmt.Sprintf("netsim: agent %d departed %d but arrived from %d", agent, src, from))
-		}
-		v.b.Move(agent, to, 0)
-		return
-	}
-	// Boot-time arrival at the homebase: the agent is already there.
-	if to != v.b.Home() {
-		panic(fmt.Sprintf("netsim: arrival of non-migrating agent %d at %d", agent, to))
-	}
-}
-
-func (v *lockedValidator) terminate(agent, _ int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.b.Terminate(agent, 0)
-}
-
-func (v *lockedValidator) agents() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.b.Agents()
-}
-
-func (v *lockedValidator) stats(team int, agentMsgs, beaconMsgs int64) Stats {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return buildStats(v.b, team, agentMsgs, beaconMsgs)
 }
 
 // valOp is one recorded lifecycle event in a stripe ledger.
@@ -191,8 +84,14 @@ type stripe struct {
 // thin enough that more shards only cost memory.
 const maxStripes = 64
 
-// stripedValidator shards event recording by node index. Correctness
-// argument (see ALGORITHMS.md): every event takes a global sequence
+// stripedValidator shards event recording over power-of-two stripes
+// of the node index: hosts append to a per-stripe ledger under a
+// per-stripe lock, and the invariants are checked once, at stats()
+// time, by merging the ledgers in global sequence order and replaying
+// them onto a fresh board. Hosts in different stripes never contend,
+// which is what lets the visibility run complete at d=12 even under
+// the race detector. Correctness argument (see ALGORITHMS.md): every
+// event takes a global sequence
 // number from one atomic counter *during* the event — after its
 // preconditions hold on the calling host, before the host acts on its
 // consequences — so the sequence order is a linearization of the run:
@@ -200,11 +99,13 @@ const maxStripes = 64
 // created by each message (depart is sequenced before the matching
 // arrive because the arrival message is only sent after depart
 // returns). stats() merges the per-stripe ledgers in sequence order
-// and replays them onto a fresh board; since the locked validator
+// and replays them onto a fresh board; since a single-mutex validator
 // applies events to its board in *some* linearization of the same run,
 // and the board is deterministic given an event order, the replay
-// checks exactly the invariants the locked validator checks — only
-// deferred to stats() time instead of inline.
+// checks exactly the invariants such a validator checks — only
+// deferred to stats() time instead of inline. The single-mutex
+// reference lives in validator_test.go, where the dual validator
+// compares the two event by event.
 type stripedValidator struct {
 	h       *hypercube.Hypercube
 	seq     atomic.Int64

@@ -1,11 +1,84 @@
 package netsim
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"hypersearch/internal/board"
 	"hypersearch/internal/hypercube"
 )
+
+// lockedValidator is the single-mutex reference validator: every event
+// applies to one shared board immediately, under one lock, so an
+// invariant violation panics at the offending event. The engines run
+// the striped validator; this one is the oracle dualValidator checks
+// it against.
+type lockedValidator struct {
+	mu      sync.Mutex
+	b       *board.Board
+	pending map[int]int // agent -> source host while migrating
+}
+
+func newLockedValidator(h *hypercube.Hypercube) *lockedValidator {
+	return &lockedValidator{b: board.New(h, 0)}
+}
+
+func (v *lockedValidator) place() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.b.Place(0)
+}
+
+func (v *lockedValidator) clone(at int) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.b.Clone(at, 0)
+}
+
+func (v *lockedValidator) depart(agent, from int) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.pending == nil {
+		v.pending = make(map[int]int)
+	}
+	v.pending[agent] = from
+}
+
+func (v *lockedValidator) arrive(agent, from, to int) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if src, ok := v.pending[agent]; ok {
+		delete(v.pending, agent)
+		if src != from {
+			panic(fmt.Sprintf("netsim: agent %d departed %d but arrived from %d", agent, src, from))
+		}
+		v.b.Move(agent, to, 0)
+		return
+	}
+	// Boot-time arrival at the homebase: the agent is already there.
+	if to != v.b.Home() {
+		panic(fmt.Sprintf("netsim: arrival of non-migrating agent %d at %d", agent, to))
+	}
+}
+
+func (v *lockedValidator) terminate(agent, _ int) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.b.Terminate(agent, 0)
+}
+
+func (v *lockedValidator) agents() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.b.Agents()
+}
+
+func (v *lockedValidator) stats(team int, agentMsgs, beaconMsgs int64) Stats {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return buildStats(v.b, team, agentMsgs, beaconMsgs)
+}
 
 // dualValidator feeds every event to both validator implementations
 // under one outer mutex, so both observe the identical event order.
@@ -120,17 +193,6 @@ func TestStripedMatchesLockedStats(t *testing.T) {
 			if !got.Captured || !got.MonotoneOK || !got.ContiguousOK {
 				t.Errorf("%s d=%d: bad run %+v", p.name, d, got.Result)
 			}
-		}
-	}
-}
-
-// TestLockedValidatorMode exercises the explicit single-mutex mode end
-// to end, so the legacy path stays usable for debugging.
-func TestLockedValidatorMode(t *testing.T) {
-	for d := 0; d <= 6; d++ {
-		s := Run(d, Config{Validator: ValidatorLocked})
-		if !s.Captured || !s.MonotoneOK || !s.ContiguousOK {
-			t.Errorf("d=%d locked validator: %+v", d, s.Result)
 		}
 	}
 }

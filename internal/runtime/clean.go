@@ -3,10 +3,8 @@ package runtime
 import (
 	"math/rand"
 	"sync"
-	"time"
 
 	"hypersearch/internal/combin"
-	"hypersearch/internal/metrics"
 )
 
 // CleanName identifies the concurrent coordinated run in results.
@@ -18,220 +16,84 @@ const CleanName = "clean-goroutines"
 // whiteboard's mutual exclusion.
 const fieldSync = "synchronizer"
 
-// order is a command the synchronizer posts to a worker: walk this
-// path; done is closed when the walk completes.
-type order struct {
-	path []int
-	done chan struct{}
-}
-
-// RunClean executes Algorithm CLEAN with real goroutines: the team is
-// placed at the homebase, every agent races the CAS election, the
-// winner runs the synchronizer program and the rest follow orders.
-// Unlike the discrete-event version (where the synchronizer escorts
-// each cleaner in lockstep), the concurrent synchronizer lets the
-// cleaner cross first and then performs its own round trip — the same
-// moves, and strictly safer interleavings.
-func RunClean(d int, cfg Config) metrics.Result {
-	w := newWorld(d)
-	team := int(combin.CleanTeamSize(d))
-
-	w.mu.Lock()
-	ids := make([]int, team)
-	for i := range ids {
-		ids[i] = w.b.Place(0)
+// RunClean executes Algorithm CLEAN with real goroutines: the team
+// races a whiteboard CAS election, the winner runs the checkpointed
+// synchronizer program and the rest serve the orders it records on
+// the ledger. The synchronizer lets each escorted cleaner cross first
+// and then walks the edge and back itself — the DES's moves, with
+// strictly safer interleavings.
+//
+// cfg.Faults injects deterministic adversity. Given a plan, every
+// agent maintains a lease the watchdog monitors: a crashed cleaner's
+// walk is reconstructed from the order ledger and reassigned to a
+// spare; a crashed synchronizer triggers a CAS re-election among the
+// spares, and the winner resumes from the whiteboard checkpoint. The
+// search completes with the surviving team as long as spares cover
+// the crashes.
+func RunClean(d int, cfg Config) (Report, error) {
+	cfg = cfg.withDefaults()
+	inj, err := cfg.injector()
+	if err != nil {
+		return Report{}, err
 	}
-	w.mu.Unlock()
+	w := newWorld(d, cfg, inj)
+	team := int(combin.CleanTeamSize(d))
+	spares := cfg.Spares
+	if spares <= 0 && inj != nil && inj.Crashes() > 0 {
+		spares = inj.Crashes() + 1
+	}
+	total := team + spares
+	w.initAgents(total, team)
 
 	if d == 0 {
 		w.mu.Lock()
-		w.b.Terminate(ids[0], 0)
+		w.terminateAllLocked()
 		w.mu.Unlock()
-		return w.result(CleanName, team)
+		return w.report(CleanName, team, spares), nil
 	}
 
-	orderCh := make([]chan order, team)
-	for i := range orderCh {
-		orderCh[i] = make(chan order, 4)
+	var wdQuit chan struct{}
+	if inj != nil {
+		wdQuit = make(chan struct{})
+		go w.watchdog(wdQuit)
+		for i := 0; i < total; i++ {
+			go w.heartbeat(i)
+		}
 	}
-
 	var wg sync.WaitGroup
-	elected := make(chan int, 1)
-	for i, id := range ids {
+	for i := 0; i < total; i++ {
 		wg.Add(1)
-		go func(i, id int) {
+		go func(i int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, uint64(i))))
-			if w.wb.At(0).CompareAndSwap(w.fSync, 0, int64(id)+1) {
-				elected <- id
-				runSynchronizer(w, id, ids, orderCh, rng, cfg.MaxLatency)
-				return
-			}
-			runWorker(w, id, orderCh[id], rng, cfg.MaxLatency)
-		}(i, id)
+			w.agentMain(i, i >= team, rng)
+		}(i)
 	}
 	wg.Wait()
-	<-elected // exactly one winner or the CAS election is broken
+	if inj != nil {
+		close(wdQuit)
+		for i := 0; i < total; i++ {
+			w.stopHeartbeat(i)
+		}
+	}
 
 	w.mu.Lock()
-	for _, id := range ids {
-		if _, active := w.b.Position(id); active {
-			w.b.Terminate(id, 0)
-		}
-	}
+	w.terminateAllLocked()
 	w.mu.Unlock()
-	return w.result(CleanName, team)
+	return w.report(CleanName, team, spares), nil
 }
 
-// runWorker walks whatever paths the synchronizer posts, injecting the
-// adversarial latency before every edge, until its channel closes.
-func runWorker(w *world, id int, orders chan order, rng *rand.Rand, maxLat time.Duration) {
-	for ord := range orders {
-		for _, v := range ord.path[1:] {
-			sleepLatency(rng, maxLat)
-			w.move(id, v)
-		}
-		close(ord.done)
-	}
-}
-
-// synchronizer is the coordinator program: the concurrent analogue of
-// the DES implementation in internal/strategy/coordinated.
-type synchronizer struct {
-	w       *world
-	me      int
-	orderCh []chan order
-	rng     *rand.Rand
-	maxLat  time.Duration
-
-	pool     []int         // idle workers at the root
-	returned chan int      // workers that have walked home
-	at       map[int][]int // node -> workers standing there
-	pending  map[int][]chan struct{}
-}
-
-func runSynchronizer(w *world, me int, ids []int, orderCh []chan order, rng *rand.Rand, maxLat time.Duration) {
-	s := &synchronizer{
-		w: w, me: me, orderCh: orderCh, rng: rng, maxLat: maxLat,
-		returned: make(chan int, len(ids)),
-		at:       make(map[int][]int),
-		pending:  make(map[int][]chan struct{}),
-	}
-	for _, id := range ids {
-		if id != me {
-			s.pool = append(s.pool, id)
-		}
-	}
-	d := w.h.Dim()
-
-	// Phase 0: one worker to each root child; the synchronizer makes
-	// its own escorted round trip.
-	for _, child := range w.bt.Children(0) {
-		a := s.take()
-		s.send(a, []int{0, child}, true)
-		s.at[child] = append(s.at[child], a)
-		s.selfWalk([]int{0, child, 0})
-	}
-
-	// Phases 1..d-1.
-	for l := 1; l <= d-1; l++ {
-		// 2.1: couriers down the broadcast tree.
-		for _, x := range w.h.NodesAtLevel(l) {
-			k := w.bt.Type(x)
-			for i := 0; i < k-1; i++ {
-				a := s.take()
-				s.send(a, w.bt.PathFromRoot(x), false)
-				s.at[x] = append(s.at[x], a)
-			}
-		}
-		// 2.2 + 2.3: walk the level in lexicographic order.
-		cur := 0
-		for _, x := range w.h.NodesAtLevel(l) {
-			s.selfWalk(w.h.ShortestPath(cur, x))
-			cur = x
-			if w.bt.IsLeaf(x) {
-				a := s.pop(x)
-				s.awaitArrivals(x) // courier bookkeeping is per-node; leaves have none
-				s.sendHome(a, x)
-				continue
-			}
-			s.awaitArrivals(x)
-			for _, child := range w.bt.Children(x) {
-				a := s.pop(x)
-				s.send(a, []int{x, child}, true)
-				s.at[child] = append(s.at[child], a)
-				s.selfWalk([]int{x, child, x})
-			}
-		}
-		s.selfWalk(w.h.ShortestPath(cur, 0))
-	}
-	// Shut the workers down.
-	for i, ch := range s.orderCh {
-		if i != s.me {
-			close(ch)
-		}
-	}
-}
-
-// send posts an order; when wait is true the synchronizer blocks until
-// the walk completes (escorts must land before the next action), and
-// when false the completion is parked for awaitArrivals.
-func (s *synchronizer) send(a int, path []int, wait bool) {
-	done := make(chan struct{})
-	s.orderCh[a] <- order{path: path, done: done}
-	if wait {
-		<-done
+// agentMain races the initial election (workers only — spares stay in
+// reserve) and then runs the won role.
+func (w *world) agentMain(id int, spare bool, rng *rand.Rand) {
+	if !spare && w.wb.At(0).CompareAndSwap(w.fSync, 0, int64(id)+1) {
+		w.mu.Lock()
+		w.syncID = id
+		w.removeFromPoolLocked(id)
+		w.mu.Unlock()
+		w.wb.At(0).Write(w.fOwner, int64(id)+1)
+		w.syncProgram(id, rng)
 		return
 	}
-	dst := path[len(path)-1]
-	s.pending[dst] = append(s.pending[dst], done)
-}
-
-// sendHome orders a released leaf agent back to the root pool; its
-// completion feeds the returned channel asynchronously.
-func (s *synchronizer) sendHome(a, from int) {
-	done := make(chan struct{})
-	s.orderCh[a] <- order{path: s.w.h.ShortestPath(from, 0), done: done}
-	go func() {
-		<-done
-		s.returned <- a
-	}()
-}
-
-// awaitArrivals blocks until every courier bound for x has landed.
-func (s *synchronizer) awaitArrivals(x int) {
-	for _, done := range s.pending[x] {
-		<-done
-	}
-	delete(s.pending, x)
-}
-
-// take pops an idle worker, draining returners when the pool is empty.
-func (s *synchronizer) take() int {
-	if len(s.pool) == 0 {
-		return <-s.returned
-	}
-	a := s.pool[len(s.pool)-1]
-	s.pool = s.pool[:len(s.pool)-1]
-	return a
-}
-
-func (s *synchronizer) pop(x int) int {
-	agents := s.at[x]
-	a := agents[len(agents)-1]
-	s.at[x] = agents[:len(agents)-1]
-	return a
-}
-
-// selfWalk moves the synchronizer itself along a path, counting its
-// traffic separately.
-func (s *synchronizer) selfWalk(path []int) {
-	for _, v := range path[1:] {
-		sleepLatency(s.rng, s.maxLat)
-		s.w.mu.Lock()
-		s.w.b.Move(s.me, v, 0)
-		s.w.syncMoves++
-		s.w.cond.Broadcast()
-		s.w.mu.Unlock()
-	}
+	w.workerLoop(id, spare, rng)
 }

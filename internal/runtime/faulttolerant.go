@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
-	"hypersearch/internal/combin"
 	"hypersearch/internal/faults"
-	"hypersearch/internal/metrics"
-	"hypersearch/internal/trace"
 	"hypersearch/internal/whiteboard"
 )
 
-// CleanFTName identifies the crash-tolerant coordinated run in results.
-const CleanFTName = "clean-ft-goroutines"
+// The crash-recovery protocol of the coordinated runtime: an order
+// ledger every walk is recorded on before it starts, per-agent leases
+// renewed by heartbeats and sampled by a watchdog, fencing of expired
+// agents, and reassignment of their unfinished walks to spares. Only a
+// run given a fault plan starts the heartbeats and the watchdog.
 
 // Whiteboard fields of the recovery protocol, all on the homebase
 // board (the root is clean from the start and every agent can reach
@@ -38,12 +37,12 @@ func fenceField(id int) string      { return fmt.Sprintf("%s%d", fieldFence, id)
 func epochField(e int64) string     { return fmt.Sprintf("%s%d", fieldEpoch, e) }
 func orderField(k, f string) string { return fieldOrder + k + "." + f }
 
-// ftOrder is one ledger entry: a walk some agent owes the search. The
+// order is one ledger entry: a walk some agent owes the search. The
 // destination plus the walker's board position fully determine the
 // remaining path (tree paths for outbound work, clear-bits-first
 // shortest paths for homeward walks), which is what makes a crashed
 // walk reconstructible.
-type ftOrder struct {
+type order struct {
 	key      string
 	assignee int
 	dst      int
@@ -53,195 +52,22 @@ type ftOrder struct {
 	doneF whiteboard.Field // interned "ord.<key>.done" mirror field
 }
 
-// FTReport is the outcome of a fault-tolerant run.
-type FTReport struct {
-	Result metrics.Result
-	Log    *trace.Log // nil unless Config.Record
-
-	Team        int // paper team size
-	Spares      int // extra agents provisioned for recovery
-	Crashes     int // injected crashes that fired
-	Reassigned  int // orders re-executed by a spare
-	Reelections int // synchronizer CAS re-elections
-	SparesUsed  int // spares drafted into service
-}
-
-// ftWorld extends the shared world with the recovery protocol's
-// replicated state: the order ledger, per-node agent registry, root
-// pool, spare pool, fencing flags, and the synchronizer epoch. All of
-// it is guarded by the world mutex; the homebase whiteboard mirrors
-// the durable fields (leases, checkpoint, order records, fences) that
-// the paper's model would store on node whiteboards.
-type ftWorld struct {
-	*world
-	cfg Config
-	inj *faults.Injector
-	log *trace.Log
-
-	step int64 // logical clock: one tick per board action
-
-	inbox  [][]string
-	ledger map[string]*ftOrder
-	at     map[int][]int
-	pool   []int
-	spares []int
-
-	dead   []bool // fenced by the watchdog
-	exited []bool // returned cleanly (lease no longer monitored)
-
-	fLease []whiteboard.Field // per-agent heartbeat fields, interned in initAgents
-	fFence []whiteboard.Field // per-agent fence fields, interned in initAgents
-
-	syncID   int
-	epoch    int64
-	needSync bool
-	doneFlag bool
-
-	hbQuit []chan struct{}
-	hbOnce []sync.Once
-
-	crashes     int
-	reassigned  int
-	reelections int
-	sparesUsed  int
-}
-
-func newFTWorld(d int, cfg Config, inj *faults.Injector) *ftWorld {
-	w := &ftWorld{
-		world:  newWorld(d),
-		cfg:    cfg,
-		inj:    inj,
-		ledger: map[string]*ftOrder{},
-		at:     map[int][]int{},
-		syncID: -1,
-	}
-	if cfg.Record {
-		w.log = &trace.Log{}
-	}
-	return w
-}
-
-// initAgents places total agents on the homebase (recording the trace)
-// and splits them into the working pool (0..team-1) and spares.
-func (w *ftWorld) initAgents(total, team int) {
-	w.inbox = make([][]string, total)
-	w.dead = make([]bool, total)
-	w.exited = make([]bool, total)
-	w.hbQuit = make([]chan struct{}, total)
-	w.hbOnce = make([]sync.Once, total)
-	w.fLease = make([]whiteboard.Field, total)
-	w.fFence = make([]whiteboard.Field, total)
-	for i := 0; i < total; i++ {
-		w.fLease[i] = w.wb.Field(leaseField(i))
-		w.fFence[i] = w.wb.Field(fenceField(i))
-	}
-	w.mu.Lock()
-	for i := 0; i < total; i++ {
-		id := w.b.Place(w.step)
-		w.record(trace.Event{Time: w.step, Kind: trace.Place, Agent: id, To: 0, Role: roleFor(i, team)})
-		w.step++
-		w.hbQuit[i] = make(chan struct{})
-		if i < team {
-			w.pool = append(w.pool, id)
-		} else {
-			w.spares = append(w.spares, id)
-		}
-	}
-	w.mu.Unlock()
-}
-
-func roleFor(i, team int) string {
-	if i < team {
-		return "cleaner"
-	}
-	return "spare"
-}
-
-func (w *ftWorld) record(e trace.Event) {
-	if w.log != nil {
-		w.log.Append(e)
-	}
-}
-
-// action consults the injector for one move; a nil injector is a
-// fault-free run.
-func (w *ftWorld) action(ctx faults.MoveCtx) faults.Action {
-	if w.inj == nil {
-		return faults.Action{}
-	}
-	return w.inj.BeforeMove(ctx)
-}
-
-func (w *ftWorld) sleepUnits(units int64) {
-	if units > 0 && w.cfg.FaultUnit > 0 {
-		time.Sleep(time.Duration(units) * w.cfg.FaultUnit)
-	}
-}
-
-// broadcastLocked wakes every waiter unless the injector swallows the
-// wakeup (the watchdog's periodic re-broadcast keeps the run live).
-func (w *ftWorld) broadcastLocked() {
-	if w.inj != nil && w.inj.DropWakeup() {
-		return
-	}
-	w.cond.Broadcast()
-}
-
-// applyMove performs one fenced, traced board move. A positive hold
-// simulates whiteboard lock starvation: the mutex is held for that
-// long with every other agent shut out. Returns false when the agent
-// was fenced by the watchdog and must stop acting.
-func (w *ftWorld) applyMove(id, to int, hold int64, sync bool, role string) bool {
-	w.mu.Lock()
-	if w.dead[id] {
-		w.mu.Unlock()
-		return false
-	}
-	from, _ := w.b.Position(id)
-	w.b.Move(id, to, w.step)
-	if sync {
-		w.syncMoves++
-	}
-	w.record(trace.Event{Time: w.step, Kind: trace.Move, Agent: id, From: from, To: to, Role: role})
-	w.step++
-	if hold > 0 && w.cfg.FaultUnit > 0 {
-		time.Sleep(time.Duration(hold) * w.cfg.FaultUnit)
-	}
-	w.broadcastLocked()
-	w.mu.Unlock()
-	return true
-}
-
-// awaitLocked blocks until cond holds, returning false if the agent is
-// fenced first. Caller holds w.mu.
-func (w *ftWorld) awaitLocked(id int, cond func() bool) bool {
-	for {
-		if w.dead[id] {
-			return false
-		}
-		if cond() {
-			return true
-		}
-		w.cond.Wait()
-	}
-}
-
 // noteCrash is the injected crash: the agent's goroutines stop, its
 // heartbeat ceases, and nothing else is cleaned up — detection is the
 // watchdog's job, through the expiring lease.
-func (w *ftWorld) noteCrash(id int) {
+func (w *world) noteCrash(id int) {
 	w.stopHeartbeat(id)
 	w.mu.Lock()
 	w.crashes++
 	w.mu.Unlock()
 }
 
-func (w *ftWorld) stopHeartbeat(id int) {
+func (w *world) stopHeartbeat(id int) {
 	w.hbOnce[id].Do(func() { close(w.hbQuit[id]) })
 }
 
 // finish marks a clean exit: the lease stops being monitored.
-func (w *ftWorld) finish(id int) {
+func (w *world) finish(id int) {
 	w.mu.Lock()
 	w.exited[id] = true
 	w.mu.Unlock()
@@ -251,7 +77,7 @@ func (w *ftWorld) finish(id int) {
 // heartbeat renews the agent's lease on the homebase whiteboard. It
 // runs on its own goroutine so a stalled (but live) agent is never
 // mistaken for a crashed one — liveness and progress are separate.
-func (w *ftWorld) heartbeat(id int) {
+func (w *world) heartbeat(id int) {
 	t := time.NewTicker(w.cfg.HeartbeatEvery)
 	defer t.Stop()
 	var n int64
@@ -266,20 +92,20 @@ func (w *ftWorld) heartbeat(id int) {
 	}
 }
 
+// lease is the watchdog's view of one agent's heartbeat: the last
+// value it read and how long it has watched that value stay unchanged.
+type lease struct {
+	val    int64
+	silent time.Duration
+}
+
 // watchdog samples every lease each heartbeat period and declares an
 // agent dead once its lease has been silent for LeaseTTL. It also
 // re-broadcasts the world condition every tick, healing any wakeups
 // the fault injector swallowed.
-func (w *ftWorld) watchdog(quit chan struct{}) {
-	type lease struct {
-		val   int64
-		since time.Time
-	}
+func (w *world) watchdog(quit chan struct{}) {
 	seen := make([]lease, len(w.hbQuit))
-	start := time.Now()
-	for i := range seen {
-		seen[i].since = start
-	}
+	last := time.Now()
 	t := time.NewTicker(w.cfg.HeartbeatEvery)
 	defer t.Stop()
 	for {
@@ -296,15 +122,28 @@ func (w *ftWorld) watchdog(quit chan struct{}) {
 			return
 		}
 		now := time.Now()
-		for id := range seen {
-			v := w.wb.At(0).Read(w.fLease[id])
-			if v != seen[id].val {
-				seen[id] = lease{v, now}
-				continue
-			}
-			if now.Sub(seen[id].since) >= w.cfg.LeaseTTL {
-				w.declareDead(id)
-			}
+		w.sampleLeases(seen, now.Sub(last))
+		last = now
+	}
+}
+
+// sampleLeases reads every lease once, gap after the previous sample,
+// and fences each agent whose lease has stayed silent for LeaseTTL.
+// Silence is counted only while the watchdog runs: a gap is capped at
+// two heartbeat periods, because a longer one means the whole process
+// stood still (a GC pause, a descheduled host), the heartbeats
+// included, and is no evidence against any agent. Counting it would
+// let one long stall fence every live agent at once.
+func (w *world) sampleLeases(seen []lease, gap time.Duration) {
+	gap = min(gap, 2*w.cfg.HeartbeatEvery)
+	for id := range seen {
+		v := w.wb.At(0).Read(w.fLease[id])
+		if v != seen[id].val {
+			seen[id] = lease{val: v}
+			continue
+		}
+		if seen[id].silent += gap; seen[id].silent >= w.cfg.LeaseTTL {
+			w.declareDead(id)
 		}
 	}
 }
@@ -313,7 +152,7 @@ func (w *ftWorld) watchdog(quit chan struct{}) {
 // synchronizer opens a new election epoch; a dead worker's incomplete
 // outbound orders are reassigned to spares, which re-execute them from
 // the root along the (still clean) broadcast-tree paths.
-func (w *ftWorld) declareDead(id int) {
+func (w *world) declareDead(id int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.doneFlag || w.dead[id] || w.exited[id] {
@@ -347,7 +186,7 @@ func (w *ftWorld) declareDead(id int) {
 	w.cond.Broadcast()
 }
 
-func (w *ftWorld) takeSpareLocked() int {
+func (w *world) takeSpareLocked() int {
 	if len(w.spares) == 0 {
 		panic("runtime: spare pool exhausted during recovery; raise Config.Spares")
 	}
@@ -359,7 +198,7 @@ func (w *ftWorld) takeSpareLocked() int {
 
 // poolInboundLocked reports whether some live agent still holds an
 // incomplete homeward order and will therefore rejoin the root pool.
-func (w *ftWorld) poolInboundLocked() bool {
+func (w *world) poolInboundLocked() bool {
 	for _, ord := range w.ledger {
 		if !ord.done && !ord.register && ord.assignee >= 0 && !w.dead[ord.assignee] {
 			return true
@@ -375,7 +214,7 @@ func (w *ftWorld) poolInboundLocked() bool {
 // on wall-clock timing. A spare is drafted only once the pool can no
 // longer refill (every homeward walker is done or dead). Returns false
 // if the caller is fenced while waiting.
-func (w *ftWorld) takeWorkerLocked(caller int) (int, bool) {
+func (w *world) takeWorkerLocked(caller int) (int, bool) {
 	if !w.awaitLocked(caller, func() bool {
 		return len(w.pool) > 0 || (!w.poolInboundLocked() && len(w.spares) > 0)
 	}) {
@@ -392,7 +231,7 @@ func (w *ftWorld) takeWorkerLocked(caller int) (int, bool) {
 // popLiveAtLocked removes and returns a live agent standing on x, or
 // -1 when only crashed bodies remain (they keep guarding x but cannot
 // walk; a spare must take over their onward duty).
-func (w *ftWorld) popLiveAtLocked(x int) int {
+func (w *world) popLiveAtLocked(x int) int {
 	agents := w.at[x]
 	for i := len(agents) - 1; i >= 0; i-- {
 		a := agents[i]
@@ -409,8 +248,8 @@ func (w *ftWorld) popLiveAtLocked(x int) int {
 // whiteboard) and posts it to the assignee's inbox. An assignee of -1
 // records a vacuously complete order — the work is moot, e.g. a dead
 // leaf agent that stays behind as a permanent guard.
-func (w *ftWorld) issueLocked(key string, assignee, dst int, register bool) *ftOrder {
-	ord := &ftOrder{key: key, assignee: assignee, dst: dst, register: register}
+func (w *world) issueLocked(key string, assignee, dst int, register bool) *order {
+	ord := &order{key: key, assignee: assignee, dst: dst, register: register}
 	ord.doneF = w.wb.Field(orderField(key, "done"))
 	w.ledger[key] = ord
 	w.wb.At(0).Write(w.wb.Field(orderField(key, "dst")), int64(dst))
@@ -431,7 +270,7 @@ func (w *ftWorld) issueLocked(key string, assignee, dst int, register bool) *ftO
 // root, escorted cleaners at the destination's parent), homeward
 // orders the clear-bits-first shortest path. Returns false if the
 // agent crashed or was fenced mid-walk.
-func (w *ftWorld) execute(id int, ord *ftOrder, rng *rand.Rand) bool {
+func (w *world) execute(id int, ord *order, rng *rand.Rand) bool {
 	w.mu.Lock()
 	pos, _ := w.b.Position(id)
 	w.mu.Unlock()
@@ -483,7 +322,7 @@ func indexOf(path []int, v int) int {
 // workerLoop is the local program of every non-synchronizer agent:
 // serve orders from the inbox; spares additionally stand for election
 // when the watchdog opens a new synchronizer epoch.
-func (w *ftWorld) workerLoop(id int, spare bool, rng *rand.Rand) {
+func (w *world) workerLoop(id int, spare bool, rng *rand.Rand) {
 	w.mu.Lock()
 	for {
 		switch {
@@ -535,7 +374,7 @@ func (w *ftWorld) workerLoop(id int, spare bool, rng *rand.Rand) {
 // spare may be standing guard on a frontier node, and abandoning that
 // post to run the synchronizer program would recontaminate the region
 // behind it.
-func (w *ftWorld) inReserveLocked(id int) bool {
+func (w *world) inReserveLocked(id int) bool {
 	for _, s := range w.spares {
 		if s == id {
 			return true
@@ -544,7 +383,7 @@ func (w *ftWorld) inReserveLocked(id int) bool {
 	return false
 }
 
-func (w *ftWorld) removeSpareLocked(id int) {
+func (w *world) removeSpareLocked(id int) {
 	for i, s := range w.spares {
 		if s == id {
 			w.spares = append(w.spares[:i], w.spares[i+1:]...)
@@ -555,112 +394,11 @@ func (w *ftWorld) removeSpareLocked(id int) {
 
 // removeFromPoolLocked drops id from the root pool (the elected
 // synchronizer stops being assignable).
-func (w *ftWorld) removeFromPoolLocked(id int) {
+func (w *world) removeFromPoolLocked(id int) {
 	for i, a := range w.pool {
 		if a == id {
 			w.pool = append(w.pool[:i], w.pool[i+1:]...)
 			return
 		}
 	}
-}
-
-// terminateAllLocked retires every still-active agent in place,
-// recording the trace. Crashed bodies stay as permanent guards.
-func (w *ftWorld) terminateAllLocked() {
-	for id := 0; id < w.b.Agents(); id++ {
-		if v, active := w.b.Position(id); active {
-			w.b.Terminate(id, w.step)
-			w.record(trace.Event{Time: w.step, Kind: trace.Terminate, Agent: id, From: v, To: v})
-			w.step++
-		}
-	}
-}
-
-func (w *ftWorld) report(name string, team, spares int) FTReport {
-	res := w.result(name, team+spares)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return FTReport{
-		Result:      res,
-		Log:         w.log,
-		Team:        team,
-		Spares:      spares,
-		Crashes:     w.crashes,
-		Reassigned:  w.reassigned,
-		Reelections: w.reelections,
-		SparesUsed:  w.sparesUsed,
-	}
-}
-
-// RunCleanFT executes Algorithm CLEAN on the crash-tolerant goroutine
-// runtime: the team races a whiteboard CAS election, the winner runs
-// the checkpointed synchronizer program, every agent maintains a lease
-// the watchdog monitors, and cfg.Faults injects deterministic
-// adversity. A crashed cleaner's walk is reconstructed from the order
-// ledger and reassigned to a spare; a crashed synchronizer triggers a
-// CAS re-election among the spares, and the winner resumes from the
-// whiteboard checkpoint. The search completes with the surviving team
-// as long as spares cover the crashes.
-func RunCleanFT(d int, cfg Config) (FTReport, error) {
-	cfg = cfg.withDefaults()
-	var inj *faults.Injector
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return FTReport{}, err
-		}
-		inj = faults.NewInjector(cfg.Faults)
-	}
-	w := newFTWorld(d, cfg, inj)
-	team := int(combin.CleanTeamSize(d))
-	spares := cfg.Spares
-	if spares <= 0 && inj != nil && inj.Crashes() > 0 {
-		spares = inj.Crashes() + 1
-	}
-	total := team + spares
-	w.initAgents(total, team)
-
-	if d == 0 {
-		w.mu.Lock()
-		w.terminateAllLocked()
-		w.mu.Unlock()
-		return w.report(CleanFTName, team, spares), nil
-	}
-
-	wdQuit := make(chan struct{})
-	go w.watchdog(wdQuit)
-	var wg sync.WaitGroup
-	for i := 0; i < total; i++ {
-		go w.heartbeat(i)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, uint64(i))))
-			w.agentMain(i, i >= team, rng)
-		}(i)
-	}
-	wg.Wait()
-	close(wdQuit)
-	for i := 0; i < total; i++ {
-		w.stopHeartbeat(i)
-	}
-
-	w.mu.Lock()
-	w.terminateAllLocked()
-	w.mu.Unlock()
-	return w.report(CleanFTName, team, spares), nil
-}
-
-// agentMain races the initial election (workers only — spares stay in
-// reserve) and then runs the won role.
-func (w *ftWorld) agentMain(id int, spare bool, rng *rand.Rand) {
-	if !spare && w.wb.At(0).CompareAndSwap(w.fSync, 0, int64(id)+1) {
-		w.mu.Lock()
-		w.syncID = id
-		w.removeFromPoolLocked(id)
-		w.mu.Unlock()
-		w.wb.At(0).Write(w.fOwner, int64(id)+1)
-		w.syncProgram(id, rng)
-		return
-	}
-	w.workerLoop(id, spare, rng)
 }

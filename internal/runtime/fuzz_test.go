@@ -7,7 +7,7 @@ import (
 	"hypersearch/internal/faults"
 )
 
-// FuzzFaultApplication drives RunCleanFT with fuzzer-shaped fault
+// FuzzFaultApplication drives RunClean with fuzzer-shaped fault
 // plans: whatever combination of crashes, stalls, spikes, starvation
 // and lost wakeups comes out, the engine must neither panic nor wedge
 // — every run completes the search. Plans are built from the raw bytes
@@ -47,7 +47,7 @@ func FuzzFaultApplication(f *testing.F) {
 		if err := plan.Validate(); err != nil {
 			t.Fatalf("fuzz built an invalid plan: %v", err)
 		}
-		rep, err := RunCleanFT(2, Config{
+		rep, err := RunClean(2, Config{
 			Seed:           seed,
 			Faults:         plan,
 			Record:         true,
@@ -56,7 +56,7 @@ func FuzzFaultApplication(f *testing.F) {
 			FaultUnit:      -1, // swallow all injected sleeps: fuzz wants throughput
 		})
 		if err != nil {
-			t.Fatalf("RunCleanFT: %v", err)
+			t.Fatalf("RunClean: %v", err)
 		}
 		if !rep.Result.Captured {
 			t.Fatalf("engine wedged or gave up: %+v", rep.Result)

@@ -7,6 +7,9 @@ import (
 	"hypersearch/internal/faults"
 	"hypersearch/internal/hypercube"
 	"hypersearch/internal/invariant"
+	"hypersearch/internal/strategy"
+	"hypersearch/internal/strategy/coordinated"
+	"hypersearch/internal/strategy/visibility"
 )
 
 // Fast watchdog knobs for tests: crash detection costs one TTL, so the
@@ -24,7 +27,7 @@ func testCfg(seed int64, plan *faults.Plan) Config {
 	}
 }
 
-func checkTrace(t *testing.T, rep FTReport, d int) {
+func checkTrace(t *testing.T, rep Report, d int) {
 	t.Helper()
 	if rep.Log == nil {
 		t.Fatal("Record was set but the report carries no trace")
@@ -38,12 +41,12 @@ func checkTrace(t *testing.T, rep FTReport, d int) {
 	}
 }
 
-// A fault-free FT run must complete the search with exactly the plain
-// concurrent runtime's cleaner traffic: the recovery machinery (leases,
-// watchdog, ledger) may cost time, never moves.
+// A fault-free run must complete the search with exactly the DES's
+// cleaner and synchronizer traffic: the recovery machinery (ledger,
+// checkpoints) may cost time, never moves.
 func TestCleanFTFaultFreeParity(t *testing.T) {
 	for d := 0; d <= 4; d++ {
-		rep, err := RunCleanFT(d, testCfg(11, nil))
+		rep, err := RunClean(d, testCfg(11, nil))
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -53,13 +56,10 @@ func TestCleanFTFaultFreeParity(t *testing.T) {
 		if rep.Crashes != 0 || rep.Reassigned != 0 || rep.Reelections != 0 || rep.SparesUsed != 0 {
 			t.Fatalf("d=%d: fault-free run reports recovery activity: %+v", d, rep)
 		}
-		plain := RunClean(d, Config{Seed: 11, MaxLatency: 100 * time.Microsecond})
-		if rep.Result.AgentMoves != plain.AgentMoves {
-			t.Errorf("d=%d: FT cleaner moves %d, plain runtime %d", d, rep.Result.AgentMoves, plain.AgentMoves)
-		}
-		// d <= 1 has no level walks, so the synchronizer never moves.
-		if d >= 2 && rep.Result.SyncMoves == 0 {
-			t.Errorf("d=%d: synchronizer made no moves", d)
+		ref, _ := coordinated.Run(d, strategy.Options{})
+		if rep.Result.AgentMoves != ref.AgentMoves || rep.Result.SyncMoves != ref.SyncMoves {
+			t.Errorf("d=%d: cleaner/synchronizer moves %d/%d, DES %d/%d",
+				d, rep.Result.AgentMoves, rep.Result.SyncMoves, ref.AgentMoves, ref.SyncMoves)
 		}
 		checkTrace(t, rep, d)
 	}
@@ -71,7 +71,7 @@ func TestCleanFTCleanerCrashRecovery(t *testing.T) {
 	plan := &faults.Plan{Name: "cleaner-crash", Seed: 7, Faults: []faults.Fault{
 		{Kind: faults.Crash, Target: "order:p0.e1", At: 1},
 	}}
-	rep, err := RunCleanFT(3, testCfg(7, plan))
+	rep, err := RunClean(3, testCfg(7, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,15 @@ func TestCleanFTCleanerCrashRecovery(t *testing.T) {
 
 // A crashed synchronizer must trigger a CAS re-election among the
 // spares, and the winner must resume from the whiteboard checkpoint.
+// Phase 0 takes the synchronizer's first 2d moves and move 2d+1 walks
+// it to node 1, so move 2d+2 crashes it on node 1's first escort round
+// trip, inside the level-1 walk.
 func TestCleanFTSynchronizerReelection(t *testing.T) {
+	const d = 3
 	plan := &faults.Plan{Name: "sync-crash", Seed: 7, Faults: []faults.Fault{
-		{Kind: faults.Crash, Target: faults.TargetSync, At: 5},
+		{Kind: faults.Crash, Target: faults.TargetSync, At: 2*d + 2},
 	}}
-	rep, err := RunCleanFT(3, testCfg(7, plan))
+	rep, err := RunClean(d, testCfg(7, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +107,7 @@ func TestCleanFTSynchronizerReelection(t *testing.T) {
 	if rep.Crashes != 1 || rep.Reelections != 1 || rep.SparesUsed != 1 {
 		t.Fatalf("unexpected recovery stats: %+v", rep)
 	}
-	checkTrace(t, rep, 3)
+	checkTrace(t, rep, d)
 }
 
 // Delay faults (stall, spike, starvation, lost wakeups) cost time but
@@ -115,11 +119,11 @@ func TestCleanFTDelayFaultsMovePreserving(t *testing.T) {
 		{Kind: faults.LockStarve, Target: faults.TargetAny, At: 8, Delay: 30},
 		{Kind: faults.LostWakeup, At: 2, Until: 20},
 	}}
-	faulted, err := RunCleanFT(3, testCfg(3, plan))
+	faulted, err := RunClean(3, testCfg(3, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := RunCleanFT(3, testCfg(3, nil))
+	clean, err := RunClean(3, testCfg(3, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +150,12 @@ func TestCleanFTDeterministicReruns(t *testing.T) {
 		{Kind: faults.LostWakeup, At: 3, Until: 12},
 	}}
 	type fingerprint struct {
-		total, agent, sync                        int64
+		total, agent, sync                       int64
 		crashes, reassigned, reelections, spares int
 	}
 	var runs []fingerprint
 	for i := 0; i < 3; i++ {
-		rep, err := RunCleanFT(3, testCfg(5, plan))
+		rep, err := RunClean(3, testCfg(5, plan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,30 +181,55 @@ func TestVisibilityFTRejectsCrashPlans(t *testing.T) {
 	plan := &faults.Plan{Seed: 1, Faults: []faults.Fault{
 		{Kind: faults.Crash, Target: faults.TargetSync, At: 1},
 	}}
-	if _, err := RunVisibilityFT(3, testCfg(1, plan)); err == nil {
-		t.Fatal("RunVisibilityFT accepted a crash plan")
+	if _, err := RunVisibility(3, testCfg(1, plan)); err == nil {
+		t.Fatal("RunVisibility accepted a crash plan")
 	}
 }
 
 // The visibility runtime under a barrage of lost wakeups must still
-// finish (the re-broadcaster heals liveness) with exactly the plain
-// visibility run's traffic.
+// finish (the re-broadcaster heals liveness) with exactly the DES's
+// traffic.
 func TestVisibilityFTLostWakeups(t *testing.T) {
 	plan := &faults.Plan{Name: "lost-wakeups", Seed: 9, Faults: []faults.Fault{
 		{Kind: faults.LostWakeup, At: 1, Until: 100},
 	}}
-	rep, err := RunVisibilityFT(3, testCfg(9, plan))
+	rep, err := RunVisibility(3, testCfg(9, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Result.Ok() {
 		t.Fatalf("run failed: %+v", rep.Result)
 	}
-	plain := RunVisibility(3, Config{Seed: 9, MaxLatency: 100 * time.Microsecond})
-	if rep.Result.AgentMoves != plain.AgentMoves {
-		t.Errorf("lost wakeups changed the move count: %d vs %d", rep.Result.AgentMoves, plain.AgentMoves)
+	ref, _ := visibility.Run(3, strategy.Options{})
+	if rep.Result.AgentMoves != ref.AgentMoves {
+		t.Errorf("lost wakeups changed the move count: %d vs DES %d", rep.Result.AgentMoves, ref.AgentMoves)
 	}
 	checkTrace(t, rep, 3)
+}
+
+// A gap between lease samples longer than the TTL is a stall of the
+// whole process, heartbeats included, and must fence nobody; silence
+// the watchdog actually watches for a TTL still fences.
+func TestLeaseSilenceIgnoresProcessStalls(t *testing.T) {
+	cfg := testCfg(1, nil).withDefaults()
+	w := newWorld(2, cfg, nil)
+	w.initAgents(2, 2)
+	seen := make([]lease, 2)
+	w.sampleLeases(seen, time.Hour)
+	if w.dead[0] || w.dead[1] {
+		t.Fatalf("a stall fenced live agents: dead=%v", w.dead)
+	}
+	// Agent 0 keeps heartbeating; agent 1 has gone silent.
+	for n := int64(1); !w.dead[1]; n++ {
+		if time.Duration(n)*cfg.HeartbeatEvery > 2*cfg.LeaseTTL {
+			t.Fatal("a lease silent for twice the TTL was never fenced")
+		}
+		w.wb.At(0).Write(w.fLease[0], n)
+		w.sampleLeases(seen, cfg.HeartbeatEvery)
+	}
+	if w.dead[0] {
+		t.Error("a heartbeating agent was fenced")
+	}
 }
 
 // Seed sensitivity: the derived per-agent streams must actually depend

@@ -1,15 +1,32 @@
 package runtime
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"hypersearch/internal/combin"
+	"hypersearch/internal/metrics"
+	"hypersearch/internal/strategy"
+	"hypersearch/internal/strategy/coordinated"
+	"hypersearch/internal/strategy/visibility"
 )
+
+// resultOf unwraps a run's report, failing the test on a run error:
+// resultOf(t)(RunClean(d, cfg)).
+func resultOf(t *testing.T) func(Report, error) metrics.Result {
+	return func(rep Report, err error) metrics.Result {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Result
+	}
+}
 
 func TestRunVisibilityCorrectUnderConcurrency(t *testing.T) {
 	for d := 0; d <= 7; d++ {
-		r := RunVisibility(d, Config{Seed: int64(d), MaxLatency: 50 * time.Microsecond})
+		r := resultOf(t)(RunVisibility(d, Config{Seed: int64(d), MaxLatency: 50 * time.Microsecond}))
 		if !r.Captured || !r.MonotoneOK || !r.ContiguousOK {
 			t.Errorf("d=%d: %s", d, r.String())
 		}
@@ -28,7 +45,7 @@ func TestRunVisibilityCorrectUnderConcurrency(t *testing.T) {
 func TestRunVisibilityManySeeds(t *testing.T) {
 	// The schedule changes with the seed; the outcome must not.
 	for seed := int64(0); seed < 20; seed++ {
-		r := RunVisibility(5, Config{Seed: seed, MaxLatency: 20 * time.Microsecond})
+		r := resultOf(t)(RunVisibility(5, Config{Seed: seed, MaxLatency: 20 * time.Microsecond}))
 		if !r.Ok() || r.TotalMoves != combin.VisibilityMoves(5) {
 			t.Errorf("seed %d: %s", seed, r.String())
 		}
@@ -37,7 +54,7 @@ func TestRunVisibilityManySeeds(t *testing.T) {
 
 func TestRunVisibilityZeroLatency(t *testing.T) {
 	// MaxLatency 0 disables sleeping entirely: maximum contention.
-	r := RunVisibility(6, Config{})
+	r := resultOf(t)(RunVisibility(6, Config{}))
 	if !r.Ok() {
 		t.Errorf("%s", r.String())
 	}
@@ -45,7 +62,7 @@ func TestRunVisibilityZeroLatency(t *testing.T) {
 
 func TestRunCleanCorrectUnderConcurrency(t *testing.T) {
 	for d := 0; d <= 6; d++ {
-		r := RunClean(d, Config{Seed: 100 + int64(d), MaxLatency: 50 * time.Microsecond})
+		r := resultOf(t)(RunClean(d, Config{Seed: 100 + int64(d), MaxLatency: 50 * time.Microsecond}))
 		if !r.Captured || !r.MonotoneOK || !r.ContiguousOK {
 			t.Errorf("d=%d: %s", d, r.String())
 		}
@@ -60,7 +77,7 @@ func TestRunCleanCorrectUnderConcurrency(t *testing.T) {
 
 func TestRunCleanManySeeds(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		r := RunClean(4, Config{Seed: seed, MaxLatency: 30 * time.Microsecond})
+		r := resultOf(t)(RunClean(4, Config{Seed: seed, MaxLatency: 30 * time.Microsecond}))
 		if !r.Ok() {
 			t.Errorf("seed %d: %s", seed, r.String())
 		}
@@ -73,20 +90,53 @@ func TestRunCleanManySeeds(t *testing.T) {
 	}
 }
 
+// TestRuntimeMatchesDESCosts: a fault-free run of either strategy
+// realizes exactly the discrete-event reference's costs at every
+// dimension — team size, cleaner moves, synchronizer moves (escort
+// round trips included) and total moves. The schedules differ in time
+// only.
 func TestRuntimeMatchesDESCosts(t *testing.T) {
-	// The concurrent implementations realize the same move totals as
-	// the discrete-event reference for every seed (the schedules differ
-	// in time only).
-	const d = 6
-	r := RunVisibility(d, Config{Seed: 9, MaxLatency: 10 * time.Microsecond})
-	if r.TotalMoves != combin.VisibilityMoves(d) {
-		t.Errorf("visibility moves %d, want %d", r.TotalMoves, combin.VisibilityMoves(d))
+	engines := []struct {
+		name string
+		goro func(d int, cfg Config) (Report, error)
+		des  func(d int, opts strategy.Options) (metrics.Result, *strategy.Env)
+	}{
+		{"clean", RunClean, coordinated.Run},
+		{"visibility", RunVisibility, visibility.Run},
 	}
-	rc := RunClean(d, Config{Seed: 9, MaxLatency: 10 * time.Microsecond})
-	if rc.AgentMoves != combin.CleanAgentMoves(d)-int64(d) {
-		t.Errorf("clean agent moves %d", rc.AgentMoves)
+	for _, e := range engines {
+		for d := 0; d <= 7; d++ {
+			t.Run(fmt.Sprintf("%s/d=%d", e.name, d), func(t *testing.T) {
+				want, _ := e.des(d, strategy.Options{})
+				got := resultOf(t)(e.goro(d, Config{Seed: int64(9 + d), MaxLatency: 10 * time.Microsecond}))
+				if !got.Ok() {
+					t.Fatalf("run failed invariants: %s", got.String())
+				}
+				if got.TeamSize != want.TeamSize || got.AgentMoves != want.AgentMoves ||
+					got.SyncMoves != want.SyncMoves || got.TotalMoves != want.TotalMoves {
+					t.Errorf("goroutines {team=%d agent=%d sync=%d total=%d}, DES {%d %d %d %d}",
+						got.TeamSize, got.AgentMoves, got.SyncMoves, got.TotalMoves,
+						want.TeamSize, want.AgentMoves, want.SyncMoves, want.TotalMoves)
+				}
+			})
+		}
 	}
-	if rc.SyncMoves == 0 {
-		t.Error("synchronizer did not move")
+}
+
+// A fault-free run starts no watchdog, so even a lease TTL no
+// heartbeat could ever meet fences nobody: the run completes without a
+// single reelection or reassignment and without drafting a spare.
+func TestNilPlanNeverFences(t *testing.T) {
+	for d := 2; d <= 4; d++ {
+		rep, err := RunClean(d, Config{Seed: int64(d), MaxLatency: 50 * time.Microsecond, LeaseTTL: time.Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Result.Ok() {
+			t.Fatalf("d=%d: run failed invariants: %s", d, rep.Result.String())
+		}
+		if rep.Reelections != 0 || rep.Reassigned != 0 || rep.SparesUsed != 0 {
+			t.Errorf("d=%d: fault-free run fenced agents: %+v", d, rep)
+		}
 	}
 }

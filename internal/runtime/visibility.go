@@ -8,8 +8,9 @@ import (
 
 	"hypersearch/internal/board"
 	"hypersearch/internal/combin"
+	"hypersearch/internal/faults"
 	"hypersearch/internal/heapqueue"
-	"hypersearch/internal/metrics"
+	"hypersearch/internal/trace"
 )
 
 // VisibilityName identifies the concurrent visibility run in results.
@@ -27,47 +28,85 @@ const (
 // gather on a node, wait until the complement is present and every
 // smaller neighbour is clean or guarded (read under the node's
 // visibility), claim a child slot on the whiteboard, and move.
-func RunVisibility(d int, cfg Config) metrics.Result {
-	w := newWorld(d)
-	team := int(combin.VisibilityAgents(d))
-
-	w.mu.Lock()
-	ids := make([]int, team)
-	for i := range ids {
-		ids[i] = w.b.Place(0)
+//
+// cfg.Faults injects stalls, latency spikes, whiteboard lock
+// starvation, and lost visibility wakeups; given a plan, a periodic
+// re-broadcaster (the visibility model's watchdog) heals the lost
+// wakeups. Crash faults are rejected: the local rule has no order
+// ledger to reconstruct a dead agent's duty from, so crash recovery is
+// the coordinated runtime's province.
+func RunVisibility(d int, cfg Config) (Report, error) {
+	cfg = cfg.withDefaults()
+	inj, err := cfg.injector()
+	if err != nil {
+		return Report{}, err
 	}
+	if cfg.Faults != nil && cfg.Faults.RequiresRecovery() {
+		return Report{}, fmt.Errorf("runtime: crash faults require the coordinated runtime (RunClean); the visibility local rule is not crash-recoverable")
+	}
+	w := newWorld(d, cfg, inj)
+	team := int(combin.VisibilityAgents(d))
+	w.initAgents(team, team)
 	w.wb.At(0).Write(w.fAgents, int64(team))
-	w.mu.Unlock()
 
 	if d == 0 {
 		w.mu.Lock()
-		w.b.Terminate(ids[0], 0)
+		w.terminateAllLocked()
 		w.mu.Unlock()
-		return w.result(VisibilityName, team)
+		return w.report(VisibilityName, team, 0), nil
 	}
 
+	var quit chan struct{}
+	if inj != nil {
+		quit = make(chan struct{})
+		go w.rebroadcaster(quit)
+	}
 	var wg sync.WaitGroup
-	for i, id := range ids {
+	for i := 0; i < team; i++ {
 		wg.Add(1)
-		go func(i, id int) {
+		go func(i int) {
 			defer wg.Done()
-			agentProgram(w, id, rand.New(rand.NewSource(deriveSeed(cfg.Seed, uint64(i)))), cfg.MaxLatency)
-		}(i, id)
+			w.agentProgram(i, rand.New(rand.NewSource(deriveSeed(cfg.Seed, uint64(i)))))
+		}(i)
 	}
 	wg.Wait()
-	return w.result(VisibilityName, team)
+	if inj != nil {
+		close(quit)
+	}
+	return w.report(VisibilityName, team, 0), nil
+}
+
+// rebroadcaster periodically wakes every waiter, so a wakeup swallowed
+// by the fault injector only costs time, never liveness.
+func (w *world) rebroadcaster(quit chan struct{}) {
+	t := time.NewTicker(w.cfg.HeartbeatEvery)
+	defer t.Stop()
+	for {
+		select {
+		case <-quit:
+			return
+		case <-t.C:
+			w.mu.Lock()
+			w.cond.Broadcast()
+			w.mu.Unlock()
+		}
+	}
 }
 
 // agentProgram is the local rule one agent executes until it retires
-// on a broadcast-tree leaf.
-func agentProgram(w *world, id int, rng *rand.Rand, maxLat time.Duration) {
+// on a broadcast-tree leaf, with fault hooks on every move and
+// broadcast.
+func (w *world) agentProgram(id int, rng *rand.Rand) {
 	at := 0
 	for {
 		w.mu.Lock()
 		k := w.bt.Type(at)
 		if k == 0 {
 			// Leaf: terminate in place.
-			w.b.Terminate(id, 0)
+			w.b.Terminate(id, w.step)
+			w.record(trace.Event{Time: w.step, Kind: trace.Terminate, Agent: id, From: at, To: at})
+			w.step++
+			w.exited[id] = true
 			w.cond.Broadcast()
 			w.mu.Unlock()
 			return
@@ -85,13 +124,20 @@ func agentProgram(w *world, id int, rng *rand.Rand, maxLat time.Duration) {
 		target := w.claimSlotLocked(at, k)
 		w.mu.Unlock()
 
-		sleepLatency(rng, maxLat)
+		act := w.action(faults.MoveCtx{Agent: id})
+		w.sleepUnits(act.Delay)
+		sleepLatency(rng, w.cfg.MaxLatency)
 
 		w.mu.Lock()
 		w.wb.At(at).Add(w.fAgents, -1)
 		w.wb.At(target).Add(w.fAgents, 1)
-		w.b.Move(id, target, 0)
-		w.cond.Broadcast()
+		w.b.Move(id, target, w.step)
+		w.record(trace.Event{Time: w.step, Kind: trace.Move, Agent: id, From: at, To: target, Role: "cleaner"})
+		w.step++
+		if act.Hold > 0 && w.cfg.FaultUnit > 0 {
+			time.Sleep(time.Duration(act.Hold) * w.cfg.FaultUnit)
+		}
+		w.broadcastLocked()
 		w.mu.Unlock()
 		at = target
 	}

@@ -11,6 +11,7 @@ import (
 	"hypersearch/internal/netarena"
 	"hypersearch/internal/netsim"
 	"hypersearch/internal/netsim/faultlink"
+	"hypersearch/internal/strategy"
 )
 
 // RunRecord is the service's per-run result: the paper's cost summary
@@ -86,8 +87,9 @@ func (f *fleet) run(w int, spec RunSpec) (RunRecord, error) {
 // executeSpec is the single simulation entry point shared by the
 // service path and the serial reference path, so "byte-identical to
 // the batch path" is a property of scheduling and caching, not of two
-// divergent run implementations.
-func executeSpec(pool *envpool.Pool, arena *netarena.Arena, spec RunSpec) (RunRecord, error) {
+// divergent run implementations. DES environments come from src: the
+// fleet's pools, or fresh environments for the serial path.
+func executeSpec(src strategy.Source, arena *netarena.Arena, spec RunSpec) (RunRecord, error) {
 	rec := RunRecord{Dim: spec.Dim, Protocol: spec.Protocol, Engine: spec.Engine, Seed: spec.Seed}
 	switch spec.Engine {
 	case EngineDES, "":
@@ -97,11 +99,11 @@ func executeSpec(pool *envpool.Pool, arena *netarena.Arena, spec RunSpec) (RunRe
 			Seed:               spec.Seed,
 			AdversarialLatency: spec.AdversarialLatency,
 			Faults:             spec.Plan,
-		}, pool)
+		}, src)
 		if err != nil {
 			return rec, err
 		}
-		pool.Release(env)
+		src.Release(env)
 		rec.Engine = EngineDES
 		rec.Result = res
 	case EngineNetwork:
@@ -135,18 +137,20 @@ func executeSpec(pool *envpool.Pool, arena *netarena.Arena, spec RunSpec) (RunRe
 }
 
 // SerialRecords executes the request's expansion one run at a time on
-// fresh pools — the repo's classic batch path, no scheduler, no cache,
-// no service. The load-test harness compares every campaign the
+// fresh environments — the repo's classic batch path, no scheduler, no
+// cache, no service. The load-test harness compares every campaign the
 // service completes against this reference byte-for-byte; determinism
-// demands equality.
+// demands equality. A fresh environment's simulator retires its
+// process goroutines when its run returns, so repeated calls leave
+// none parked behind (a pool's environments keep theirs for reuse).
 func SerialRecords(req *Request) ([]RunRecord, error) {
 	q := *req // normalize a copy; the caller's request stays as submitted
 	q.Normalize()
-	pool, arena := envpool.New(), netarena.New()
+	arena := netarena.New()
 	specs := q.Expand()
 	out := make([]RunRecord, 0, len(specs))
 	for _, spec := range specs {
-		rec, err := executeSpec(pool, arena, spec)
+		rec, err := executeSpec(strategy.Fresh{}, arena, spec)
 		if err != nil {
 			return nil, err
 		}

@@ -61,7 +61,6 @@ type ContiguityCheck int
 const (
 	CheckFinal     ContiguityCheck = iota // once, at the end
 	CheckEveryMove                        // after every move (tests, small d)
-	CheckNever                            // benchmarks
 )
 
 // Options configures an execution environment.
@@ -269,7 +268,7 @@ func (e *Env) faultDelay(agent int, role string) int64 {
 	}
 	act := e.opts.Faults.BeforeMove(faults.MoveCtx{Agent: agent, Sync: role == RoleSynchronizer})
 	if act.Crash {
-		panic("strategy: crash faults require the crash-tolerant goroutine runtime (runtime.RunCleanFT)")
+		panic("strategy: crash faults require the goroutine runtime's crash recovery (runtime.RunClean)")
 	}
 	return act.Delay + act.Hold
 }
@@ -501,10 +500,7 @@ func (e *Env) RoleMoves(role string) int64 {
 // completed, which is what allows a pooled environment to be reused.
 func (e *Env) Result(name string) metrics.Result {
 	e.completed = true
-	ok := e.contiguousOK
-	if e.opts.Contiguity != CheckNever {
-		ok = ok && e.B.Contiguous()
-	}
+	ok := e.contiguousOK && e.B.Contiguous()
 	agentMoves, syncMoves := e.cleanerMoves, e.syncMoves
 	for role, n := range e.roleMoves {
 		if role == RoleSynchronizer {

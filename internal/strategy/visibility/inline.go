@@ -1,6 +1,7 @@
-// inline.go is the event-driven visibility engine: the same local rule
-// as the goroutine-per-node reference path, executed by inline DES
-// actors (des.Inline) instead of 2^d parked processes.
+// inline.go is the event-driven visibility engine RunEnv runs: the
+// same local rule as the goroutine-per-node reference path (kept as
+// the identity oracle in inline_identity_test.go), executed by inline
+// DES actors (des.Inline) instead of 2^d parked processes.
 //
 // The dispatch condition of node v — "the agent complement is present
 // AND every smaller neighbour is clean or guarded" — is monotone, so
@@ -65,7 +66,6 @@ import (
 	"hypersearch/internal/combin"
 	"hypersearch/internal/des"
 	"hypersearch/internal/heapqueue"
-	"hypersearch/internal/metrics"
 	"hypersearch/internal/strategy"
 )
 
@@ -376,28 +376,4 @@ func (e *engine) fire(s *des.Simulator, v int) {
 	if e.head[v] >= 0 {
 		panic(fmt.Sprintf("visibility: node %d kept agents after dispatch", v))
 	}
-}
-
-// RunEnvInline executes the visibility strategy on the event-driven
-// engine: no per-node goroutines, O(moves) events, bounded memory —
-// the path that takes the algorithm to d=20 megannode boards. It is
-// what RunEnv routes to by default.
-func RunEnvInline(env *strategy.Env) metrics.Result {
-	d := env.H.Dim()
-	team := int(combin.VisibilityAgents(d))
-	env.B.Reserve(team)
-	eng := engineFor(env)
-	for i := 0; i < team; i++ {
-		eng.push(0, int32(env.Place(strategy.RoleCleaner)))
-	}
-	if d > 0 {
-		eng.ready(env.Sim, 0)
-	}
-	env.Sim.Run()
-	for id := 0; id < team; id++ {
-		if _, active := env.B.Position(id); active {
-			env.Terminate(id)
-		}
-	}
-	return env.Result(Name)
 }

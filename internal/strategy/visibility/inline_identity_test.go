@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"hypersearch/internal/board"
+	"hypersearch/internal/combin"
+	"hypersearch/internal/des"
 	"hypersearch/internal/faults"
+	"hypersearch/internal/heapqueue"
 	"hypersearch/internal/metrics"
 	"hypersearch/internal/strategy"
 	"hypersearch/internal/trace"
@@ -17,6 +21,95 @@ import (
 // seeded fault plans alike. These tests state that claim as a
 // property over dimensions and seeds; `-race` covers the goroutine
 // side of the comparison.
+
+// runEnvLegacy executes the goroutine-per-node reference path: one DES
+// process per node awaiting the dispatch condition on its node signal.
+// It is the executable statement of the algorithm, and the identity
+// oracle RunEnv's inline engine is tested against; O(2^d) goroutines
+// and O(n·wakes) work bound it to small dimensions.
+func runEnvLegacy(env *strategy.Env) metrics.Result {
+	d := env.H.Dim()
+	team := int(combin.VisibilityAgents(d))
+	at := env.NodeLists()
+	for i := 0; i < team; i++ {
+		at[0] = append(at[0], env.Place(strategy.RoleCleaner))
+	}
+
+	if d > 0 {
+		for v := 0; v < env.H.Order(); v++ {
+			spawnNode(env, at, v)
+		}
+	}
+	env.Sim.Run()
+
+	for id := 0; id < team; id++ {
+		if _, active := env.B.Position(id); active {
+			env.Terminate(id)
+		}
+	}
+	return env.Result(Name)
+}
+
+// spawnNode starts the local rule for node v: one process per node,
+// standing in for the identical local programs of the agents gathered
+// there (which one moves where is settled on the node's whiteboard).
+func spawnNode(env *strategy.Env, at [][]int, v int) {
+	k := env.BT.Type(v)
+	required := int(heapqueue.AgentsRequired(k))
+	env.Sim.Spawn("node", func(p *des.Process) {
+		env.AwaitNode(p, v, func() bool {
+			return len(at[v]) >= required && smallerNeighboursReady(env, v)
+		})
+		if len(at[v]) != required {
+			panic(fmt.Sprintf("visibility: node %d gathered %d agents, want %d", v, len(at[v]), required))
+		}
+		if k == 0 {
+			// Leaf: the single agent terminates in place.
+			env.Terminate(at[v][0])
+			at[v] = nil
+			return
+		}
+		dispatch(env, at, v)
+	})
+}
+
+// smallerNeighboursReady implements the visibility read: every smaller
+// neighbour of v is clean or guarded.
+func smallerNeighboursReady(env *strategy.Env, v int) bool {
+	ready := true
+	env.H.VisitSmallerNeighbours(v, func(w int) bool {
+		if env.B.StateOf(w) == board.Contaminated {
+			ready = false
+			return false
+		}
+		return true
+	})
+	return ready
+}
+
+// dispatch sends the gathered complement onward: plan[i] agents to the
+// i-th broadcast-tree child. Each agent moves as its own concurrent
+// process (asynchronous arrivals).
+func dispatch(env *strategy.Env, at [][]int, v int) {
+	children := env.BT.Children(v)
+	plan := heapqueue.DispatchPlan(env.BT.Type(v))
+	for i, child := range children {
+		for j := int64(0); j < plan[i]; j++ {
+			agents := at[v]
+			a := agents[len(agents)-1]
+			at[v] = agents[:len(agents)-1]
+			child := child
+			env.Sim.Spawn("mover", func(p *des.Process) {
+				env.Move(p, a, child, strategy.RoleCleaner)
+				at[child] = append(at[child], a)
+				env.Sim.Fire(env.Signal(child))
+			})
+		}
+	}
+	if len(at[v]) != 0 {
+		panic(fmt.Sprintf("visibility: node %d kept %d agents after dispatch", v, len(at[v])))
+	}
+}
 
 // capture is everything observable about one run.
 type capture struct {
@@ -34,9 +127,9 @@ func runPath(d int, opts strategy.Options, legacy bool) capture {
 	env := strategy.NewEnv(d, opts)
 	var c capture
 	if legacy {
-		c.res = RunEnvLegacy(env)
+		c.res = runEnvLegacy(env)
 	} else {
-		c.res = RunEnvInline(env)
+		c.res = RunEnv(env)
 	}
 	c.events = append(c.events, env.Log().Events()...)
 	n := env.H.Order()
@@ -149,9 +242,9 @@ func TestInlinePooledResetIdentity(t *testing.T) {
 	for d := 1; d <= 8; d++ {
 		fresh := runPath(d, strategy.Options{}, false)
 		env := strategy.NewEnv(d, strategy.Options{Record: true, Contiguity: strategy.CheckEveryMove})
-		RunEnvInline(env)
+		RunEnv(env)
 		env.Reset(strategy.Options{Record: true, Contiguity: strategy.CheckEveryMove})
-		res := RunEnvInline(env)
+		res := RunEnv(env)
 		if res != fresh.res {
 			t.Fatalf("d=%d: pooled re-run diverges:\nfresh:  %+v\nre-run: %+v", d, fresh.res, res)
 		}
@@ -164,20 +257,5 @@ func TestInlinePooledResetIdentity(t *testing.T) {
 				t.Fatalf("d=%d: pooled re-run trace diverges at event %d: %+v vs %+v", d, i, events[i], fresh.events[i])
 			}
 		}
-	}
-}
-
-// TestRunEnvLegacyKnob: the environment knob routes RunEnv to the
-// reference path, and both routes agree.
-func TestRunEnvLegacyKnob(t *testing.T) {
-	viaInline := runPath(5, strategy.Options{}, false)
-	t.Setenv(LegacyEnvVar, "1")
-	env := strategy.NewEnv(5, strategy.Options{Record: true, Contiguity: strategy.CheckEveryMove})
-	res := RunEnv(env)
-	if res != viaInline.res {
-		t.Fatalf("legacy knob run diverges:\nknob:   %+v\ninline: %+v", res, viaInline.res)
-	}
-	if got, want := env.Log().Len(), len(viaInline.events); got != want {
-		t.Fatalf("legacy knob trace has %d events, inline %d", got, want)
 	}
 }
