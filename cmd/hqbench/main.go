@@ -18,6 +18,7 @@
 //	hqbench -quick               # 1 iteration per family (CI smoke)
 //	hqbench -list                # print family names and exit
 //	hqbench -against BENCH_pr3.json  # regression gate (see internal/benchgate)
+//	                                 # measured under the baseline's GOMAXPROCS
 //	hqbench -reruns 3            # re-measure each family 3 times, keep the min
 //
 // With -reruns N > 1 each family is measured N times and ns/op is the
@@ -453,6 +454,23 @@ func main() {
 		return
 	}
 
+	// The gate compares allocs/op, and some families allocate more
+	// under more parallelism (scheduler and netsim queues), so measure
+	// under the baseline's recorded GOMAXPROCS; the report records the
+	// value used.
+	var base benchgate.Report
+	if *against != "" {
+		var err error
+		if base, err = benchgate.Load(*against); err != nil {
+			fmt.Fprintln(os.Stderr, "hqbench:", err)
+			os.Exit(1)
+		}
+		if base.GOMAXPROCS > 0 && base.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+			fmt.Fprintf(os.Stderr, "hqbench: GOMAXPROCS %d -> %d, as recorded in %s\n", runtime.GOMAXPROCS(0), base.GOMAXPROCS, *against)
+			runtime.GOMAXPROCS(base.GOMAXPROCS)
+		}
+	}
+
 	rep := benchgate.Report{
 		Schema:     "hqbench/v1",
 		GOOS:       runtime.GOOS,
@@ -495,11 +513,6 @@ func main() {
 	}
 
 	if *against != "" {
-		base, err := benchgate.Load(*against)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hqbench:", err)
-			os.Exit(1)
-		}
 		if subset {
 			names := make([]string, len(fams))
 			for i, f := range fams {

@@ -299,19 +299,19 @@ func NodesAtLevel(d, l int) []Node {
 	if l == 0 {
 		return append(out, 0)
 	}
-	// Gosper's hack enumerates same-popcount values in increasing order.
-	v := uint32(1<<l - 1)
-	limit := uint32(1) << d
-	for v < limit {
-		out = append(out, Node(v))
-		c := v & -v
-		r := v + c
-		v = (((r ^ v) >> 2) / c) | r
-		if c == 0 {
-			break
-		}
+	for v, limit := Node(1)<<l-1, Node(1)<<d; v < limit; v = NextAtLevel(v) {
+		out = append(out, v)
 	}
 	return out
+}
+
+// NextAtLevel returns the smallest node above x with as many one-bits
+// as x (Gosper's hack): stepping it from the level's first node
+// 1<<l - 1 enumerates level l in increasing order. x must be non-zero.
+func NextAtLevel(x Node) Node {
+	c := x & -x
+	r := x + c
+	return ((r^x)>>2)/c | r
 }
 
 // VisitNodesAtLevel calls yield for every node of H_d with exactly l
@@ -329,16 +329,8 @@ func VisitNodesAtLevel(d, l int, yield func(x Node) bool) {
 		yield(0)
 		return
 	}
-	v := uint32(1<<l - 1)
-	limit := uint32(1) << d
-	for v < limit {
-		if !yield(Node(v)) {
-			return
-		}
-		c := v & -v
-		r := v + c
-		v = (((r ^ v) >> 2) / c) | r
-		if c == 0 {
+	for v, limit := Node(1)<<l-1, Node(1)<<d; v < limit; v = NextAtLevel(v) {
+		if !yield(v) {
 			return
 		}
 	}

@@ -2,39 +2,28 @@
 // asynchronous agent systems. Virtual time is an int64; events at equal
 // times fire in scheduling order, so runs are fully reproducible.
 //
-// Three programming styles are supported:
+// Two programming styles share one event queue:
 //
 //   - Plain events: Schedule/After run a callback at a virtual time.
-//   - Processes: Spawn runs a function on its own goroutine that can
-//     block on Delay (virtual sleep) and on Signal.Await (condition
-//     wait). Exactly one goroutine runs at a time, so process programs
-//     are as deterministic as callback programs while reading like
-//     straight sequential agent code — the natural style for the
-//     paper's synchronizer.
-//   - Inline processes: SpawnInline (and ScheduleInline/AfterInline)
-//     run an actor's step function inside the event dispatch itself —
-//     no goroutine, no channel hand-off, no per-event closure
-//     allocation. Actors embed an Inline header and point its Step at
-//     themselves once, at construction. An inline
-//     process cannot block; it advances by rescheduling itself (or
-//     other inline processes) for a later step. Its events live in the
-//     same queue with the same (time, sequence) ordering as callbacks
-//     and goroutine-process resumptions, so the three styles compose
-//     deterministically. One-actor-per-node engines use this style:
-//     a million dormant actors cost a slice of state words, not a
-//     million parked goroutines.
+//   - Inline actors: SpawnInline (and ScheduleInline/AfterInline) run
+//     an actor's step function inside the event dispatch itself — no
+//     goroutine, no channel hand-off, no per-event closure allocation.
+//     Actors embed an Inline header and point its Step at themselves
+//     once, at construction. An actor cannot block; it advances by
+//     rescheduling itself (or other actors) for a later step, or by
+//     parking on a Signal until another event fires it. A sequential
+//     agent program becomes an actor whose fields are its program
+//     counter: every blocking point of the sequential code is one event
+//     at the same (time, sequence) position.
 //
-// Dispatch is direct hand-off: there is no central goroutine bouncing
-// control in and out on every event. Whichever goroutine is currently
-// running ("holding the baton") dispatches the next event when it
-// blocks or finishes — running callbacks inline and waking the next
-// process directly — so each event transition costs one goroutine
-// switch, not the two a kernel round trip would. Run only parks until
-// the queue drains and then reports. Event order is identical to a
-// central dispatch loop because pops are serialized on the baton.
+// Run is a single dispatch loop on the caller's goroutine, so a panic
+// in any step or callback unwinds to Run's caller, where it can be
+// recovered. Process (Spawn/Delay) survives only as a goroutine-backed
+// compatibility shim: an inline actor whose step resumes the process
+// goroutine and waits for it to delay or return.
 //
 // The kernel is not safe for concurrent external use; all interaction
-// must happen from process goroutines or event callbacks.
+// must happen from event callbacks, actor steps, or process programs.
 package des
 
 import (
@@ -46,21 +35,8 @@ type Simulator struct {
 	now    int64
 	seq    int64
 	queue  eventHeap
-	parked int // processes blocked on signals (not time)
+	parked int // inline actors parked on signals
 	icept  Interceptor
-
-	// free holds worker goroutines whose process function has returned;
-	// Spawn reuses them (struct, channels and goroutine) instead of
-	// allocating fresh ones. Unless KeepWorkers(true) was set, Run
-	// retires the pool before returning, so a drained simulator leaves
-	// no goroutines behind — the pre-recycling behaviour.
-	free        []*Process
-	keepWorkers bool
-
-	// runDone carries the baton back to Run when the queue drains. It
-	// is buffered so the drainer never blocks — including when Run
-	// itself drains the queue without ever waking a process.
-	runDone chan struct{}
 }
 
 // Interceptor inspects every event as it reaches the head of the queue
@@ -73,19 +49,15 @@ type Simulator struct {
 type Interceptor func(at, seq int64) (delay int64)
 
 // event is one pending dispatch. Exactly one of fn and inl is set:
-// plain events carry a callback; process-step and inline-process
-// events share the inl slot — it points either at an actor's Inline
-// header or at the header embedded in a Process, whose proc mark tells
-// the kernel to resume the worker goroutine instead of calling Step.
-// Keeping a pointer in the event rather than a closure removes one
-// heap allocation from every Delay, Spawn, Fire and inline step — the
-// kernel's hottest paths.
+// plain events carry a callback, actor steps the actor's Inline
+// header. Keeping a pointer in the event rather than a closure removes
+// one heap allocation from every actor step — the kernel's hottest
+// path.
 //
 // The struct must stay at 32 bytes (at, seq, and two payload words):
 // anything wider makes every event copy in the heap a memory
 // operation and was measured as a 3x regression on the des-throughput
-// family. That is why the inl slot is one raw pointer, not an
-// interface value, and why processes and inline actors share it.
+// family.
 type event struct {
 	at  int64
 	seq int64
@@ -93,29 +65,21 @@ type event struct {
 	inl *Inline
 }
 
-// Inline is the header of an inline process: a simulation actor whose
-// Step runs directly inside the event dispatch, on the baton holder,
-// with no goroutine or channel hand-off. Embed an Inline in the actor
-// struct and set Step once at construction (typically to a method
-// value of the enclosing actor); then schedule &actor.Inline via
-// SpawnInline/ScheduleInline/AfterInline.
+// Inline is the header of an inline actor: a simulation actor whose
+// Step runs directly inside the event dispatch. Embed an Inline in the
+// actor struct and set Step once at construction (typically to a
+// method value of the enclosing actor); then schedule &actor.Inline
+// via SpawnInline/ScheduleInline/AfterInline, or park it with Park.
 //
-// Step may inspect s.Now, schedule events, fire signals, and
-// reschedule its own or other headers; it must not block (there is no
-// Delay or Await — an inline process that needs to wait reschedules
-// itself, or parks in its own data structures until another event
-// reschedules it). Actors are typically small pooled structs carrying
-// their payload, so the method-value closure is allocated once per
-// actor and a step costs zero allocations.
+// Step may inspect s.Now, schedule events, fire signals, park, and
+// reschedule its own or other headers; it must not block. Actors are
+// typically small pooled structs carrying their payload, so the
+// method-value closure is allocated once per actor and a step costs
+// zero allocations.
 type Inline struct {
 	// Step runs one step of the actor. Set once at construction; the
 	// kernel calls it with the header's events' times as s.Now().
 	Step func(s *Simulator)
-
-	// proc marks this header as a goroutine-process resumption: the
-	// kernel hands the baton to the worker directly instead of calling
-	// Step. Only the header embedded in a Process carries the mark.
-	proc *Process
 }
 
 // eventHeap is a concrete 4-ary min-heap ordered by (at, seq). The
@@ -194,24 +158,15 @@ func (h *eventHeap) siftDown() {
 }
 
 // New returns an empty simulator at time 0.
-func New() *Simulator { return &Simulator{runDone: make(chan struct{}, 1)} }
-
-// KeepWorkers controls whether Run retains finished process workers
-// for reuse by later Spawns (including after a Reset). The default,
-// false, retires them when the queue drains, so one-shot simulations
-// leave no goroutines parked. Environment pools set it: a reused
-// simulator then spawns thousands of processes with zero allocations
-// once its worker pool is warm.
-func (s *Simulator) KeepWorkers(keep bool) { s.keepWorkers = keep }
+func New() *Simulator { return &Simulator{} }
 
 // Reset returns a drained simulator to time zero so it can run a fresh
-// simulation while keeping warmed capacity: the event heap's backing
-// array and (under KeepWorkers) the parked worker goroutines carry
-// over. It panics if processes are still blocked on signals — a
-// simulator abandoned mid-run cannot be safely reused.
+// simulation while keeping the event heap's warmed backing array. It
+// panics if actors are still parked on signals — a simulator abandoned
+// mid-run cannot be safely reused.
 func (s *Simulator) Reset() {
 	if s.parked > 0 {
-		panic(fmt.Sprintf("des: reset with %d process(es) still blocked on signals", s.parked))
+		panic(fmt.Sprintf("des: reset with %d actor(s) still parked on signals", s.parked))
 	}
 	for i := range s.queue.ev {
 		s.queue.ev[i] = event{}
@@ -236,16 +191,6 @@ func (s *Simulator) Schedule(at int64, fn func()) {
 	s.seq++
 }
 
-// scheduleProc schedules a process resumption without allocating a
-// closure: the event carries the process pointer itself.
-func (s *Simulator) scheduleProc(at int64, p *Process) {
-	if at < s.now {
-		panic(fmt.Sprintf("des: scheduling into the past (%d < %d)", at, s.now))
-	}
-	s.queue.push(event{at: at, seq: s.seq, inl: &p.hdr})
-	s.seq++
-}
-
 // After runs fn delay time units from now; delay must be non-negative.
 func (s *Simulator) After(delay int64, fn func()) {
 	if delay < 0 {
@@ -254,11 +199,9 @@ func (s *Simulator) After(delay int64, fn func()) {
 	s.Schedule(s.now+delay, fn)
 }
 
-// SpawnInline schedules inline process p to step at the current time,
-// the inline analogue of Spawn: the step is appended to the queue with
-// the next sequence number, so it fires after every already-pending
-// same-time event, exactly where a freshly spawned goroutine process
-// would start. It allocates nothing.
+// SpawnInline schedules actor p to step at the current time: the step
+// is appended to the queue with the next sequence number, so it fires
+// after every already-pending same-time event. It allocates nothing.
 func (s *Simulator) SpawnInline(p *Inline) { s.ScheduleInline(s.now, p) }
 
 // ScheduleInline schedules p.Step to run at virtual time at, which
@@ -281,34 +224,11 @@ func (s *Simulator) AfterInline(delay int64, p *Inline) {
 	s.ScheduleInline(s.now+delay, p)
 }
 
-// Run processes events until the queue is empty, then returns the final
-// time. It panics if processes remain blocked on signals with no
-// pending event to wake them: a deadlocked simulation.
-//
-// Run starts the dispatch chain and then parks: once control passes to
-// a process, the baton travels process-to-process (each dispatches the
-// next event as it blocks) until whoever drains the queue wakes Run to
-// finish up. The deadlock check and worker retirement therefore still
-// happen on the caller's goroutine, where a test can recover the panic.
+// Run dispatches events in (time, sequence) order on the caller's
+// goroutine until the queue is empty, then returns the final time. It
+// panics if actors remain parked on signals with no pending event to
+// fire them: a deadlocked simulation.
 func (s *Simulator) Run() int64 {
-	s.advance()
-	<-s.runDone
-	if s.parked > 0 {
-		panic(fmt.Sprintf("des: deadlock — %d process(es) blocked on signals with no pending events", s.parked))
-	}
-	if !s.keepWorkers {
-		s.retireWorkers()
-	}
-	return s.now
-}
-
-// advance dispatches pending events until control passes to a process
-// goroutine or the queue drains. It is called by whichever goroutine
-// holds the baton: Run to start the chain, then each process as it
-// blocks or finishes. Exactly one goroutine runs at any moment and
-// every pop happens on the baton holder, so event order — and hence
-// the whole simulation — matches a central dispatch loop exactly.
-func (s *Simulator) advance() {
 	for s.queue.len() > 0 {
 		e := s.queue.pop()
 		if s.icept != nil {
@@ -321,103 +241,83 @@ func (s *Simulator) advance() {
 			}
 		}
 		s.now = e.at
-		if h := e.inl; h != nil {
-			if p := h.proc; p != nil {
-				// Hand the baton to the event's process and stop driving.
-				// The buffered send also covers the self-resume case — a
-				// process dispatching its own next event parks and wakes
-				// without any switch at all.
-				p.resume <- struct{}{}
-				return
-			}
-			h.Step(s) // inline processes run on the baton holder
+		if e.inl != nil {
+			e.inl.Step(s)
 			continue
 		}
-		e.fn() // callbacks run inline on the baton holder
+		e.fn()
 	}
-	s.runDone <- struct{}{} // drained: wake Run to report
+	if s.parked > 0 {
+		panic(fmt.Sprintf("des: deadlock — %d actor(s) parked on signals with no pending events", s.parked))
+	}
+	return s.now
 }
 
-// retireWorkers shuts down every parked worker goroutine.
-func (s *Simulator) retireWorkers() {
-	for _, p := range s.free {
-		p.resume <- struct{}{} // fn == nil: the worker loop exits
-		<-p.yield
-	}
-	s.free = s.free[:0]
+// Signal is a broadcast condition: actors Park on it, and Fire
+// schedules every parked actor at the current virtual time. The zero
+// value is ready to use. A simulator with no parked actor — one that
+// drained or passed Reset — has every signal empty.
+type Signal struct {
+	waiters []*Inline
 }
 
-// Process is the handle a spawned process uses to interact with
-// virtual time. Its methods may only be called from that process's
-// goroutine.
+// Park suspends actor p until sig next fires; Fire then schedules its
+// step. An actor waiting for a condition re-checks it in that step and
+// parks again while it does not hold.
+func (s *Simulator) Park(sig *Signal, p *Inline) {
+	sig.waiters = append(sig.waiters, p)
+	s.parked++
+}
+
+// Fire schedules every actor parked on sig at the current time, in
+// parking order, and empties the waiter list. Scheduling runs no actor
+// code, so nothing parks mid-loop and steady-state Park/Fire cycles
+// reuse the list's backing array.
+func (s *Simulator) Fire(sig *Signal) {
+	for i, p := range sig.waiters {
+		s.ScheduleInline(s.now, p)
+		sig.waiters[i] = nil
+	}
+	s.parked -= len(sig.waiters)
+	sig.waiters = sig.waiters[:0]
+}
+
+// Process is a sequential program on its own goroutine that sleeps in
+// virtual time with Delay: an inline actor whose step resumes the
+// goroutine and waits until the program delays again or returns. One
+// goroutine runs at a time and dispatch stays on Run's loop, where a
+// panic in the program is re-raised. Each event costs two goroutine
+// switches, which is why no strategy uses it. A process whose
+// simulation is abandoned before the program returns keeps its
+// goroutine parked.
 type Process struct {
-	sim  *Simulator
-	name string
-	fn   func(*Process) // current program; nil tells the worker loop to exit
-
-	// hdr is the event header resumptions are scheduled through; its
-	// proc mark points back at this Process so the kernel resumes the
-	// worker instead of calling Step. Set once at construction.
-	hdr Inline
-
-	// resume wakes the worker. It is buffered so the baton holder can
-	// deposit a wakeup before the worker has finished parking (the
-	// hand-off chain makes that window real) and so a process popping
-	// its own next event can self-resume without deadlocking.
-	resume chan struct{}
-
-	// yield is only used to join retiring workers; the steady-state
-	// hand-off path never touches it.
-	yield chan struct{}
+	Inline
+	sim      *Simulator
+	name     string
+	resume   chan struct{}
+	yield    chan struct{}
+	panicked any
 }
 
-// Spawn starts fn as a simulation process at the current time. The
-// process begins running when the kernel reaches its start event.
-// Finished workers are recycled: when a previously spawned process has
-// already returned, its goroutine, channels and Process struct serve
-// the new program, so steady-state spawning allocates nothing beyond
-// the caller's fn closure.
+// Spawn starts fn as a simulation process at the current time.
 func (s *Simulator) Spawn(name string, fn func(p *Process)) {
-	var p *Process
-	if n := len(s.free); n > 0 {
-		p = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		p.name, p.fn = name, fn
-	} else {
-		p = &Process{sim: s, name: name, fn: fn, resume: make(chan struct{}, 1), yield: make(chan struct{})}
-		p.hdr.proc = p
-		go p.loop()
-	}
-	s.scheduleProc(s.now, p)
-}
-
-// loop is the worker goroutine: it runs one process function per
-// activation and parks between programs. When a program returns, the
-// worker parks itself in the free list (it holds the baton, so the
-// append is serialized) and dispatches the next event before blocking.
-func (p *Process) loop() {
-	for {
-		<-p.resume
-		fn := p.fn
-		if fn == nil {
-			p.yield <- struct{}{}
-			return // retired by the simulator
+	p := &Process{sim: s, name: name, resume: make(chan struct{}), yield: make(chan struct{})}
+	p.Step = func(*Simulator) {
+		p.resume <- struct{}{}
+		<-p.yield
+		if p.panicked != nil {
+			panic(p.panicked)
 		}
-		fn(p)
-		p.fn = nil
-		p.sim.free = append(p.sim.free, p)
-		p.sim.advance()
 	}
-}
-
-// block passes the baton onward and waits to be resumed. The advance
-// call may dispatch this process's own next event, in which case the
-// buffered resume already holds the wakeup and the receive returns
-// without a context switch.
-func (p *Process) block() {
-	p.sim.advance()
-	<-p.resume
+	go func() {
+		defer func() {
+			p.panicked = recover()
+			p.yield <- struct{}{}
+		}()
+		<-p.resume
+		fn(p)
+	}()
+	s.SpawnInline(&p.Inline)
 }
 
 // Name returns the process name (for diagnostics).
@@ -427,86 +327,11 @@ func (p *Process) Name() string { return p.name }
 func (p *Process) Now() int64 { return p.sim.Now() }
 
 // Delay suspends the process for d time units (d >= 0).
-//
-// Fast path: when no pending event precedes the process's own
-// resumption — the queue is empty or its head fires strictly later —
-// dispatching would pop that resumption and hand control straight
-// back. In that case Delay advances virtual time in place and returns
-// without touching the queue or the resume channel. This is exact:
-// same-time events already queued keep priority (they hold smaller
-// sequence numbers, so the head check fails and the slow path runs),
-// and an installed interceptor disables the shortcut because every
-// event must pass through it.
 func (p *Process) Delay(d int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("des: process %s: negative delay %d", p.name, d))
 	}
-	s := p.sim
-	at := s.now + d
-	if s.icept == nil && (len(s.queue.ev) == 0 || at < s.queue.ev[0].at) {
-		s.now = at
-		return
-	}
-	s.scheduleProc(at, p)
-	p.block()
+	p.sim.AfterInline(d, &p.Inline)
+	p.yield <- struct{}{}
+	<-p.resume
 }
-
-// Signal is a broadcast condition: processes Await it, and Fire wakes
-// every current waiter at the current virtual time. The zero value is
-// ready to use.
-type Signal struct {
-	waiters []*Process
-	scratch []*Process // recycled backing array; see Fire
-}
-
-// Reset empties the waiter list while keeping both recycled backing
-// arrays. Only safe when no process is blocked on the signal (a
-// simulator that passed its own Reset guarantees that).
-func (sig *Signal) Reset() {
-	for i := range sig.waiters {
-		sig.waiters[i] = nil
-	}
-	sig.waiters = sig.waiters[:0]
-}
-
-// Await blocks the process until the signal next fires. Callers loop:
-//
-//	for !cond() { p.Await(sig) }
-func (p *Process) Await(sig *Signal) {
-	sig.waiters = append(sig.waiters, p)
-	p.sim.parked++
-	p.block()
-}
-
-// Fire wakes all waiters at the current time, in arrival order. It may
-// be called from event callbacks or processes.
-//
-// The two slices on the Signal alternate as the live waiter list and
-// the snapshot, so steady-state Await/Fire cycles reuse their backing
-// arrays instead of growing a fresh one per wave.
-func (s *Simulator) Fire(sig *Signal) {
-	if len(sig.waiters) == 0 {
-		return
-	}
-	waiters := sig.waiters
-	sig.waiters = sig.scratch[:0]
-	for i, p := range waiters {
-		s.parked--
-		s.scheduleProc(s.now, p)
-		waiters[i] = nil
-	}
-	sig.scratch = waiters[:0]
-}
-
-// AwaitCond blocks until cond() is true, re-checking every time sig
-// fires. It returns immediately if cond() already holds.
-func (p *Process) AwaitCond(sig *Signal, cond func() bool) {
-	for !cond() {
-		p.Await(sig)
-	}
-}
-
-// HasWaiters reports whether any process is currently blocked on the
-// signal. Producers with many signals consult it (or a bitset mirror of
-// it) to skip cold signals without touching their waiter slices.
-func (sig *Signal) HasWaiters() bool { return len(sig.waiters) > 0 }

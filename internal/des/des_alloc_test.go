@@ -94,10 +94,24 @@ func TestDelayStepNearZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFireReusesWaiterArrays: steady-state Await/Fire waves recycle
+// waveWaiter parks on sig for a fixed number of waves.
+type waveWaiter struct {
+	Inline
+	sig   *Signal
+	waves int
+}
+
+func (w *waveWaiter) step(s *Simulator) {
+	if w.waves > 0 {
+		w.waves--
+		s.Park(w.sig, &w.Inline)
+	}
+}
+
+// TestFireReusesWaiterArrays: steady-state Park/Fire waves recycle
 // the Signal's backing arrays, so the marginal cost of a wave is
-// (near) zero allocations. Spawning is excluded the same way as in
-// the Delay test: compare a short run against a long one.
+// (near) zero allocations. Setting up the actors is excluded the same
+// way as in the Delay test: compare a short run against a long one.
 func TestFireReusesWaiterArrays(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed by the race detector")
@@ -107,18 +121,19 @@ func TestFireReusesWaiterArrays(t *testing.T) {
 		var sig Signal
 		const waiters = 8
 		for w := 0; w < waiters; w++ {
-			s.Spawn("w", func(p *Process) {
-				for i := 0; i < waves; i++ {
-					p.Await(&sig)
-				}
-			})
+			ww := &waveWaiter{sig: &sig, waves: waves}
+			ww.Step = ww.step
+			s.SpawnInline(&ww.Inline)
 		}
-		s.Spawn("firer", func(p *Process) {
-			for i := 0; i < waves; i++ {
-				p.Delay(1)
-				s.Fire(&sig)
+		fired := 0
+		var fire func()
+		fire = func() {
+			s.Fire(&sig)
+			if fired++; fired < waves {
+				s.After(1, fire)
 			}
-		})
+		}
+		s.After(1, fire)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		s.Run()

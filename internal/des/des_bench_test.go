@@ -19,7 +19,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 // BenchmarkProcessSwitch measures the goroutine-handoff cost of the
-// process API: one Delay round trip per op.
+// process shim: one Delay round trip per op.
 func BenchmarkProcessSwitch(b *testing.B) {
 	s := New()
 	s.Spawn("p", func(p *Process) {
@@ -31,14 +31,16 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkSignalFanout measures waking many waiters at once.
+// BenchmarkSignalFanout measures waking many parked actors at once.
 func BenchmarkSignalFanout(b *testing.B) {
 	const waiters = 256
 	for i := 0; i < b.N; i++ {
 		s := New()
 		var sig Signal
 		for w := 0; w < waiters; w++ {
-			s.Spawn("w", func(p *Process) { p.Await(&sig) })
+			ww := &waveWaiter{sig: &sig, waves: 1}
+			ww.Step = ww.step
+			s.SpawnInline(&ww.Inline)
 		}
 		s.Schedule(1, func() { s.Fire(&sig) })
 		s.Run()

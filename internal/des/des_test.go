@@ -1,6 +1,7 @@
 package des
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -128,18 +129,72 @@ func TestTwoProcessesInterleaveDeterministically(t *testing.T) {
 	}
 }
 
+// condWaiter is the inline form of a condition wait: its step checks
+// cond and parks on sig while it fails, then runs done once.
+type condWaiter struct {
+	Inline
+	sig  *Signal
+	cond func() bool
+	done func(s *Simulator)
+}
+
+func awaitCond(sig *Signal, cond func() bool, done func(s *Simulator)) *condWaiter {
+	w := &condWaiter{sig: sig, cond: cond, done: done}
+	w.Step = w.step
+	return w
+}
+
+func (w *condWaiter) step(s *Simulator) {
+	if !w.cond() {
+		s.Park(w.sig, &w.Inline)
+		return
+	}
+	w.done(s)
+}
+
 func TestSignalAwaitFire(t *testing.T) {
 	s := New()
 	var sig Signal
 	var got int64 = -1
-	s.Spawn("waiter", func(p *Process) {
-		p.Await(&sig)
-		got = p.Now()
-	})
+	parked := false
+	s.SpawnInline(&awaitCond(&sig, func() bool {
+		first := !parked
+		parked = true
+		return !first // park on the first step, finish when fired
+	}, func(s *Simulator) { got = s.Now() }).Inline)
 	s.Schedule(9, func() { s.Fire(&sig) })
 	s.Run()
 	if got != 9 {
 		t.Errorf("waiter woke at %d", got)
+	}
+}
+
+// ticker fires sig every stride units, bumping *counter first, until
+// it has fired n times.
+type ticker struct {
+	Inline
+	sig     *Signal
+	counter *int
+	n       int
+	stride  int64
+	started bool
+}
+
+func newTicker(sig *Signal, counter *int, n int, stride int64) *ticker {
+	tk := &ticker{sig: sig, counter: counter, n: n, stride: stride}
+	tk.Step = tk.step
+	return tk
+}
+
+func (tk *ticker) step(s *Simulator) {
+	if tk.started {
+		*tk.counter++
+		s.Fire(tk.sig)
+		tk.n--
+	}
+	tk.started = true
+	if tk.n > 0 {
+		s.AfterInline(tk.stride, &tk.Inline)
 	}
 }
 
@@ -148,17 +203,9 @@ func TestAwaitCond(t *testing.T) {
 	var sig Signal
 	counter := 0
 	var done int64 = -1
-	s.Spawn("consumer", func(p *Process) {
-		p.AwaitCond(&sig, func() bool { return counter >= 3 })
-		done = p.Now()
-	})
-	s.Spawn("producer", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			p.Delay(5)
-			counter++
-			p.sim.Fire(&sig)
-		}
-	})
+	s.SpawnInline(&awaitCond(&sig, func() bool { return counter >= 3 },
+		func(s *Simulator) { done = s.Now() }).Inline)
+	s.SpawnInline(&newTicker(&sig, &counter, 3, 5).Inline)
 	s.Run()
 	if done != 15 {
 		t.Errorf("consumer finished at %d", done)
@@ -169,22 +216,20 @@ func TestAwaitCondImmediate(t *testing.T) {
 	s := New()
 	var sig Signal
 	ran := false
-	s.Spawn("p", func(p *Process) {
-		p.AwaitCond(&sig, func() bool { return true })
-		ran = true
-	})
+	s.SpawnInline(&awaitCond(&sig, func() bool { return true }, func(*Simulator) { ran = true }).Inline)
 	s.Run()
 	if !ran {
 		t.Error("immediate condition did not pass through")
+	}
+	if len(sig.waiters) != 0 {
+		t.Error("a satisfied condition must not park")
 	}
 }
 
 func TestDeadlockDetection(t *testing.T) {
 	s := New()
 	var sig Signal
-	s.Spawn("stuck", func(p *Process) {
-		p.Await(&sig) // nobody fires
-	})
+	s.SpawnInline(&awaitCond(&sig, func() bool { return false }, nil).Inline) // nobody fires
 	defer func() {
 		if recover() == nil {
 			t.Error("deadlock not detected")
@@ -193,32 +238,55 @@ func TestDeadlockDetection(t *testing.T) {
 	s.Run()
 }
 
+// barrierWorker arrives after a staggered delay, then waits for
+// everyone at the barrier.
+type barrierWorker struct {
+	Inline
+	i       int
+	arrived bool
+	b       *barrier
+}
+
+type barrier struct {
+	n, count, finished int
+	arrive, release    Signal
+}
+
+func (w *barrierWorker) step(s *Simulator) {
+	b := w.b
+	if !w.arrived {
+		if d := int64(w.i % 7); s.Now() < d {
+			s.AfterInline(d, &w.Inline) // staggered arrivals
+			return
+		}
+		w.arrived = true
+		b.count++
+		s.Fire(&b.arrive)
+	}
+	if b.count != b.n {
+		s.Park(&b.release, &w.Inline)
+		return
+	}
+	b.finished++
+}
+
 func TestManyProcessesBarrier(t *testing.T) {
 	// N workers wait on a barrier signal; a releaser fires it once all
 	// have arrived (counted), modelling the whiteboard-complement wait
 	// of the visibility strategy.
 	const n = 100
 	s := New()
-	var barrier, arrived Signal
-	count := 0
-	finished := 0
+	b := &barrier{n: n}
 	for i := 0; i < n; i++ {
-		i := i
-		s.Spawn("w", func(p *Process) {
-			p.Delay(int64(i % 7)) // staggered arrivals
-			count++
-			s.Fire(&arrived)
-			p.AwaitCond(&barrier, func() bool { return count == n })
-			finished++
-		})
+		w := &barrierWorker{i: i, b: b}
+		w.Step = w.step
+		s.SpawnInline(&w.Inline)
 	}
-	s.Spawn("releaser", func(p *Process) {
-		p.AwaitCond(&arrived, func() bool { return count == n })
-		s.Fire(&barrier)
-	})
+	s.SpawnInline(&awaitCond(&b.arrive, func() bool { return b.count == n },
+		func(s *Simulator) { s.Fire(&b.release) }).Inline)
 	s.Run()
-	if finished != n {
-		t.Errorf("finished = %d, want %d", finished, n)
+	if b.finished != n {
+		t.Errorf("finished = %d, want %d", b.finished, n)
 	}
 }
 
@@ -244,4 +312,94 @@ func TestNegativeProcessDelayPanics(t *testing.T) {
 		p.Delay(-2)
 	})
 	s.Run()
+}
+
+// TestProcessPanicReachesRun: a panic in a process program is re-raised
+// on the dispatch loop, where Run's caller can recover it.
+func TestProcessPanicReachesRun(t *testing.T) {
+	s := New()
+	s.Spawn("boom", func(p *Process) {
+		p.Delay(2)
+		panic("boom")
+	})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want the process panic", r)
+		}
+	}()
+	s.Run()
+}
+
+// TestRunRetiresWorkersByDefault: a process goroutine exits with its
+// program, so a drained Run leaves no goroutines behind.
+func TestRunRetiresWorkersByDefault(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		s := New()
+		for j := 0; j < 32; j++ {
+			s.Spawn("w", func(p *Process) { p.Delay(1) })
+		}
+		s.Run()
+	}
+	runtime.GC() // give exited goroutines a chance to be reaped
+	after := runtime.NumGoroutine()
+	if after > before+2 {
+		t.Fatalf("goroutines grew %d -> %d; process goroutines outlived Run", before, after)
+	}
+}
+
+// TestResetReplaysIdentically: a Reset simulator reruns the same
+// program with the same timing and ordering as a fresh one.
+func TestResetReplaysIdentically(t *testing.T) {
+	program := func(s *Simulator) []int64 {
+		var times []int64
+		var sig Signal
+		fired := false
+		s.Schedule(3, func() {
+			times = append(times, s.Now())
+			fired = true
+			s.Fire(&sig)
+		})
+		s.SpawnInline(&awaitCond(&sig, func() bool { return fired }, func(s *Simulator) {
+			s.After(2, func() { times = append(times, s.Now()) })
+		}).Inline)
+		s.Run()
+		return times
+	}
+	fresh := New()
+	want := program(fresh)
+
+	s := New()
+	program(s)
+	s.Reset()
+	if s.Now() != 0 {
+		t.Fatalf("Now after Reset = %d, want 0", s.Now())
+	}
+	got := program(s)
+	if len(got) != len(want) || len(want) != 2 {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("replay times %v, want %v", got, want)
+		}
+	}
+}
+
+// TestResetPanicsWithParkedProcesses: a simulator abandoned with an
+// actor still parked on a signal cannot be reused.
+func TestResetPanicsWithParkedProcesses(t *testing.T) {
+	s := New()
+	var sig Signal
+	s.SpawnInline(&awaitCond(&sig, func() bool { return false }, nil).Inline)
+	func() {
+		defer func() { recover() }() // swallow the deadlock panic
+		s.Run()
+	}()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset with a parked actor should panic")
+		}
+	}()
+	s.Reset()
 }

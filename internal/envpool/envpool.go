@@ -14,8 +14,8 @@
 //     O(n) before reuse.
 //   - An environment whose run did not complete (no Result taken —
 //     typically a panic mid-simulation) is poisoned: Release drops it
-//     instead of pooling it, because blocked processes may still hold
-//     references into its board and signals.
+//     instead of pooling it, because its queue and signals may still
+//     hold actors mid-program.
 //
 // A Pool is NOT safe for concurrent use. Parallel sweeps give each
 // sched worker its own Pool (see experiments): workers then reuse
@@ -106,17 +106,13 @@ func (p *Pool) Acquire(d int, opts strategy.Options) *strategy.Env {
 		return e
 	}
 	h, bt := Topology(d)
-	e := strategy.NewEnvOn(h, bt, opts)
-	// Keep worker goroutines parked between runs: a reused simulator
-	// then respawns its thousands of processes allocation-free.
-	e.Sim.KeepWorkers(true)
-	return e
+	return strategy.NewEnvOn(h, bt, opts)
 }
 
 // Release returns an environment to the pool. Poisoned environments —
 // those whose run never took a Result, i.e. panicked or was abandoned
-// mid-simulation — are dropped: their blocked processes may still
-// reference the board and signals, so they must never be reused.
+// mid-simulation — are dropped: actors still queued or parked would
+// resume mid-program on the next run, so they must never be reused.
 func (p *Pool) Release(e *strategy.Env) {
 	if e == nil || !e.Completed() {
 		return

@@ -119,6 +119,14 @@ func TestAcquireReusesReleasedEnv(t *testing.T) {
 	}
 }
 
+// stuck is an actor that parks on a node nobody ever fires.
+type stuck struct {
+	des.Inline
+	env *strategy.Env
+}
+
+func (s *stuck) step(*des.Simulator) { s.env.ParkNode(&s.Inline, 5) }
+
 // TestPoisonedEnvNotReused: an environment abandoned mid-simulation
 // (here: the kernel's deadlock panic, recovered) is not re-pooled, and
 // the pool still hands out working environments afterwards.
@@ -126,7 +134,9 @@ func TestPoisonedEnvNotReused(t *testing.T) {
 	pool := New()
 	env := pool.Acquire(3, strategy.Options{})
 	env.Place(strategy.RoleCleaner)
-	env.Sim.Spawn("stuck", func(p *des.Process) { p.Await(env.Signal(5)) })
+	a := &stuck{env: env}
+	a.Step = a.step
+	env.Sim.SpawnInline(&a.Inline)
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -315,16 +315,8 @@ func (h *Hypercube) VisitNodesAtLevel(l int, yield func(v int) bool) {
 		yield(0)
 		return
 	}
-	v := uint32(1<<l - 1)
-	limit := uint32(1) << h.d
-	for v < limit {
+	for v, limit := bits.Node(1)<<l-1, bits.Node(1)<<h.d; v < limit; v = bits.NextAtLevel(v) {
 		if !yield(int(v)) {
-			return
-		}
-		c := v & -v
-		r := v + c
-		v = (((r ^ v) >> 2) / c) | r
-		if c == 0 {
 			return
 		}
 	}

@@ -254,6 +254,76 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestStrategyPanicIsolated: a panic inside a strategy's own
+// simulation — the synchronous variant's lockstep assertion tripped by
+// a stall fault — fails only its campaign. Every DES strategy runs on
+// the run's own goroutine, so the scheduler recovers the panic; the
+// daemon keeps serving, and a restart on the same journal serves the
+// failed campaign from the journal instead of re-running it.
+func TestStrategyPanicIsolated(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	s, err := NewServer(Config{JournalPath: journal, MaxActive: 1, Workers: 1, QueueDepth: 8, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	const body = `{"dim_min":3,"dim_max":3,"protocols":["synchronous"],"seeds":[1],` +
+		`"faults":{"name":"stall","seed":1,"faults":[{"kind":"stall","target":"any","at":1,"delay":3}]}}`
+	const wantErr = "sched: task 0 panicked: synchronous: node 1 holds 1 agents at t=1, want 2"
+	resp, err := ts.Client().Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sn Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&sn); err != nil || resp.StatusCode != 202 {
+		t.Fatalf("submit: HTTP %d, %v", resp.StatusCode, err)
+	}
+	resp.Body.Close()
+	if status, _, err := streamCampaign(ts.Client(), ts.URL, sn.ID); err != nil || status != StatusFailed {
+		t.Fatalf("panicking campaign: status %s, %v; want %s", status, err, StatusFailed)
+	}
+	boom, _ := s.Get(sn.ID)
+	if got := boom.Snapshot().Error; got != wantErr {
+		t.Fatalf("error %q, want %q", got, wantErr)
+	}
+
+	// The daemon survived and still runs campaigns.
+	id, code, err := postCampaign(ts.Client(), ts.URL,
+		&Request{Name: "after", DimMin: 2, DimMax: 3, Protocols: []string{core.Visibility}})
+	if err != nil || code != 202 {
+		t.Fatalf("submit after: HTTP %d, %v", code, err)
+	}
+	if status, runs, err := streamCampaign(ts.Client(), ts.URL, id); err != nil || status != StatusCompleted || runs != 2 {
+		t.Fatalf("after: status %s, %d runs, %v", status, runs, err)
+	}
+	ts.Close()
+	ctx := testCtx(t)
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	// A restart serves the failure from the journal: nothing re-runs.
+	reruns := 0
+	s2 := newTestServer(t, Config{JournalPath: journal, MaxActive: 1, Workers: 1, QueueDepth: 8,
+		BeforeRun: func(string, RunSpec) { reruns++ }})
+	if got := s2.Stats().Recovered; got != 0 {
+		t.Fatalf("restart re-ran %d campaigns, want 0", got)
+	}
+	c0, ok := s2.Get(sn.ID)
+	if !ok {
+		t.Fatalf("restart: campaign %s missing", sn.ID)
+	}
+	if snap := c0.Snapshot(); snap.Status != StatusFailed || snap.Error != wantErr {
+		t.Fatalf("restart: %s is %s (%q), want %s (%q)", sn.ID, snap.Status, snap.Error, StatusFailed, wantErr)
+	}
+	if reruns != 0 {
+		t.Fatalf("restart executed %d runs", reruns)
+	}
+}
+
 func TestDeadlineExceeded(t *testing.T) {
 	g := newGate()
 	s := newTestServer(t, Config{MaxActive: 1, Workers: 1, QueueDepth: 8,

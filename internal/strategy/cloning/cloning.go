@@ -12,6 +12,7 @@
 package cloning
 
 import (
+	"hypersearch/internal/bits"
 	"hypersearch/internal/board"
 	"hypersearch/internal/des"
 	"hypersearch/internal/metrics"
@@ -30,14 +31,16 @@ func Run(d int, opts strategy.Options) (metrics.Result, *strategy.Env) {
 // RunEnv executes the cloning variant on an existing (fresh or reset)
 // environment; pooled sweeps use it to reuse environments.
 func RunEnv(env *strategy.Env) metrics.Result {
-	d := env.H.Dim()
-	at := env.NodeLists() // node -> the (single) agent standing there
-	seed := env.Place(strategy.RoleCleaner)
-	at[0] = append(at[0], seed)
+	r := &shared{env: env, at: env.NodeLists()}
+	r.landed = func(a, v int) { r.at[v] = append(r.at[v], a) }
+	r.at[0] = append(r.at[0], env.Place(strategy.RoleCleaner))
 
-	if d > 0 {
-		for v := 0; v < env.H.Order(); v++ {
-			spawnNode(env, at, v)
+	if env.H.Dim() > 0 {
+		nodes := make([]node, env.H.Order())
+		for v := range nodes {
+			nodes[v] = node{r: r, v: v}
+			nodes[v].Step = nodes[v].step
+			env.Sim.SpawnInline(&nodes[v].Inline)
 		}
 	}
 	env.Sim.Run()
@@ -50,41 +53,47 @@ func RunEnv(env *strategy.Env) metrics.Result {
 	return env.Result(Name)
 }
 
-func spawnNode(env *strategy.Env, at [][]int, v int) {
-	env.Sim.Spawn("node", func(p *des.Process) {
-		env.AwaitNode(p, v, func() bool {
-			if len(at[v]) == 0 {
-				return false
-			}
-			ready := true
-			env.H.VisitSmallerNeighbours(v, func(w int) bool {
-				if env.B.StateOf(w) == board.Contaminated {
-					ready = false
-					return false
-				}
-				return true
-			})
-			return ready
-		})
-		a := at[v][0]
-		children := env.BT.Children(v)
-		if len(children) == 0 {
-			env.Terminate(a)
-			return
-		}
-		// The incumbent continues to the first child; clones take the
-		// rest. Cloning is local and instantaneous.
-		movers := []int{a}
-		for i := 1; i < len(children); i++ {
-			movers = append(movers, env.Clone(a, v, strategy.RoleCleaner))
-		}
-		for i, child := range children {
-			m, child := movers[i], child
-			env.Sim.Spawn("mover", func(q *des.Process) {
-				env.Move(q, m, child, strategy.RoleCleaner)
-				at[child] = append(at[child], m)
-				env.Sim.Fire(env.Signal(child))
-			})
-		}
-	})
+// shared is the state the node actors share.
+type shared struct {
+	env    *strategy.Env
+	at     [][]int // node -> the (single) agent standing there
+	movers []int   // dispatch scratch
+	landed func(a, v int)
+}
+
+// node is the local rule of node v: an actor that waits with ParkNode
+// until an agent stands on v and no smaller neighbour (label <= m(v))
+// is contaminated, then clones and dispatches.
+type node struct {
+	des.Inline
+	r *shared
+	v int
+}
+
+func (n *node) step(*des.Simulator) {
+	r, v := n.r, n.v
+	env := r.env
+	d, m := env.H.Dim(), bits.Msb(bits.Node(v))
+	ready := len(r.at[v]) > 0
+	for i := 0; ready && i < m; i++ {
+		ready = env.B.StateOf(v^1<<i) != board.Contaminated
+	}
+	if !ready {
+		env.ParkNode(&n.Inline, v)
+		return
+	}
+	a := r.at[v][0]
+	if m == d {
+		env.Terminate(a)
+		return
+	}
+	// The incumbent continues to the first child; clones take the
+	// rest. Cloning is local and instantaneous.
+	r.movers = append(r.movers[:0], a)
+	for i := m + 1; i < d; i++ {
+		r.movers = append(r.movers, env.Clone(a, v, strategy.RoleCleaner))
+	}
+	for i, mover := range r.movers {
+		env.Walk(mover, v|1<<(m+i), strategy.RoleCleaner, r.landed)
+	}
 }

@@ -30,6 +30,7 @@ package coordinated
 import (
 	"fmt"
 
+	"hypersearch/internal/bits"
 	"hypersearch/internal/combin"
 	"hypersearch/internal/des"
 	"hypersearch/internal/metrics"
@@ -55,16 +56,17 @@ func RunEnv(env *strategy.Env) metrics.Result {
 	d := env.H.Dim()
 	team := int(combin.CleanTeamSize(d))
 	c := &cleaner{
-		env:  env,
-		at:   env.NodeLists(),
-		pool: make([]int, 0, team),
+		env:      env,
+		d:        d,
+		n:        env.H.Order(),
+		at:       env.NodeLists(),
+		pool:     make([]int, 0, team),
+		hop:      -1,
+		escortee: -1,
 	}
-	// The wait conditions are hoisted here so the synchronizer's level
-	// walk does not allocate a fresh closure per node (the parameters
-	// travel through the cleaner's fields; only the synchronizer
-	// process evaluates them).
-	c.havePool = func() bool { return len(c.pool) > 0 }
-	c.nodeReady = func() bool { return len(c.at[c.waitNode]) >= c.waitK }
+	c.Step = c.step
+	c.landCourier = c.courierLanded
+	c.returnHome = c.returnerHome
 
 	// The synchronizer is elected first (whiteboard access order); the
 	// rest of the team forms the available pool at the root.
@@ -74,7 +76,7 @@ func RunEnv(env *strategy.Env) metrics.Result {
 	}
 
 	if d > 0 {
-		env.Sim.Spawn("synchronizer", c.run)
+		env.Sim.SpawnInline(&c.Inline)
 	}
 	env.Sim.Run()
 
@@ -83,123 +85,176 @@ func RunEnv(env *strategy.Env) metrics.Result {
 	return env.Result(Name)
 }
 
-// cleaner carries the run state shared by the synchronizer process and
-// the courier/returner processes.
+// The synchronizer's program counter. Between its values the
+// synchronizer walks hop by hop to its target node; each value is what
+// it does on reaching it.
+const (
+	pcEscort   = iota // on x: escort one agent down each tree edge in turn, returning between escorts
+	pcDispatch        // on the root: step 2.1, send the couriers of the level-l cursor node
+	pcArrive          // on the level-l cursor node, or back on the root past the level's end
+	pcAwait           // on x: wait for its full complement
+	pcDone
+)
+
+// cleaner is the synchronizer actor — its program counter runs over
+// phase, level node and tree edge — plus the root pool and per-node
+// registries it shares with the couriers and returners, which are
+// Env.Walk actors.
 type cleaner struct {
+	des.Inline
 	env  *strategy.Env
+	d, n int
 	sync int
 
-	pool     []int      // agent ids available at the root
-	poolSig  des.Signal // fired when a returner reaches the root
-	at       [][]int    // node -> cleaner agent ids standing there
-	inFlight int        // couriers and returners on the move
+	pool    []int      // agent ids available at the root
+	poolSig des.Signal // fired when a returner reaches the root
+	at      [][]int    // node -> cleaner agent ids standing there
 
-	// Hoisted wait conditions and their parameters (see RunEnv).
-	havePool  func() bool
-	nodeReady func() bool
-	waitNode  int
-	waitK     int
+	pc       int
+	l        int // phase: 0 escorts the root's children; l >= 1 cleans level l
+	x        int // node worked on: 0 in phase 0, else the level-l cursor (bits.NextAtLevel order; >= n past its end)
+	edge     int // next tree edge of x: the child is x | 1<<edge
+	extras   int // couriers x still needs in step 2.1
+	here     int // the synchronizer's node
+	target   int // the node it is walking to
+	hop      int // the node its hop in flight lands on, -1 when none
+	escortee int // the cleaner crossing with that hop, -1 when none
+
+	// Walk arrival callbacks, bound once per run.
+	landCourier func(a, x int)
+	returnHome  func(a, x int)
 }
 
-func (c *cleaner) run(p *des.Process) {
+// step lands the synchronizer's hop in flight, if any, and runs its
+// program to the next waiting point: a hop, the pool, or a node.
+func (c *cleaner) step(s *des.Simulator) {
 	env := c.env
-	d := env.H.Dim()
-
-	// Phase 0: root to level 1.
-	env.BT.VisitChildren(0, func(child int) bool {
-		a := c.take(p)
-		env.MoveTogether(p, []int{c.sync, a}, child, escortRoles)
-		c.at[child] = append(c.at[child], a)
-		env.Move(p, c.sync, 0, strategy.RoleSynchronizer)
-		return true
-	})
-
-	// Phases 1..d-1.
-	for l := 1; l <= d-1; l++ {
-		c.dispatchExtras(p, l)
-		c.walkLevel(p, l)
-		// Back to the root to collect agents for the next phase.
-		env.WalkTo(p, c.sync, 0, strategy.RoleSynchronizer)
+	if c.hop >= 0 {
+		// An escorted pair crosses as one action: one draw, two moves.
+		env.ApplyMove(c.sync, c.hop, strategy.RoleSynchronizer)
+		if c.escortee >= 0 {
+			env.ApplyMove(c.escortee, c.hop, strategy.RoleCleaner)
+			c.at[c.hop] = append(c.at[c.hop], c.escortee)
+			c.escortee = -1
+		}
+		c.here, c.hop = c.hop, -1
+	}
+	for {
+		if c.here != c.target {
+			c.hop = env.H.NextHopToward(c.here, c.target)
+			s.AfterInline(env.MoveLatency(c.sync, c.here, c.hop, strategy.RoleSynchronizer), &c.Inline)
+			return
+		}
+		switch c.pc {
+		case pcEscort:
+			switch {
+			case c.here != c.x: // the escort landed on the child
+				c.target = c.x
+				c.edge++
+			case c.edge < c.d:
+				// Phase 0 draws from the root pool; later phases
+				// escort the agents gathered on x.
+				a := -1
+				if c.l > 0 {
+					a = c.pop(c.x)
+				} else if a = c.take(); a < 0 {
+					s.Park(&c.poolSig, &c.Inline)
+					return
+				}
+				c.escortee, c.target = a, c.x|1<<c.edge
+			case c.l == 0:
+				c.beginPhase(1)
+			default:
+				c.nextNode()
+			}
+		case pcDispatch:
+			// Step 2.1: k-1 couriers to each type-T(k) node of level l,
+			// k >= 2, drawn from the pool — waiting for returners when
+			// it runs dry (they are always inbound, so this cannot
+			// deadlock).
+			if c.extras <= 0 {
+				if c.x = int(bits.NextAtLevel(bits.Node(c.x))); c.x < c.n {
+					c.extras = env.BT.Type(c.x) - 1
+				} else {
+					c.x = 1<<c.l - 1
+					c.pc, c.target = pcArrive, c.x
+				}
+				continue
+			}
+			a := c.take()
+			if a < 0 {
+				s.Park(&c.poolSig, &c.Inline)
+				return
+			}
+			env.Walk(a, c.x, strategy.RoleCleaner, c.landCourier)
+			c.extras--
+		case pcArrive:
+			switch {
+			case c.x >= c.n:
+				c.beginPhase(c.l + 1)
+			case env.BT.Type(c.x) == 0:
+				// Step 2.3: the leaf agent returns to the pool.
+				env.Walk(c.pop(c.x), 0, strategy.RoleCleaner, c.returnHome)
+				c.nextNode()
+			default:
+				c.pc = pcAwait
+			}
+		case pcAwait:
+			// Step 2.2: wait for the full complement of k agents
+			// (extras may still be in flight), then escort one down
+			// each tree edge.
+			k := env.BT.Type(c.x)
+			if len(c.at[c.x]) < k {
+				env.ParkNode(&c.Inline, c.x)
+				return
+			}
+			if len(c.at[c.x]) != k {
+				panic(fmt.Sprintf("coordinated: node %d holds %d agents, want %d", c.x, len(c.at[c.x]), k))
+			}
+			c.pc, c.edge = pcEscort, bits.Msb(bits.Node(c.x))
+		case pcDone:
+			return
+		}
 	}
 }
 
-// dispatchExtras implements step 2.1: k-1 couriers to each type-T(k)
-// node of level l, k >= 2, drawn from the pool (waiting for returners
-// when the pool runs dry — they are always inbound, so this cannot
-// deadlock).
-func (c *cleaner) dispatchExtras(p *des.Process, l int) {
-	env := c.env
-	env.H.VisitNodesAtLevel(l, func(x int) bool {
-		k := env.BT.Type(x)
-		for i := 0; i < k-1; i++ {
-			a := c.take(p)
-			c.spawnCourier(a, x)
-		}
-		return true
-	})
+// beginPhase starts phase l on the root (phases run for l = 1..d-1).
+func (c *cleaner) beginPhase(l int) {
+	c.l = l
+	if l > c.d-1 {
+		c.pc = pcDone
+		return
+	}
+	c.x = 1<<l - 1
+	c.pc, c.extras = pcDispatch, c.env.BT.Type(c.x)-1
 }
 
-// walkLevel implements steps 2.2 and 2.3 for level l. Level nodes and
-// tree children are visited through the allocation-free iterators, so
-// a big-board walk materializes no level slices.
-func (c *cleaner) walkLevel(p *des.Process, l int) {
-	env := c.env
-	env.H.VisitNodesAtLevel(l, func(x int) bool {
-		env.WalkTo(p, c.sync, x, strategy.RoleSynchronizer)
-		k := env.BT.Type(x)
-		if k == 0 {
-			// 2.3: the leaf agent returns to the pool.
-			a := c.pop(x)
-			c.spawnReturner(a, x)
-			return true
-		}
-		// Wait for the full complement of k agents (extras may still
-		// be in flight), then escort one down each tree edge.
-		c.waitNode, c.waitK = x, k
-		env.AwaitNode(p, x, c.nodeReady)
-		if len(c.at[x]) != k {
-			panic(fmt.Sprintf("coordinated: node %d holds %d agents, want %d", x, len(c.at[x]), k))
-		}
-		env.BT.VisitChildren(x, func(child int) bool {
-			a := c.pop(x)
-			env.MoveTogether(p, []int{c.sync, a}, child, escortRoles)
-			c.at[child] = append(c.at[child], a)
-			env.Move(p, c.sync, x, strategy.RoleSynchronizer)
-			return true
-		})
-		return true
-	})
+// nextNode moves the level walk on to the next level-l node, or back
+// to the root past the level's end.
+func (c *cleaner) nextNode() {
+	c.x = int(bits.NextAtLevel(bits.Node(c.x)))
+	c.pc, c.target = pcArrive, 0
+	if c.x < c.n {
+		c.target = c.x
+	}
 }
 
-// spawnCourier sends agent a from the root down the broadcast tree to
-// x, concurrently with the synchronizer's walk.
-func (c *cleaner) spawnCourier(a, x int) {
-	env := c.env
-	c.inFlight++
-	env.Sim.Spawn("courier", func(p *des.Process) {
-		env.WalkDown(p, a, x, strategy.RoleCleaner)
-		c.at[x] = append(c.at[x], a)
-		c.inFlight--
-		env.Sim.Fire(env.Signal(x))
-	})
+// courierLanded registers a courier on its destination x.
+func (c *cleaner) courierLanded(a, x int) { c.at[x] = append(c.at[x], a) }
+
+// returnerHome puts a returner back in the root pool and wakes the
+// synchronizer if it is waiting for one.
+func (c *cleaner) returnerHome(a, _ int) {
+	c.pool = append(c.pool, a)
+	c.env.Sim.Fire(&c.poolSig)
 }
 
-// spawnReturner walks agent a from leaf x back to the root pool.
-func (c *cleaner) spawnReturner(a, x int) {
-	env := c.env
-	c.inFlight++
-	env.Sim.Spawn("returner", func(p *des.Process) {
-		env.WalkTo(p, a, 0, strategy.RoleCleaner)
-		c.pool = append(c.pool, a)
-		c.inFlight--
-		env.Sim.Fire(&c.poolSig)
-	})
-}
-
-// take pops an available agent from the root pool, waiting for a
-// returner when the pool is empty.
-func (c *cleaner) take(p *des.Process) int {
-	p.AwaitCond(&c.poolSig, c.havePool)
+// take pops an available agent from the root pool, or returns -1 when
+// the pool is empty.
+func (c *cleaner) take() int {
+	if len(c.pool) == 0 {
+		return -1
+	}
 	a := c.pool[len(c.pool)-1]
 	c.pool = c.pool[:len(c.pool)-1]
 	return a
@@ -216,12 +271,6 @@ func (c *cleaner) pop(x int) int {
 	return a
 }
 
-// pos returns the synchronizer's current node.
-func (c *cleaner) pos() int {
-	v, _ := c.env.B.Position(c.sync)
-	return v
-}
-
 // terminateAll retires every agent after the simulation drains.
 func (c *cleaner) terminateAll(team int) {
 	for id := 0; id < team; id++ {
@@ -230,8 +279,3 @@ func (c *cleaner) terminateAll(team int) {
 		}
 	}
 }
-
-// escortRoles labels the two moves of an escorted pair: the
-// synchronizer and its cleaner move as one action, each recorded under
-// its own role.
-var escortRoles = []string{strategy.RoleSynchronizer, strategy.RoleCleaner}

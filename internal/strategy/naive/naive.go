@@ -25,36 +25,11 @@ func RunDFS(d int, opts strategy.Options) (metrics.Result, *strategy.Env) {
 	return RunDFSEnv(env), env
 }
 
-// RunDFSEnv executes the DFS baseline on an existing environment.
+// RunDFSEnv executes the DFS baseline on an existing environment: the
+// convoy of one.
 func RunDFSEnv(env *strategy.Env) metrics.Result {
-	d := env.H.Dim()
-	a := env.Place(strategy.RoleCleaner)
-	if d > 0 {
-		env.Sim.Spawn("dfs", func(p *des.Process) {
-			walkDFS(env, p, a)
-		})
-	}
-	env.Sim.Run()
-	env.Terminate(a)
+	runConvoy(env, 1)
 	return env.Result(DFSName)
-}
-
-// walkDFS performs an explicit-stack DFS from the homebase, moving the
-// agent along each tree edge down and back up.
-func walkDFS(env *strategy.Env, p *des.Process, a int) {
-	seen := make([]bool, env.H.Order())
-	var rec func(v int)
-	rec = func(v int) {
-		seen[v] = true
-		for _, w := range env.H.Neighbours(v) {
-			if !seen[w] {
-				env.Move(p, a, w, strategy.RoleCleaner)
-				rec(w)
-				env.Move(p, a, v, strategy.RoleCleaner)
-			}
-		}
-	}
-	rec(0)
 }
 
 // RunConvoy sweeps with `team` agents marching in single file along the
@@ -68,42 +43,71 @@ func RunConvoy(d, team int, opts strategy.Options) (metrics.Result, *strategy.En
 
 // RunConvoyEnv executes the convoy baseline on an existing environment.
 func RunConvoyEnv(env *strategy.Env, team int) metrics.Result {
-	d := env.H.Dim()
 	if team < 1 {
 		team = 1
 	}
-	agents := make([]int, team)
-	for i := range agents {
-		agents[i] = env.Place(strategy.RoleCleaner)
+	runConvoy(env, team)
+	return env.Result(ConvoyName)
+}
+
+// runConvoy places the team, marches it along the DFS walk, and
+// retires it in place.
+func runConvoy(env *strategy.Env, team int) {
+	c := &convoy{env: env, agents: make([]int, team)}
+	for i := range c.agents {
+		c.agents[i] = env.Place(strategy.RoleCleaner)
 	}
-	if d > 0 {
-		walk := expandWalk(env)
-		env.Sim.Spawn("convoy", func(p *des.Process) {
-			// Agent i trails agent i-1 by one walk position, guarding
-			// a moving window of `team` nodes behind the leader.
-			for step := 0; step < len(walk)+team-1; step++ {
-				for i := 0; i < team; i++ {
-					idx := step - i
-					if idx >= 0 && idx < len(walk) {
-						env.Move(p, agents[i], walk[idx], strategy.RoleCleaner)
-					}
-				}
-			}
-		})
+	if env.H.Dim() > 0 {
+		c.walk = expandWalk(env)
+		c.Step = c.step
+		env.Sim.SpawnInline(&c.Inline)
 	}
 	env.Sim.Run()
-	for _, a := range agents {
+	for _, a := range c.agents {
 		env.Terminate(a)
 	}
-	return env.Result(ConvoyName)
+}
+
+// convoy is the marching team as one actor: at each walk position the
+// agents move one after another, agent i trailing agent i-1 by one
+// position, so the team guards a moving window of `team` nodes behind
+// the leader. Its cursor is (pos, i): agent i's next move is to
+// walk[pos-i].
+type convoy struct {
+	des.Inline
+	env    *strategy.Env
+	agents []int
+	walk   []int
+	pos, i int
+	moving bool // a move of agents[i] to walk[pos-i] is in flight
+}
+
+func (c *convoy) step(s *des.Simulator) {
+	env := c.env
+	if c.moving {
+		env.ApplyMove(c.agents[c.i], c.walk[c.pos-c.i], strategy.RoleCleaner)
+		c.i++
+	}
+	for ; c.pos < len(c.walk)+len(c.agents)-1; c.pos, c.i = c.pos+1, 0 {
+		for ; c.i < len(c.agents); c.i++ {
+			if idx := c.pos - c.i; idx >= 0 && idx < len(c.walk) {
+				a := c.agents[c.i]
+				from, _ := env.B.Position(a)
+				c.moving = true
+				s.AfterInline(env.MoveLatency(a, from, c.walk[idx], strategy.RoleCleaner), &c.Inline)
+				return
+			}
+		}
+	}
+	c.moving = false
 }
 
 // expandWalk turns the DFS of the hypercube into a legal edge walk
 // starting at the homebase (with backtrack steps), excluding the start
-// node itself.
+// node itself: every tree edge down and back, 2(n-1) hops.
 func expandWalk(env *strategy.Env) []int {
 	seen := make([]bool, env.H.Order())
-	var walk []int
+	walk := make([]int, 0, 2*(env.H.Order()-1))
 	var rec func(v int)
 	rec = func(v int) {
 		seen[v] = true

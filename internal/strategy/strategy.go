@@ -81,7 +81,7 @@ type Options struct {
 	// latency spikes, and lock starvation become extra virtual delay
 	// on the affected moves, and kernel-lag faults are installed as a
 	// DES event interceptor. Crash faults are not supported by the
-	// discrete-event engine (a dead process would wedge the kernel);
+	// discrete-event engine (a dead agent would wedge the kernel);
 	// they require the crash-tolerant goroutine runtime.
 	Faults *faults.Injector
 }
@@ -97,19 +97,18 @@ type Env struct {
 	log      *trace.Log
 	logStash *trace.Log // trace retired by a Record:false flip, kept for its capacity
 	sink     trace.Sink // optional streaming sink (Options.Stream)
-	// sigs and armed are allocated lazily, on the first AwaitNode or
-	// Signal call: per-node condition waiting is a goroutine-process
-	// idiom, and the inline-actor strategies never touch it. At big
+	// sigs and armed are allocated lazily, on the first ParkNode: only
+	// actors that wait on a node's neighbourhood use them, and at big
 	// dimensions that laziness matters — the sigs array alone is tens
-	// of megabytes at d=20, which an event-driven megannode run should
-	// not pay for.
+	// of megabytes at d=20, which an event-driven megannode run that
+	// never parks should not pay for.
 	sigs []des.Signal
-	// armed mirrors "sigs[v] has waiters" as one bit per node. At big
-	// dimensions the sigs array is tens of megabytes, so fireAround
-	// consults this L2-resident bitset and only touches the Signal
-	// structs that actually have a sleeper. Bits are set by AwaitNode
-	// before blocking and cleared by fireAt before firing; a woken
-	// process that blocks again re-arms its bit, so no wakeup is lost.
+	// armed mirrors "sigs[v] has parked actors" as one bit per node.
+	// At big dimensions the sigs array is tens of megabytes, so
+	// fireAround consults this L2-resident bitset and only touches the
+	// Signal structs that actually have a sleeper. ParkNode sets a bit
+	// and fireAt clears it before firing; a woken actor that parks
+	// again re-arms its bit, so no wakeup is lost.
 	armed        []uint64
 	armedCount   int // number of set bits in armed; 0 short-circuits fireAround
 	contiguousOK bool
@@ -130,6 +129,8 @@ type Env struct {
 	// node (one []int per node, emptied by NodeLists); reusing it
 	// across pooled runs avoids rebuilding per-node maps.
 	lists [][]int
+	// walkers is the free list of Walk actors, kept across runs.
+	walkers *walker
 }
 
 // NewEnv builds an environment for dimension d with all nodes
@@ -197,21 +198,14 @@ func (e *Env) applyOptions(opts Options) {
 
 // Reset prepares the environment for a fresh run under new options,
 // reusing every allocation from the previous run: the board, trace
-// log, signals, role counters and scratch lists are cleared in O(n),
-// and the simulator keeps its warmed event heap (plus, under
-// KeepWorkers, its parked process goroutines). It panics — via
-// Sim.Reset — if the previous run was abandoned with blocked
-// processes; such poisoned environments must be discarded, not reset.
+// log, role counters and scratch lists are cleared in O(n), and the
+// simulator keeps its warmed event heap. It panics — via Sim.Reset —
+// if the previous run was abandoned with parked actors; such poisoned
+// environments must be discarded, not reset. Otherwise no actor is
+// parked, so every node signal and armed bit is already clear.
 func (e *Env) Reset(opts Options) {
 	e.Sim.Reset()
 	e.B.Reset()
-	for i := range e.sigs {
-		e.sigs[i].Reset()
-	}
-	for i := range e.armed {
-		e.armed[i] = 0
-	}
-	e.armedCount = 0
 	e.syncMoves, e.cleanerMoves = 0, 0
 	for k := range e.roleMoves {
 		delete(e.roleMoves, k)
@@ -290,8 +284,7 @@ func (e *Env) emit(ev trace.Event) {
 }
 
 // ensureSigs allocates the per-node signal array and armed bitset on
-// first use; environments running only inline-actor strategies never
-// build them.
+// first use; environments whose actors never park never build them.
 func (e *Env) ensureSigs() {
 	if e.sigs == nil {
 		e.sigs = make([]des.Signal, e.H.Order())
@@ -299,35 +292,23 @@ func (e *Env) ensureSigs() {
 	}
 }
 
-// Signal returns node v's condition signal; it fires whenever the
-// board changes at v or at a neighbour of v. Waiting on it directly
-// with p.Await/p.AwaitCond bypasses the armed bitset and can miss
-// board-change wakeups — use AwaitNode instead. Firing it directly is
-// always safe.
-func (e *Env) Signal(v int) *des.Signal {
+// ParkNode parks actor h until the board next changes at node v or at
+// one of its neighbours, arming v's bit in the armed bitset so
+// fireAround knows a sleeper exists without reading the (large, cold)
+// Signal array. An actor waiting for a condition on v's neighbourhood
+// re-checks it in the woken step and parks again while it fails.
+func (e *Env) ParkNode(h *des.Inline, v int) {
 	e.ensureSigs()
-	return &e.sigs[v]
-}
-
-// AwaitNode blocks p until cond() holds, re-checking whenever the
-// board changes at node v or one of its neighbours. It is the node
-// analogue of p.AwaitCond(e.Signal(v), cond), but arms v's bit in the
-// armed bitset before each block so fireAround knows a sleeper exists
-// without reading the (large, cold) Signal array.
-func (e *Env) AwaitNode(p *des.Process, v int, cond func() bool) {
-	e.ensureSigs()
-	for !cond() {
-		if w, bit := v>>6, uint64(1)<<(uint(v)&63); e.armed[w]&bit == 0 {
-			e.armed[w] |= bit
-			e.armedCount++
-		}
-		p.Await(&e.sigs[v])
+	if w, bit := v>>6, uint64(1)<<(uint(v)&63); e.armed[w]&bit == 0 {
+		e.armed[w] |= bit
+		e.armedCount++
 	}
+	e.Sim.Park(&e.sigs[v], h)
 }
 
-// fireAt wakes the waiters of node v's signal, if the armed bitset
-// says there are any. The bit is cleared before firing; re-blocking
-// waiters re-arm it through AwaitNode.
+// fireAt wakes the actors parked on node v's signal, if the armed
+// bitset says there are any. The bit is cleared before firing;
+// re-parking actors re-arm it through ParkNode.
 func (e *Env) fireAt(v int) {
 	w, bit := v>>6, uint64(1)<<(uint(v)&63)
 	if e.armed[w]&bit == 0 {
@@ -386,9 +367,12 @@ func (e *Env) Terminate(agent int) {
 	e.fireAround(v)
 }
 
-// apply performs the instantaneous part of a move at the current
-// simulation time: board update, trace, invariant check, signals.
-func (e *Env) apply(agent, to int, role string) {
+// ApplyMove performs the instantaneous part of a move at the current
+// simulation time: board update, per-role accounting, trace, invariant
+// check, signals — the landing half of the split MoveLatency opens.
+// An escort (the synchronizer carrying a cleaner across one edge) is
+// one draw and two ApplyMoves at the same instant.
+func (e *Env) ApplyMove(agent, to int, role string) {
 	from, _ := e.B.Position(agent)
 	e.B.Move(agent, to, e.Sim.Now())
 	switch role {
@@ -409,77 +393,70 @@ func (e *Env) apply(agent, to int, role string) {
 	e.fireAround(to)
 }
 
-// Move walks one edge: the calling process sleeps for the drawn
-// latency, then the move applies atomically (the agent occupies the
-// source until completion — the standard graph-search action model).
-func (e *Env) Move(p *des.Process, agent, to int, role string) {
-	from, _ := e.B.Position(agent)
-	p.Delay(e.opts.Latency.Draw(from, to) + e.faultDelay(agent, role))
-	e.apply(agent, to, role)
-}
-
 // MoveLatency draws the duration of agent's next move from from to to
 // (latency model plus any injected fault delay), without performing
-// it. Inline-actor strategies call it at dispatch time and schedule
-// the completion themselves; pairing each draw with a later ApplyMove
-// in the same order a goroutine process would have drawn and applied
-// keeps the two styles byte-identical.
+// it. An actor calls it when the move starts — the agent occupies the
+// source until completion, the standard graph-search action model —
+// and schedules its own step for the landing, where ApplyMove performs
+// the move. The draw order is observable (a shared RNG and the fault
+// plan's move counters), so it is part of a strategy's behaviour.
 func (e *Env) MoveLatency(agent, from, to int, role string) int64 {
 	return e.opts.Latency.Draw(from, to) + e.faultDelay(agent, role)
 }
 
-// ApplyMove performs the instantaneous part of a move at the current
-// simulation time: board update, per-role accounting, trace, invariant
-// check, signals. It is Move without the latency sleep — the
-// inline-actor half of the split that MoveLatency opens.
-func (e *Env) ApplyMove(agent, to int, role string) { e.apply(agent, to, role) }
-
-// MoveTogether moves a group of agents across the same edge as one
-// action (the synchronizer escorting a cleaner): one latency draw, all
-// moves applied at the same instant. roles[i] labels agents[i]'s move.
-func (e *Env) MoveTogether(p *des.Process, agents []int, to int, roles []string) {
-	if len(agents) == 0 || len(agents) != len(roles) {
-		panic("strategy: MoveTogether needs matching agents and roles")
-	}
-	from, _ := e.B.Position(agents[0])
-	p.Delay(e.opts.Latency.Draw(from, to) + e.faultDelay(agents[0], roles[0]))
-	for i, a := range agents {
-		e.apply(a, to, roles[i])
-	}
+// walker is the actor behind Walk: one agent stepping hop by hop toward
+// its destination. Walkers are pooled on the environment, so a steady
+// stream of walks allocates nothing once the pool is warm.
+type walker struct {
+	des.Inline
+	env     *Env
+	next    *walker // free-list link
+	agent   int
+	hop     int // the node the hop in flight lands on, or -1 before the first
+	dst     int
+	role    string
+	arrived func(agent, dst int)
 }
 
-// Walk moves an agent along a path (path[0] must be its current node).
-func (e *Env) Walk(p *des.Process, agent int, path []int, role string) {
-	if len(path) == 0 {
+// Walk moves agent from its current node to dst along the canonical
+// shortest hypercube path (the vertices H.ShortestPath returns; from
+// an ancestor in the broadcast tree that is the tree path down), as a
+// pooled actor spawned at the current time. Each hop draws its latency
+// when it starts and lands one event later. arrived (if non-nil) runs
+// in the step that lands the agent on dst — the start step if it is
+// already there — before any other event. The agent must be on the
+// board.
+func (e *Env) Walk(agent, dst int, role string, arrived func(agent, dst int)) {
+	if _, active := e.B.Position(agent); !active {
+		panic(fmt.Sprintf("strategy: Walk of agent %d, which is not on the board", agent))
+	}
+	w := e.walkers
+	if w == nil {
+		w = &walker{env: e}
+		w.Step = w.step
+	} else {
+		e.walkers = w.next
+	}
+	w.agent, w.hop, w.dst, w.role, w.arrived = agent, -1, dst, role, arrived
+	e.Sim.SpawnInline(&w.Inline)
+}
+
+// step lands the hop in flight, if any, then starts the next one or
+// finishes the walk, returning the walker to the pool.
+func (w *walker) step(s *des.Simulator) {
+	e := w.env
+	if w.hop >= 0 {
+		e.ApplyMove(w.agent, w.hop, w.role)
+	}
+	if at, _ := e.B.Position(w.agent); at != w.dst {
+		w.hop = e.H.NextHopToward(at, w.dst)
+		s.AfterInline(e.MoveLatency(w.agent, at, w.hop, w.role), &w.Inline)
 		return
 	}
-	if at, _ := e.B.Position(agent); at != path[0] {
-		panic(fmt.Sprintf("strategy: Walk of agent %d starting at %d, path starts at %d", agent, at, path[0]))
-	}
-	for _, v := range path[1:] {
-		e.Move(p, agent, v, role)
-	}
-}
-
-// WalkTo moves an agent from its current node to dst along the
-// canonical shortest hypercube path (the same vertices H.ShortestPath
-// returns), stepping via NextHopToward so no path slice is allocated.
-func (e *Env) WalkTo(p *des.Process, agent, dst int, role string) {
-	at, _ := e.B.Position(agent)
-	for at != dst {
-		at = e.H.NextHopToward(at, dst)
-		e.Move(p, agent, at, role)
-	}
-}
-
-// WalkDown moves an agent from its current node down the broadcast
-// tree to its descendant dst (the same vertices BT.PathFromRoot visits
-// below the current node), without allocating the path slice.
-func (e *Env) WalkDown(p *des.Process, agent, dst int, role string) {
-	at, _ := e.B.Position(agent)
-	for at != dst {
-		at = e.BT.NextHopDown(at, dst)
-		e.Move(p, agent, at, role)
+	agent, dst, arrived := w.agent, w.dst, w.arrived
+	w.arrived, w.next, e.walkers = nil, e.walkers, w
+	if arrived != nil {
+		arrived(agent, dst)
 	}
 }
 

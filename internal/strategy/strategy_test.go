@@ -39,12 +39,14 @@ func TestAdversarialRejectsBadMax(t *testing.T) {
 func TestEnvPlaceMoveWalk(t *testing.T) {
 	e := NewEnv(3, Options{Record: true, Contiguity: CheckEveryMove})
 	a := e.Place(RoleCleaner)
-	e.Sim.Spawn("walker", func(p *des.Process) {
-		e.Walk(p, a, e.H.ShortestPath(0, 7), RoleCleaner)
-	})
+	var landed []int
+	e.Walk(a, 7, RoleCleaner, func(agent, dst int) { landed = append(landed, agent, dst, int(e.Sim.Now())) })
 	e.Sim.Run()
 	if got, _ := e.B.Position(a); got != 7 {
 		t.Errorf("agent at %d", got)
+	}
+	if len(landed) != 3 || landed[0] != a || landed[1] != 7 || landed[2] != 3 {
+		t.Errorf("arrival callback saw %v, want [agent 7 3]", landed)
 	}
 	if e.RoleMoves(RoleCleaner) != 3 {
 		t.Errorf("moves = %d", e.RoleMoves(RoleCleaner))
@@ -55,29 +57,57 @@ func TestEnvPlaceMoveWalk(t *testing.T) {
 	if e.B.Now() != 3 {
 		t.Errorf("makespan = %d", e.B.Now())
 	}
+	// The walk follows the canonical shortest path.
+	path := e.H.ShortestPath(0, 7)
+	for i, ev := range e.Log().Events()[1:] {
+		if ev.From != path[i] || ev.To != path[i+1] {
+			t.Fatalf("hop %d went %d->%d, want %d->%d", i, ev.From, ev.To, path[i], path[i+1])
+		}
+	}
 }
 
+// TestEnvWalkValidatesStart: a walk must start from the agent's node on
+// the board; an agent that was retired cannot walk.
 func TestEnvWalkValidatesStart(t *testing.T) {
 	e := NewEnv(2, Options{})
 	a := e.Place(RoleCleaner)
-	e.Sim.Spawn("bad", func(p *des.Process) {
-		defer func() {
-			if recover() == nil {
-				t.Error("walk from wrong start accepted")
-			}
-		}()
-		e.Walk(p, a, []int{1, 3}, RoleCleaner)
-	})
-	e.Sim.Run()
+	e.Terminate(a)
+	defer func() {
+		if recover() == nil {
+			t.Error("walk of a retired agent accepted")
+		}
+	}()
+	e.Walk(a, 3, RoleCleaner, nil)
+}
+
+// escort is the synchronizer carrying a cleaner across one edge: one
+// latency draw, then both moves applied at the same instant.
+type escort struct {
+	des.Inline
+	e       *Env
+	sync, a int
+	to      int
+	started bool
+}
+
+func (x *escort) step(s *des.Simulator) {
+	if !x.started {
+		x.started = true
+		from, _ := x.e.B.Position(x.sync)
+		s.AfterInline(x.e.MoveLatency(x.sync, from, x.to, RoleSynchronizer), &x.Inline)
+		return
+	}
+	x.e.ApplyMove(x.sync, x.to, RoleSynchronizer)
+	x.e.ApplyMove(x.a, x.to, RoleCleaner)
 }
 
 func TestMoveTogetherSimultaneous(t *testing.T) {
 	e := NewEnv(2, Options{Record: true})
 	a := e.Place(RoleSynchronizer)
 	b := e.Place(RoleCleaner)
-	e.Sim.Spawn("pair", func(p *des.Process) {
-		e.MoveTogether(p, []int{a, b}, 1, []string{RoleSynchronizer, RoleCleaner})
-	})
+	x := &escort{e: e, sync: a, a: b, to: 1}
+	x.Step = x.step
+	e.Sim.SpawnInline(&x.Inline)
 	e.Sim.Run()
 	events := e.Log().Events()
 	last := events[len(events)-1]
@@ -90,42 +120,46 @@ func TestMoveTogetherSimultaneous(t *testing.T) {
 	}
 }
 
-func TestMoveTogetherValidation(t *testing.T) {
-	e := NewEnv(2, Options{})
-	a := e.Place(RoleCleaner)
-	e.Sim.Spawn("bad", func(p *des.Process) {
-		defer func() {
-			if recover() == nil {
-				t.Error("mismatched roles accepted")
-			}
-		}()
-		e.MoveTogether(p, []int{a}, 1, nil)
-	})
-	e.Sim.Run()
+// watcher parks on a node until its condition holds.
+type watcher struct {
+	des.Inline
+	e     *Env
+	v     int
+	cond  func() bool
+	woke  bool
+	steps int
+}
+
+func (w *watcher) step(*des.Simulator) {
+	w.steps++
+	if !w.cond() {
+		w.e.ParkNode(&w.Inline, w.v)
+		return
+	}
+	w.woke = true
 }
 
 func TestSignalsFireOnNeighbourChange(t *testing.T) {
 	e := NewEnv(3, Options{})
 	a := e.Place(RoleCleaner)
-	woke := false
-	e.Sim.Spawn("watcher", func(p *des.Process) {
-		// Node 3 is a neighbour of 1; moving the agent to 1 must wake it.
-		e.AwaitNode(p, 3, func() bool { return e.B.AgentsOn(1) > 0 })
-		woke = true
-	})
-	e.Sim.Spawn("mover", func(p *des.Process) {
-		e.Move(p, a, 1, RoleCleaner)
-	})
+	// Node 3 is a neighbour of 1; moving the agent to 1 must wake it.
+	w := &watcher{e: e, v: 3, cond: func() bool { return e.B.AgentsOn(1) > 0 }}
+	w.Step = w.step
+	e.Sim.SpawnInline(&w.Inline)
+	e.Walk(a, 1, RoleCleaner, nil)
 	e.Sim.Run()
-	if !woke {
+	if !w.woke {
 		t.Error("signal did not propagate to neighbour")
+	}
+	if w.steps != 2 {
+		t.Errorf("watcher stepped %d times, want 2 (park, then the wake)", w.steps)
 	}
 }
 
 func TestResultAssembly(t *testing.T) {
 	e := NewEnv(1, Options{Record: true})
 	a := e.Place(RoleCleaner)
-	e.Sim.Spawn("m", func(p *des.Process) { e.Move(p, a, 1, RoleCleaner) })
+	e.Walk(a, 1, RoleCleaner, nil)
 	e.Sim.Run()
 	e.Terminate(a)
 	r := e.Result("test")
@@ -148,9 +182,7 @@ func TestContiguityViolationDetected(t *testing.T) {
 	e := NewEnv(3, Options{Contiguity: CheckEveryMove})
 	e.Place(RoleCleaner) // rear guard stays home
 	a := e.Place(RoleCleaner)
-	e.Sim.Spawn("w", func(p *des.Process) {
-		e.Walk(p, a, []int{0, 1, 3}, RoleCleaner)
-	})
+	e.Walk(a, 3, RoleCleaner, nil)
 	e.Sim.Run()
 	r := e.Result("bad")
 	if r.ContiguousOK {
@@ -158,6 +190,29 @@ func TestContiguityViolationDetected(t *testing.T) {
 	}
 	if r.Captured {
 		t.Error("this walk cannot capture")
+	}
+}
+
+// TestWalkersArePooled: walks started after earlier ones finished
+// reuse their actors, so a steady stream of walks allocates nothing.
+func TestWalkersArePooled(t *testing.T) {
+	e := NewEnv(4, Options{})
+	a := e.Place(RoleCleaner)
+	dst := 15
+	arrived := func(agent, at int) {
+		if at == 15 {
+			dst = 0
+		} else {
+			dst = 15
+		}
+	}
+	walk := func() {
+		e.Walk(a, dst, RoleCleaner, arrived)
+		e.Sim.Run()
+	}
+	walk() // warm the walker pool and the event heap
+	if allocs := testing.AllocsPerRun(50, walk); allocs != 0 {
+		t.Errorf("a pooled walk allocates %.1f, want 0", allocs)
 	}
 }
 

@@ -14,6 +14,7 @@ package synchronous
 import (
 	"fmt"
 
+	"hypersearch/internal/bits"
 	"hypersearch/internal/combin"
 	"hypersearch/internal/des"
 	"hypersearch/internal/heapqueue"
@@ -37,16 +38,19 @@ func Run(d int, opts strategy.Options) (metrics.Result, *strategy.Env) {
 // whose options must already force unit latency (the variant is only
 // defined for synchronous systems; Run and core.Run arrange this).
 func RunEnv(env *strategy.Env) metrics.Result {
-	d := env.H.Dim()
-	team := int(combin.VisibilityAgents(d))
+	team := int(combin.VisibilityAgents(env.H.Dim()))
 	at := env.NodeLists()
 	for i := 0; i < team; i++ {
 		at[0] = append(at[0], env.Place(strategy.RoleCleaner))
 	}
 
-	if d > 0 {
-		for v := 0; v < env.H.Order(); v++ {
-			spawnNode(env, at, v)
+	if env.H.Dim() > 0 {
+		landed := func(a, v int) { at[v] = append(at[v], a) }
+		nodes := make([]node, env.H.Order())
+		for v := range nodes {
+			nodes[v] = node{env: env, at: at, landed: landed, v: v}
+			nodes[v].Step = nodes[v].step
+			env.Sim.SpawnInline(&nodes[v].Inline)
 		}
 	}
 	env.Sim.Run()
@@ -59,40 +63,49 @@ func RunEnv(env *strategy.Env) metrics.Result {
 	return env.Result(Name)
 }
 
-func spawnNode(env *strategy.Env, at [][]int, v int) {
-	k := env.BT.Type(v)
-	required := int(heapqueue.AgentsRequired(k))
-	moveAt := int64(env.H.Class(v)) // t = m(x)
-	env.Sim.Spawn("node", func(p *des.Process) {
-		p.Delay(moveAt)
-		// Re-yield once so that arrivals scheduled for this same round
-		// (from t = m(x)-1) apply first: in continuous time an arrival
-		// "at t" precedes the dispatch "at t".
-		p.Delay(0)
-		// No visibility read: the schedule itself must guarantee the
-		// complement has arrived. Assert it.
-		if len(at[v]) != required {
-			panic(fmt.Sprintf("synchronous: node %d holds %d agents at t=%d, want %d",
-				v, len(at[v]), p.Now(), required))
+// node is the schedule of node v: an actor that sleeps until round
+// m(x), dispatches its complement, and is done.
+type node struct {
+	des.Inline
+	env    *strategy.Env
+	at     [][]int // node -> agent ids standing there
+	landed func(a, v int)
+	v      int
+	steps  int
+}
+
+func (n *node) step(s *des.Simulator) {
+	env, at, v := n.env, n.at, n.v
+	d, m := env.H.Dim(), bits.Msb(bits.Node(v))
+	switch n.steps++; n.steps {
+	case 1:
+		s.AfterInline(int64(m), &n.Inline) // t = m(x)
+		return
+	case 2:
+		// Step once more so that arrivals scheduled for this same
+		// round (from t = m(x)-1) apply first: in continuous time an
+		// arrival "at t" precedes the dispatch "at t".
+		s.AfterInline(0, &n.Inline)
+		return
+	}
+	// No visibility read: the schedule itself must guarantee the
+	// complement has arrived. Assert it.
+	if required := int(heapqueue.AgentsRequired(d - m)); len(at[v]) != required {
+		panic(fmt.Sprintf("synchronous: node %d holds %d agents at t=%d, want %d",
+			v, len(at[v]), s.Now(), required))
+	}
+	if m == d {
+		env.Terminate(at[v][0])
+		at[v] = at[v][:0]
+		return
+	}
+	// 2^(i-1) agents to the T(i) child and one to the T(0) child, in
+	// child order (heapqueue.DispatchPlan).
+	for i := m; i < d; i++ {
+		for j := heapqueue.AgentsRequired(d - i - 1); j > 0; j-- {
+			a := at[v][len(at[v])-1]
+			at[v] = at[v][:len(at[v])-1]
+			env.Walk(a, v|1<<i, strategy.RoleCleaner, n.landed)
 		}
-		if k == 0 {
-			env.Terminate(at[v][0])
-			at[v] = nil
-			return
-		}
-		children := env.BT.Children(v)
-		plan := heapqueue.DispatchPlan(k)
-		for i, child := range children {
-			for j := int64(0); j < plan[i]; j++ {
-				agents := at[v]
-				a := agents[len(agents)-1]
-				at[v] = agents[:len(agents)-1]
-				child := child
-				env.Sim.Spawn("mover", func(q *des.Process) {
-					env.Move(q, a, child, strategy.RoleCleaner)
-					at[child] = append(at[child], a)
-				})
-			}
-		}
-	})
+	}
 }

@@ -1,7 +1,8 @@
 // inline.go is the event-driven visibility engine RunEnv runs: the
-// same local rule as the goroutine-per-node reference path (kept as
-// the identity oracle in inline_identity_test.go), executed by inline
-// DES actors (des.Inline) instead of 2^d parked processes.
+// same local rule as the polling node-actor reference path (kept as
+// the identity oracle in inline_identity_test.go), executed with
+// countdown counters instead of 2^d actors re-checking their
+// neighbourhoods on every wake.
 //
 // The dispatch condition of node v — "the agent complement is present
 // AND every smaller neighbour is clean or guarded" — is monotone, so
@@ -46,8 +47,8 @@
 //     from the endpoint stamps, then dispatches them in key order.
 //
 // Dispatch draws each departing mover's latency at dispatch time, in
-// (child, plan-slot) order. The reference path draws in mover
-// processes that run after all same-time wakes, grouped per dispatch
+// (child, plan-slot) order. The reference path draws in walker
+// actors that run after all same-time wakes, grouped per dispatch
 // in the same order, and only the draw sequence is observable (via
 // the shared RNG and fault-plan counters), not its position within
 // the timestep — so the two paths consume identical draw and

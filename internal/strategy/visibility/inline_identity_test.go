@@ -15,18 +15,18 @@ import (
 )
 
 // The inline event-driven engine claims byte-identity with the
-// goroutine-per-node reference path: identical traces (every event,
-// in order, with times), identical metrics, identical clean orders
-// and clean times — under unit latency, adversarial latency, and
-// seeded fault plans alike. These tests state that claim as a
-// property over dimensions and seeds; `-race` covers the goroutine
-// side of the comparison.
+// node-actor reference path: identical traces (every event, in order,
+// with times), identical metrics, identical clean orders and clean
+// times — under unit latency, adversarial latency, and seeded fault
+// plans alike. These tests state that claim as a property over
+// dimensions and seeds.
 
-// runEnvLegacy executes the goroutine-per-node reference path: one DES
-// process per node awaiting the dispatch condition on its node signal.
-// It is the executable statement of the algorithm, and the identity
-// oracle RunEnv's inline engine is tested against; O(2^d) goroutines
-// and O(n·wakes) work bound it to small dimensions.
+// runEnvLegacy executes the reference path: one DES actor per node
+// that re-checks the dispatch condition on every board change in the
+// node's closed neighbourhood (ParkNode), with no counters. It is the
+// executable statement of the algorithm, and the identity oracle
+// RunEnv's counter engine is tested against; its O(n·wakes) polling
+// bounds it to small dimensions.
 func runEnvLegacy(env *strategy.Env) metrics.Result {
 	d := env.H.Dim()
 	team := int(combin.VisibilityAgents(d))
@@ -36,8 +36,11 @@ func runEnvLegacy(env *strategy.Env) metrics.Result {
 	}
 
 	if d > 0 {
+		landed := func(a, v int) { at[v] = append(at[v], a) }
 		for v := 0; v < env.H.Order(); v++ {
-			spawnNode(env, at, v)
+			n := &legacyNode{env: env, at: at, v: v, landed: landed}
+			n.Step = n.step
+			env.Sim.SpawnInline(&n.Inline)
 		}
 	}
 	env.Sim.Run()
@@ -50,27 +53,35 @@ func runEnvLegacy(env *strategy.Env) metrics.Result {
 	return env.Result(Name)
 }
 
-// spawnNode starts the local rule for node v: one process per node,
-// standing in for the identical local programs of the agents gathered
-// there (which one moves where is settled on the node's whiteboard).
-func spawnNode(env *strategy.Env, at [][]int, v int) {
+// legacyNode runs the local rule for node v, standing in for the
+// identical local programs of the agents gathered there (which one
+// moves where is settled on the node's whiteboard).
+type legacyNode struct {
+	des.Inline
+	env    *strategy.Env
+	at     [][]int
+	v      int
+	landed func(a, v int)
+}
+
+func (n *legacyNode) step(*des.Simulator) {
+	env, at, v := n.env, n.at, n.v
 	k := env.BT.Type(v)
 	required := int(heapqueue.AgentsRequired(k))
-	env.Sim.Spawn("node", func(p *des.Process) {
-		env.AwaitNode(p, v, func() bool {
-			return len(at[v]) >= required && smallerNeighboursReady(env, v)
-		})
-		if len(at[v]) != required {
-			panic(fmt.Sprintf("visibility: node %d gathered %d agents, want %d", v, len(at[v]), required))
-		}
-		if k == 0 {
-			// Leaf: the single agent terminates in place.
-			env.Terminate(at[v][0])
-			at[v] = nil
-			return
-		}
-		dispatch(env, at, v)
-	})
+	if len(at[v]) < required || !smallerNeighboursReady(env, v) {
+		env.ParkNode(&n.Inline, v)
+		return
+	}
+	if len(at[v]) != required {
+		panic(fmt.Sprintf("visibility: node %d gathered %d agents, want %d", v, len(at[v]), required))
+	}
+	if k == 0 {
+		// Leaf: the single agent terminates in place.
+		env.Terminate(at[v][0])
+		at[v] = nil
+		return
+	}
+	dispatch(env, at, v, n.landed)
 }
 
 // smallerNeighboursReady implements the visibility read: every smaller
@@ -89,8 +100,8 @@ func smallerNeighboursReady(env *strategy.Env, v int) bool {
 
 // dispatch sends the gathered complement onward: plan[i] agents to the
 // i-th broadcast-tree child. Each agent moves as its own concurrent
-// process (asynchronous arrivals).
-func dispatch(env *strategy.Env, at [][]int, v int) {
+// walker (asynchronous arrivals).
+func dispatch(env *strategy.Env, at [][]int, v int, landed func(a, v int)) {
 	children := env.BT.Children(v)
 	plan := heapqueue.DispatchPlan(env.BT.Type(v))
 	for i, child := range children {
@@ -98,12 +109,7 @@ func dispatch(env *strategy.Env, at [][]int, v int) {
 			agents := at[v]
 			a := agents[len(agents)-1]
 			at[v] = agents[:len(agents)-1]
-			child := child
-			env.Sim.Spawn("mover", func(p *des.Process) {
-				env.Move(p, a, child, strategy.RoleCleaner)
-				at[child] = append(at[child], a)
-				env.Sim.Fire(env.Signal(child))
-			})
+			env.Walk(a, child, strategy.RoleCleaner, landed)
 		}
 	}
 	if len(at[v]) != 0 {
