@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -179,13 +182,45 @@ func TestX10Pareto(t *testing.T) {
 	}
 }
 
+// reportGoldenFile pins one SHA-256 per rendered report of All(5, 2, 4):
+// "ID sha256" rows. X9's dimension cap is min(5, x9Ceiling(NumCPU)) = 5
+// on every host, so the table does not depend on the machine.
+const reportGoldenFile = "testdata/reports.txt"
+
+// loadReportGolden reads the checked-in report digests by ID.
+func loadReportGolden(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(reportGoldenFile)
+	if err != nil {
+		t.Fatalf("report goldens: %v", err)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fs := strings.Fields(line)
+		if len(fs) != 2 {
+			t.Fatalf("report goldens: malformed row %q", line)
+		}
+		rows[fs[0]] = fs[1]
+	}
+	return rows
+}
+
 // All and Run read one registry table: All's report IDs are exactly
 // the registry's IDs, in order and without duplicates, and Run
-// resolves each of them and nothing else.
+// resolves each of them and nothing else. Every rendered report
+// matches its checked-in digest; on mismatch the test logs every
+// recomputed row in the table's format, from which a deliberate
+// behaviour change regenerates testdata/reports.txt.
 func TestAllProducesEveryReport(t *testing.T) {
 	reps := All(5, 2, 4)
-	var got []string
+	want := loadReportGolden(t)
+	var got, rows []string
 	seen := map[string]bool{}
+	mismatches := 0
 	for _, r := range reps {
 		if seen[r.ID] {
 			t.Errorf("duplicate report %s", r.ID)
@@ -195,6 +230,22 @@ func TestAllProducesEveryReport(t *testing.T) {
 		if r.Verdict == "MISMATCH" {
 			t.Errorf("%s mismatched", r.ID)
 		}
+		sum := sha256.Sum256([]byte(r.Render()))
+		digest := hex.EncodeToString(sum[:])
+		rows = append(rows, r.ID+" "+digest)
+		if want[r.ID] != digest {
+			mismatches++
+		}
+		delete(want, r.ID)
+	}
+	for id := range want {
+		t.Errorf("report golden row %q matches no report", id)
+	}
+	if mismatches > 0 {
+		for _, r := range rows {
+			t.Log(r)
+		}
+		t.Errorf("%d of %d report digests differ (recomputed rows logged above)", mismatches, len(rows))
 	}
 	if want := IDs(); len(want) != 18 || !slices.Equal(got, want) {
 		t.Errorf("All report IDs %v, registry IDs %v", got, want)
