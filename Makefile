@@ -1,11 +1,20 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race ci faults faults-netsim fuzz bench bench-smoke bench-check bench-scale bench-scale-smoke serve-smoke serve-loadtest perfbench-test
+.PHONY: all fmt build vet staticcheck test race ci faults faults-netsim fuzz bench bench-smoke bench-check bench-scale bench-scale-smoke serve-smoke serve-loadtest perfbench-test
 
 # Committed benchmark baseline the regression gate compares against.
 BENCH_BASELINE ?= BENCH_pr8.json
 
 all: build
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite
+# any tracked Go file.
+fmt:
+	@files=$$(git ls-files '*.go') && [ -n "$$files" ] || { echo "fmt: no tracked Go files"; exit 1; }; \
+	unformatted=$$(gofmt -l $$files); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...
@@ -97,7 +106,7 @@ serve-loadtest:
 perfbench-test:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-ci: build vet staticcheck race faults faults-netsim serve-smoke bench-smoke bench-scale-smoke bench-check perfbench-test
+ci: fmt build vet staticcheck race faults faults-netsim serve-smoke bench-smoke bench-scale-smoke bench-check perfbench-test
 
 # Short real fuzz runs of the fault-plan parser and the engine under
 # fuzzed fault application (regression corpus always runs under `test`).

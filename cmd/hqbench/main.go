@@ -110,8 +110,8 @@ func strategyFamily(name string, d, iters int) family {
 	}
 }
 
-// cleanScaleFamily benchmarks Algorithm CLEAN past the implicit-
-// topology threshold and cross-checks every iteration against the
+// cleanScaleFamily benchmarks Algorithm CLEAN at kilonode-and-up
+// boards and cross-checks every iteration against the
 // paper's closed forms (Theorems 2 and 3; the DES run saves one move
 // per root child because phase 0 places agents instead of escorting
 // them up): a scale benchmark that silently swept the wrong number of
@@ -133,7 +133,7 @@ func cleanScaleFamily(d, iters int) family {
 }
 
 // visibilityScaleFamily benchmarks Algorithm CLEAN WITH VISIBILITY on
-// the event-driven inline engine past the materialization threshold,
+// the event-driven inline engine at kilonode-and-up boards,
 // cross-checking every iteration against the paper's closed forms
 // (Theorems 5, 7 and 8): team n/2, moves (d+1)*2^(d-2), makespan d. At
 // d=20 that is a 1,048,576-node board swept by 524,288 agents with no
@@ -177,11 +177,10 @@ func families() []family {
 	for _, d := range []int{4, 6, 8, 10, 12} {
 		fams = append(fams, strategyFamily(core.Clean, d, iters(d)))
 	}
-	// Scale points: d=16 is the largest dimension pooled runs still
-	// materialize (hypercube.MaterializeLimit), d=20 the megannode
-	// implicit-topology board the packed engine exists for. One and
-	// two iterations keep the suite in CLI territory; the closed-form
-	// self-check makes even a single iteration trustworthy.
+	// Scale points: d=16 and the megannode d=20 board the packed
+	// engine exists for. One and two iterations keep the suite in CLI
+	// territory; the closed-form self-check makes even a single
+	// iteration trustworthy.
 	fams = append(fams, cleanScaleFamily(16, 2), cleanScaleFamily(20, 1))
 	for _, d := range []int{4, 6, 8, 10, 12} {
 		fams = append(fams, strategyFamily(core.Visibility, d, iters(d)))

@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"hypersearch/internal/core"
-	"hypersearch/internal/hypercube"
 	"hypersearch/internal/viz"
 )
 
@@ -29,10 +28,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if *dim > hypercube.MaterializeLimit {
+	if *dim > viz.MaxFullBoardDim {
 		fmt.Fprintf(os.Stderr,
-			"hqfigures: figures render every node and need a materialized board; d=%d exceeds the limit of %d — for big boards use hqsearch -stream-trace or the hqbench scale families instead\n",
-			*dim, hypercube.MaterializeLimit)
+			"hqfigures: figures render every node; d=%d exceeds the limit of %d — for big boards use hqsearch -stream-trace or the hqbench scale families instead\n",
+			*dim, viz.MaxFullBoardDim)
 		os.Exit(2)
 	}
 

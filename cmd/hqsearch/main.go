@@ -9,11 +9,11 @@
 //	hqsearch -strategy clean -d 5 -trace run.json
 //	hqsearch -strategy visibility -d 20 -stream-trace run.jsonl
 //
-// Boards beyond d=16 run on the implicit topology and do not fit the
-// materialized diagnostics: -trace (an in-memory log), -order and
-// -states (per-node renderings) refuse to start there instead of
-// exhausting memory mid-run. -stream-trace writes each event through
-// to disk as a JSON line in O(1) memory and works at any dimension.
+// Beyond d=16 the full-board diagnostics — -trace (an in-memory log),
+// -order and -states (per-node renderings) — refuse to start instead
+// of exhausting memory mid-run. -stream-trace writes each event
+// through to disk as a JSON line in O(1) memory and works at any
+// dimension.
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"hypersearch/internal/core"
-	"hypersearch/internal/hypercube"
 	"hypersearch/internal/trace"
 	"hypersearch/internal/viz"
 )
@@ -45,11 +44,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if *dim > hypercube.MaterializeLimit {
+	if *dim > viz.MaxFullBoardDim {
 		deny := func(flagName, alternative string) {
 			fmt.Fprintf(os.Stderr,
-				"hqsearch: -%s needs a materialized board and d=%d exceeds the limit of %d; %s\n",
-				flagName, *dim, hypercube.MaterializeLimit, alternative)
+				"hqsearch: -%s covers the full board and d=%d exceeds the limit of %d; %s\n",
+				flagName, *dim, viz.MaxFullBoardDim, alternative)
 			os.Exit(2)
 		}
 		if *tracePath != "" {
@@ -59,7 +58,7 @@ func main() {
 			deny("order", "recover per-node orders from a -stream-trace file instead of an in-memory rendering")
 		}
 		if *states {
-			deny("states", "the summary line already reports the aggregate outcome for implicit-topology boards")
+			deny("states", "the summary line already reports the aggregate outcome")
 		}
 	}
 

@@ -74,12 +74,12 @@ func main() {
 	flag.Parse()
 
 	cfg := serve.Config{
-		JournalPath:     *journal,
-		MaxActive:       *active,
-		QueueDepth:      *depth,
-		Workers:         *workers,
-		MaxDim:          *maxDim,
-		MaxRuns:         *maxRuns,
+		JournalPath:      *journal,
+		MaxActive:        *active,
+		QueueDepth:       *depth,
+		Workers:          *workers,
+		MaxDim:           *maxDim,
+		MaxRuns:          *maxRuns,
 		DefaultDeadline:  *deadline,
 		CompactThreshold: *compact,
 		CacheMaxEntries:  *cacheN,

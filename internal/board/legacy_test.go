@@ -319,9 +319,9 @@ func TestPackedMatchesLegacyReference(t *testing.T) {
 		g     graph.Graph
 		steps int
 	}{
-		{"hypercube/d=3", hypercube.ForDim(3), 400},
-		{"hypercube/d=5", hypercube.ForDim(5), 600},
-		{"plain/d=4", plainGraph{hypercube.ForDim(4)}, 500},
+		{"hypercube/d=3", hypercube.New(3), 400},
+		{"hypercube/d=5", hypercube.New(5), 600},
+		{"plain/d=4", plainGraph{hypercube.New(4)}, 500},
 		{"star/n=257", starGraph{257}, 400},
 	}
 	for _, tc := range cases {
@@ -343,7 +343,7 @@ func TestPackedMatchesLegacyReference(t *testing.T) {
 // identical to a newly constructed one — same random run, same
 // outcome — since pooled environments rely on Reset alone.
 func TestResetEqualsFresh(t *testing.T) {
-	g := hypercube.ForDim(4)
+	g := hypercube.New(4)
 	b := New(g, 0)
 	b.RecordClean(true)
 	runRandomOps(t, rand.New(rand.NewSource(7)), g, b, newLegacy(g, 0), 500)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"hypersearch/internal/bits"
 	"hypersearch/internal/faults"
 	"hypersearch/internal/metrics"
 	"hypersearch/internal/netsim"
@@ -86,13 +87,30 @@ func Strategies() []string {
 	return []string{Clean, Visibility, Cloning, Synchronous, NaiveDFS, NaiveConvoy}
 }
 
+// maxNetworkDim is the largest dimension the network engine accepts:
+// it starts one host goroutine per node, 2^24 of them at the limit.
+const maxNetworkDim = 24
+
+// checkDim rejects a dimension outside the engine's range:
+// [0, bits.MaxDim] everywhere, and at most maxNetworkDim on the network
+// engine.
+func checkDim(spec Spec) error {
+	if spec.Dim < 0 || spec.Dim > bits.MaxDim {
+		return fmt.Errorf("core: dimension %d out of range [0,%d]", spec.Dim, bits.MaxDim)
+	}
+	if spec.Engine == EngineNetwork && spec.Dim > maxNetworkDim {
+		return fmt.Errorf("core: dimension %d exceeds the network engine's limit of %d (one host goroutine per node)", spec.Dim, maxNetworkDim)
+	}
+	return nil
+}
+
 // Run executes the spec and returns the result summary. For DES runs
 // the returned Env exposes the topology, final board, and trace; for
 // goroutine runs Env is nil (the engine is real-time and keeps no
 // virtual clock).
 func Run(spec Spec) (metrics.Result, *strategy.Env, error) {
-	if spec.Dim < 0 {
-		return metrics.Result{}, nil, fmt.Errorf("core: negative dimension %d", spec.Dim)
+	if err := checkDim(spec); err != nil {
+		return metrics.Result{}, nil, err
 	}
 	switch spec.Engine {
 	case "", EngineDES:
@@ -135,13 +153,13 @@ func Run(spec Spec) (metrics.Result, *strategy.Env, error) {
 // done reading results and traces, and must not touch it afterwards.
 // Non-DES engines ignore src and behave exactly like Run.
 func RunWith(spec Spec, src strategy.Source) (metrics.Result, *strategy.Env, error) {
-	if spec.Engine == "" || spec.Engine == EngineDES {
-		if spec.Dim < 0 {
-			return metrics.Result{}, nil, fmt.Errorf("core: negative dimension %d", spec.Dim)
-		}
-		return runDES(spec, src)
+	if spec.Engine != "" && spec.Engine != EngineDES {
+		return Run(spec)
 	}
-	return Run(spec)
+	if err := checkDim(spec); err != nil {
+		return metrics.Result{}, nil, err
+	}
+	return runDES(spec, src)
 }
 
 func runDES(spec Spec, src strategy.Source) (metrics.Result, *strategy.Env, error) {

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"hypersearch/internal/bits"
 	"hypersearch/internal/combin"
+	"hypersearch/internal/strategy"
 )
 
 func TestRunAllStrategiesDES(t *testing.T) {
@@ -105,6 +107,24 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, _, err := Run(Spec{Strategy: Clean, Dim: -1}); err == nil {
 		t.Error("negative dimension accepted")
+	}
+	// Out-of-range dimensions are errors on every engine and through
+	// both entry points, never a panic deep in the topology or an
+	// attempt to start 2^25 network hosts.
+	for _, spec := range []Spec{
+		{Strategy: Clean, Dim: bits.MaxDim + 1},
+		{Strategy: Visibility, Dim: bits.MaxDim + 1, Engine: EngineDES},
+		{Strategy: Clean, Dim: bits.MaxDim + 1, Engine: EngineGoroutines},
+		{Strategy: Visibility, Dim: bits.MaxDim + 1, Engine: EngineNetwork},
+		{Strategy: Visibility, Dim: maxNetworkDim + 1, Engine: EngineNetwork},
+		{Strategy: Clean, Dim: -1, Engine: EngineNetwork},
+	} {
+		if _, _, err := Run(spec); err == nil {
+			t.Errorf("Run accepted d=%d on engine %q", spec.Dim, spec.Engine)
+		}
+		if _, _, err := RunWith(spec, strategy.Fresh{}); err == nil {
+			t.Errorf("RunWith accepted d=%d on engine %q", spec.Dim, spec.Engine)
+		}
 	}
 	if _, _, err := Run(Spec{Strategy: Cloning, Dim: 3, Engine: EngineGoroutines}); err == nil {
 		t.Error("cloning has no goroutine engine but was accepted")

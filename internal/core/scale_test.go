@@ -7,9 +7,8 @@ import (
 )
 
 // TestScaleVisibility drives the visibility strategy through kilonode
-// boards and across the materialization threshold (d=16 is the largest
-// dimension hypercube.ForDim still materializes) on the discrete-event
-// engine, checking the exact closed forms hold at scale. The inline
+// boards up to d=16 on the discrete-event engine, checking the exact
+// closed forms hold at scale. The inline
 // event-driven engine carries these dimensions; the d=20 megannode
 // point lives in the hqbench scale families. Skipped under -short.
 func TestScaleVisibility(t *testing.T) {
@@ -61,8 +60,7 @@ func TestScaleClean(t *testing.T) {
 // TeamSize = CleanTeamSize(d) (Theorem 2) and AgentMoves =
 // CleanAgentMoves(d) - d (Theorem 3; the DES run saves one move per
 // root child because phase 0 places agents instead of escorting them
-// up from a remote pool). Dimensions 14+ cross the implicit-topology
-// threshold on pooled runs and are skipped under -short.
+// up from a remote pool). Dimensions 14+ are skipped under -short.
 func TestCleanClosedFormTable(t *testing.T) {
 	dims := []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16}
 	if !testing.Short() {

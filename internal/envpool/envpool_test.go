@@ -83,24 +83,6 @@ func TestPooledRunsAcrossOptionChanges(t *testing.T) {
 	}
 }
 
-// TestTopologySharedAcrossEnvs: environments of the same dimension —
-// even from different pools — share one hypercube and broadcast tree.
-func TestTopologySharedAcrossEnvs(t *testing.T) {
-	p1, p2 := New(), New()
-	e1 := p1.Acquire(6, strategy.Options{})
-	e2 := p2.Acquire(6, strategy.Options{})
-	if e1 == e2 {
-		t.Fatal("two live acquires returned the same environment")
-	}
-	if e1.H != e2.H || e1.BT != e2.BT {
-		t.Error("environments of one dimension should share topology")
-	}
-	h, bt := Topology(6)
-	if e1.H != h || e1.BT != bt {
-		t.Error("environment topology differs from the shared cache")
-	}
-}
-
 // TestAcquireReusesReleasedEnv: a completed environment re-enters the
 // pool and is handed out again.
 func TestAcquireReusesReleasedEnv(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hypersearch/internal/core"
+	"hypersearch/internal/strategy"
 )
 
 // Every DES strategy runs as inline actors on Run's caller goroutine,
@@ -77,6 +78,28 @@ func TestPooledRunAllocs(t *testing.T) {
 					t.Logf("%.0f allocs per pooled run", allocs)
 				}
 			})
+		}
+	}
+}
+
+// TestNewEnvFootprint: a fresh environment costs at most 8 bytes per
+// node — the packed board's own footprint. The topology holds only d
+// and computes every query from the node's bits, so it adds nothing
+// per node.
+func TestNewEnvFootprint(t *testing.T) {
+	for _, d := range []int{14, 16} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		env := strategy.NewEnv(d, strategy.Options{})
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(env)
+		bytes := after.TotalAlloc - before.TotalAlloc
+		perNode := float64(bytes) / float64(int64(1)<<d)
+		if perNode > 8 {
+			t.Errorf("d=%d: NewEnv allocated %d B (%.1f B/node), want <= 8 B/node", d, bytes, perNode)
+		} else {
+			t.Logf("d=%d: NewEnv allocated %d B (%.1f B/node)", d, bytes, perNode)
 		}
 	}
 }

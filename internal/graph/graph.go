@@ -60,6 +60,18 @@ func VisitNeighbours(g Graph, v int, yield func(w int) bool) {
 	}
 }
 
+// Snapshot returns g's neighbour lists, one per vertex, each in the
+// order Neighbours returns it. Exhaustive searches that scan the same
+// neighbourhoods many times take one snapshot per call, so their inner
+// loops neither allocate nor make an interface call per visit.
+func Snapshot(g Graph) [][]int {
+	adj := make([][]int, g.Order())
+	for v := range adj {
+		adj[v] = g.Neighbours(v)
+	}
+	return adj
+}
+
 // HasEdge reports whether (u, v) is an edge of g, using the
 // EdgeChecker fast path when available.
 func HasEdge(g Graph, u, v int) bool {

@@ -8,12 +8,10 @@
 // higher than m(x) (the most significant bit of x). Equivalently: the
 // parent of x != 0 is x with its most significant bit cleared.
 //
-// Every structural query has a closed form in the node's bits, so the
-// tree supports the same two representations as internal/hypercube:
-// New materializes a graph.Tree (child slices shareable without
-// allocation), Implicit stores only d and computes everything on the
-// fly, and ForDim picks by size. Both answer identically; the implicit
-// Children allocates per call, so hot paths use VisitChildren.
+// Every structural query has a closed form in the node's bits, so a
+// Tree holds nothing but d and computes each answer on the fly. The
+// slice-returning Children and Leaves build a fresh slice per call;
+// hot paths use VisitChildren, which allocates nothing.
 package heapqueue
 
 import (
@@ -24,69 +22,34 @@ import (
 	"hypersearch/internal/graph"
 )
 
-// MaterializeLimit is the largest dimension ForDim materializes the
-// child lists for, matching hypercube.MaterializeLimit so a dimension's
-// topology pair is always in one representation.
-const MaterializeLimit = 16
-
-// MaxMaterializedDim is the hard ceiling for New.
-const MaxMaterializedDim = 24
-
-// Tree is the broadcast tree of H_d. It adds the paper's type and
-// class queries over either a materialized graph.Tree or the pure
-// bit-algebra closed forms.
+// Tree is the broadcast tree of H_d, answering the paper's navigation,
+// type and class queries from the node's bits.
 type Tree struct {
-	d    int
-	tree *graph.Tree // nil for the implicit representation
+	d int
 }
 
-// New builds the broadcast tree T(d) of H_d with materialized child
-// lists. It panics past MaxMaterializedDim — use Implicit (or ForDim)
-// for big boards.
+// New returns the broadcast tree T(d) of H_d. It panics for d outside
+// [0, bits.MaxDim].
 func New(d int) *Tree {
-	bits.CheckDim(d)
-	if d > MaxMaterializedDim {
-		panic(fmt.Sprintf("heapqueue: dimension %d too large to materialize; use heapqueue.Implicit(%d) (or ForDim) for the closed-form representation", d, d))
-	}
-	n := 1 << d
-	parent := make([]int, n)
-	for v := 1; v < n; v++ {
-		parent[v] = int(bits.Parent(bits.Node(v)))
-	}
-	return &Tree{d: d, tree: graph.MustTree(0, parent)}
-}
-
-// Implicit returns T(d) in the closed-form representation: O(1)
-// memory, every query computed from the node's bits. Children and
-// Leaves allocate per call; VisitChildren does not.
-func Implicit(d int) *Tree {
 	bits.CheckDim(d)
 	return &Tree{d: d}
 }
 
-// ForDim returns T(d) in the representation appropriate for its size:
-// materialized up to MaterializeLimit, implicit beyond.
-func ForDim(d int) *Tree {
-	if d <= MaterializeLimit {
-		return New(d)
-	}
-	return Implicit(d)
-}
-
-// IsImplicit reports whether t is the closed-form representation.
-func (t *Tree) IsImplicit() bool { return t.tree == nil }
+// ForDim is New. It remains for the benchmark module, which calls it.
+func ForDim(d int) *Tree { return New(d) }
 
 // Dim returns the hypercube dimension d; the root has type T(d).
 func (t *Tree) Dim() int { return t.d }
 
-// Graph returns the underlying rooted tree (over dense hypercube
-// vertex indices). Only the materialized representation carries one;
-// on an implicit tree it panics.
+// Graph builds T(d) as a rooted graph.Tree over dense hypercube vertex
+// indices, from the parent rule, on every call: O(n) memory, for
+// generic tree searches on small d.
 func (t *Tree) Graph() *graph.Tree {
-	if t.tree == nil {
-		panic("heapqueue: implicit tree has no materialized graph.Tree; construct with New for Graph()")
+	parent := make([]int, t.Order())
+	for v := 1; v < len(parent); v++ {
+		parent[v] = t.Parent(v)
 	}
-	return t.tree
+	return graph.MustTree(0, parent)
 }
 
 // Order returns 2^d.
@@ -105,24 +68,20 @@ func (t *Tree) Parent(v int) int {
 }
 
 // Children returns the tree children of v ordered by increasing edge
-// label (equivalently, by decreasing subtree type). Materialized: a
-// cached view (do not modify); implicit: freshly allocated — prefer
-// VisitChildren on hot paths.
+// label (equivalently, by decreasing subtree type), in a fresh slice
+// the caller owns. Hot paths use VisitChildren instead.
 func (t *Tree) Children(v int) []int {
-	if t.tree != nil {
-		return t.tree.Children(v)
-	}
 	m := bits.Msb(bits.Node(v))
 	out := make([]int, t.d-m)
-	for i := m; i < t.d; i++ {
-		out[i-m] = v | 1<<i
+	for i := range out {
+		out[i] = v | 1<<(m+i)
 	}
 	return out
 }
 
 // VisitChildren calls yield for the children of v in increasing edge
 // label order — exactly the order Children returns — stopping early
-// when yield returns false. Allocation-free on both representations.
+// when yield returns false. Allocation-free.
 func (t *Tree) VisitChildren(v int, yield func(c int) bool) {
 	for i := bits.Msb(bits.Node(v)); i < t.d; i++ {
 		if !yield(v | 1<<i) {
@@ -142,14 +101,11 @@ func (t *Tree) IsLeaf(v int) bool { return bits.IsTreeLeaf(bits.Node(v), t.d) }
 // tree is a BFS tree of the hypercube).
 func (t *Tree) Depth(v int) int { return bits.Level(bits.Node(v)) }
 
-// Leaves returns all T(0) nodes: the vertices with their most
-// significant bit at position d, i.e. [2^(d-1), 2^d). The materialized
-// representation lists them in preorder (the historical order); the
-// implicit one in increasing vertex order.
+// Leaves returns all T(0) nodes in increasing vertex order: the
+// vertices with their most significant bit at position d, i.e.
+// [2^(d-1), 2^d), or the lone root of T(0). The slice is fresh and the
+// caller owns it.
 func (t *Tree) Leaves() []int {
-	if t.tree != nil {
-		return t.tree.Leaves()
-	}
 	if t.d == 0 {
 		return []int{0}
 	}
@@ -162,8 +118,7 @@ func (t *Tree) Leaves() []int {
 }
 
 // SubtreeSize returns the number of vertices under v (inclusive); for
-// a node of type T(k) this is exactly 2^k (Definition 1), so both
-// representations answer from the closed form.
+// a node of type T(k) this is exactly 2^k (Definition 1).
 func (t *Tree) SubtreeSize(v int) int { return 1 << t.Type(v) }
 
 // AgentsRequired returns the agent complement a node of type T(k)

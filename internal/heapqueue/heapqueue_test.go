@@ -34,12 +34,13 @@ func TestBFSTreeProperty(t *testing.T) {
 	bt := New(d)
 	h := hypercube.New(d)
 	dist := graph.BFS(h, 0)
+	gt := bt.Graph()
 	for v := 0; v < bt.Order(); v++ {
 		if bt.Depth(v) != dist[v] {
 			t.Errorf("v=%d: tree depth %d, BFS dist %d", v, bt.Depth(v), dist[v])
 		}
-		if bt.Graph().Depth(v) != dist[v] {
-			t.Errorf("v=%d: graph.Tree depth %d, BFS dist %d", v, bt.Graph().Depth(v), dist[v])
+		if gt.Depth(v) != dist[v] {
+			t.Errorf("v=%d: graph.Tree depth %d, BFS dist %d", v, gt.Depth(v), dist[v])
 		}
 	}
 }

@@ -3,93 +3,81 @@ package heapqueue
 import (
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
+
+	"hypersearch/internal/graph"
 )
 
-// TestImplicitTreeMatchesMaterialized: the closed-form broadcast tree
-// must agree with the materialized graph.Tree on every navigation
-// query, child order included (dispatch order is part of the paper's
-// algorithm).
+// oracleTree builds T(d) by brute force, sharing no code with the
+// package: the parent of v != 0 is v with its most significant bit
+// cleared, assembled into a graph.Tree.
+func oracleTree(d int) *graph.Tree {
+	parent := make([]int, 1<<d)
+	for v := 1; v < len(parent); v++ {
+		top := 1
+		for top*2 <= v {
+			top *= 2
+		}
+		parent[v] = v - top
+	}
+	return graph.MustTree(0, parent)
+}
+
+// orEmpty maps a nil slice to an empty one, so DeepEqual compares
+// contents only.
+func orEmpty(s []int) []int {
+	if s == nil {
+		return []int{}
+	}
+	return s
+}
+
+// TestImplicitTreeMatchesMaterialized: every navigation query computed
+// from the node's bits agrees with the brute-force tree, child order
+// included (dispatch order is part of the paper's algorithm).
 func TestImplicitTreeMatchesMaterialized(t *testing.T) {
 	for d := 0; d <= 8; d++ {
-		m, im := New(d), Implicit(d)
-		if m.Order() != im.Order() || m.IsImplicit() || !im.IsImplicit() {
-			t.Fatalf("d=%d: order or representation flags wrong", d)
+		bt, o := New(d), oracleTree(d)
+		if bt.Dim() != d || bt.Order() != o.Order() {
+			t.Fatalf("d=%d: dim/order %d/%d", d, bt.Dim(), bt.Order())
 		}
-		for v := 0; v < m.Order(); v++ {
-			if v != 0 && m.Parent(v) != im.Parent(v) {
-				t.Fatalf("d=%d v=%d: Parent %d vs %d", d, v, m.Parent(v), im.Parent(v))
+		g := bt.Graph()
+		for v := 0; v < bt.Order(); v++ {
+			want := orEmpty(o.Children(v))
+			if bt.Parent(v) != o.Parent(v) || g.Parent(v) != o.Parent(v) {
+				t.Fatalf("d=%d v=%d: Parent %d (graph %d), want %d", d, v, bt.Parent(v), g.Parent(v), o.Parent(v))
 			}
-			if !reflect.DeepEqual(m.Children(v), im.Children(v)) && !(len(m.Children(v)) == 0 && len(im.Children(v)) == 0) {
-				t.Fatalf("d=%d v=%d: Children %v vs %v", d, v, m.Children(v), im.Children(v))
+			if got := orEmpty(bt.Children(v)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("d=%d v=%d: Children %v, want %v", d, v, got, want)
 			}
-			var visited []int
-			im.VisitChildren(v, func(c int) bool { visited = append(visited, c); return true })
-			if !reflect.DeepEqual(visited, m.Children(v)) && !(len(visited) == 0 && len(m.Children(v)) == 0) {
-				t.Fatalf("d=%d v=%d: VisitChildren %v, want %v", d, v, visited, m.Children(v))
+			if got := orEmpty(g.Children(v)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("d=%d v=%d: Graph().Children %v, want %v", d, v, got, want)
 			}
-			if m.Type(v) != im.Type(v) || m.IsLeaf(v) != im.IsLeaf(v) ||
-				m.Depth(v) != im.Depth(v) || m.SubtreeSize(v) != im.SubtreeSize(v) {
+			visited := []int{}
+			bt.VisitChildren(v, func(c int) bool { visited = append(visited, c); return true })
+			if !reflect.DeepEqual(visited, want) {
+				t.Fatalf("d=%d v=%d: VisitChildren %v, want %v", d, v, visited, want)
+			}
+			size := o.SubtreeSize(v)
+			if bt.SubtreeSize(v) != size || 1<<bt.Type(v) != size ||
+				bt.IsLeaf(v) != o.IsLeaf(v) || bt.Depth(v) != o.Depth(v) {
 				t.Fatalf("d=%d v=%d: node attributes differ", d, v)
 			}
-			if !reflect.DeepEqual(m.PathFromRoot(v), im.PathFromRoot(v)) {
-				t.Fatalf("d=%d v=%d: PathFromRoot differs", d, v)
+			path := []int{v}
+			for x := v; x != 0; x = o.Parent(x) {
+				path = append([]int{o.Parent(x)}, path...)
 			}
-			if v != 0 {
-				if m.NextHopDown(0, v) != im.NextHopDown(0, v) {
-					t.Fatalf("d=%d v=%d: NextHopDown differs", d, v)
-				}
+			if got := bt.PathFromRoot(v); !reflect.DeepEqual(got, path) {
+				t.Fatalf("d=%d v=%d: PathFromRoot %v, want %v", d, v, got, path)
+			}
+			if v != 0 && bt.NextHopDown(0, v) != path[1] {
+				t.Fatalf("d=%d v=%d: NextHopDown(0, v) = %d, want %d", d, v, bt.NextHopDown(0, v), path[1])
 			}
 		}
-		// Leaves: the implicit tree enumerates the top level in label
-		// order, the materialized one in tree preorder — same set.
-		ml, il := append([]int(nil), m.Leaves()...), append([]int(nil), im.Leaves()...)
-		sort.Ints(ml)
-		sort.Ints(il)
-		if !reflect.DeepEqual(ml, il) {
-			t.Fatalf("d=%d: leaf sets differ", d)
+		leaves := append([]int(nil), o.Leaves()...)
+		sort.Ints(leaves)
+		if got := bt.Leaves(); !reflect.DeepEqual(got, leaves) {
+			t.Fatalf("d=%d: Leaves %v, want %v in increasing order", d, got, leaves)
 		}
 	}
-}
-
-// TestTreeForDimThreshold mirrors hypercube.ForDim: materialized up to
-// the limit, implicit beyond it.
-func TestTreeForDimThreshold(t *testing.T) {
-	if ForDim(MaterializeLimit).IsImplicit() {
-		t.Errorf("ForDim(%d) should materialize", MaterializeLimit)
-	}
-	if !ForDim(MaterializeLimit + 1).IsImplicit() {
-		t.Errorf("ForDim(%d) should be implicit", MaterializeLimit+1)
-	}
-	big := ForDim(26)
-	if big.Order() != 1<<26 || big.Parent(1<<25) != 0 {
-		t.Error("implicit ForDim(26) navigation wrong")
-	}
-}
-
-// TestTreeNewPanicNamesImplicit: as with the hypercube, the size wall
-// must point at the implicit constructor.
-func TestTreeNewPanicNamesImplicit(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("New past the materialization wall did not panic")
-		}
-		if !strings.Contains(r.(string), "Implicit") {
-			t.Errorf("panic %q does not name heapqueue.Implicit", r)
-		}
-	}()
-	New(MaxMaterializedDim + 1)
-}
-
-// TestGraphPanicsOnImplicit: the materialized-only escape hatch must
-// refuse rather than return nil.
-func TestGraphPanicsOnImplicit(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Graph() on an implicit tree did not panic")
-		}
-	}()
-	Implicit(20).Graph()
 }

@@ -158,10 +158,10 @@ func TestIndexNodeRoundTrip(t *testing.T) {
 func TestNewPanicsOnHugeDim(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("New(25) did not panic")
+			t.Errorf("New(%d) did not panic", bits.MaxDim+1)
 		}
 	}()
-	New(25)
+	New(bits.MaxDim + 1)
 }
 
 func TestH0AndH1(t *testing.T) {

@@ -1,87 +1,121 @@
 package hypercube
 
 import (
+	mathbits "math/bits"
 	"reflect"
-	"strings"
+	"sort"
 	"testing"
 )
 
-// TestImplicitMatchesMaterialized: the XOR-computed representation
-// must agree with the cached adjacency lists on every query the
-// engines use, in the exact same order — determinism of every engine
-// rides on the iteration order being identical.
+// oracleCube is H_d materialized by brute force, sharing no code with
+// the package: neighbours are the vertices at Hamming distance one,
+// sorted by label; the Definition-2 split cuts that row at label m(v);
+// levels bucket the vertices by popcount in increasing order.
+type oracleCube struct {
+	neighbours, smaller, bigger, levels [][]int
+}
+
+func newOracleCube(d int) oracleCube {
+	n := 1 << d
+	o := oracleCube{
+		neighbours: make([][]int, n),
+		smaller:    make([][]int, n),
+		bigger:     make([][]int, n),
+		levels:     make([][]int, d+1),
+	}
+	label := func(v, w int) int { return mathbits.TrailingZeros(uint(v^w)) + 1 }
+	for v := 0; v < n; v++ {
+		row := []int{}
+		for w := 0; w < n; w++ {
+			if mathbits.OnesCount(uint(v^w)) == 1 {
+				row = append(row, w)
+			}
+		}
+		sort.Slice(row, func(i, j int) bool { return label(v, row[i]) < label(v, row[j]) })
+		m := 0 // m(v): the position of v's highest set bit, 0 for the root
+		for x := v; x != 0; x >>= 1 {
+			m++
+		}
+		o.neighbours[v] = row
+		o.smaller[v] = append([]int{}, row[:m]...)
+		o.bigger[v] = append([]int{}, row[m:]...)
+		l := mathbits.OnesCount(uint(v))
+		o.levels[l] = append(o.levels[l], v)
+	}
+	return o
+}
+
+// collect gathers what a Visit* iterator yields, as a non-nil slice.
+func collect(visit func(func(int) bool)) []int {
+	out := []int{}
+	visit(func(w int) bool { out = append(out, w); return true })
+	return out
+}
+
+// TestImplicitMatchesMaterialized: every query computed from the
+// node's bits agrees with a brute-force materialized H_d, in the exact
+// same order — determinism of every engine rides on the iteration
+// order.
 func TestImplicitMatchesMaterialized(t *testing.T) {
 	for d := 0; d <= 8; d++ {
-		m, im := New(d), Implicit(d)
-		if m.Order() != im.Order() || m.Size() != im.Size() || m.Dim() != im.Dim() {
-			t.Fatalf("d=%d: order/size/dim differ", d)
+		h, o := New(d), newOracleCube(d)
+		if h.Dim() != d || h.Order() != 1<<d || h.Size() != d*(1<<d)/2 {
+			t.Fatalf("d=%d: dim/order/size %d/%d/%d", d, h.Dim(), h.Order(), h.Size())
 		}
-		if m.IsImplicit() || !im.IsImplicit() {
-			t.Fatalf("d=%d: IsImplicit flags wrong", d)
-		}
-		collect := func(visit func(func(int) bool)) []int {
-			var out []int
-			visit(func(w int) bool { out = append(out, w); return true })
-			return out
-		}
-		for v := 0; v < m.Order(); v++ {
-			if !reflect.DeepEqual(m.Neighbours(v), im.Neighbours(v)) {
-				t.Fatalf("d=%d v=%d: Neighbours differ", d, v)
+		for v := 0; v < h.Order(); v++ {
+			for _, q := range []struct {
+				name      string
+				got, want []int
+			}{
+				{"Neighbours", h.Neighbours(v), o.neighbours[v]},
+				{"VisitNeighbours", collect(func(y func(int) bool) { h.VisitNeighbours(v, y) }), o.neighbours[v]},
+				{"SmallerNeighbours", h.SmallerNeighbours(v), o.smaller[v]},
+				{"VisitSmallerNeighbours", collect(func(y func(int) bool) { h.VisitSmallerNeighbours(v, y) }), o.smaller[v]},
+				{"BiggerNeighbours", h.BiggerNeighbours(v), o.bigger[v]},
+				{"VisitBiggerNeighbours", collect(func(y func(int) bool) { h.VisitBiggerNeighbours(v, y) }), o.bigger[v]},
+			} {
+				if !reflect.DeepEqual(q.got, q.want) {
+					t.Fatalf("d=%d v=%d: %s %v, want %v", d, v, q.name, q.got, q.want)
+				}
 			}
-			if got := collect(func(y func(int) bool) { im.VisitNeighbours(v, y) }); !reflect.DeepEqual(got, m.Neighbours(v)) && !(len(got) == 0 && len(m.Neighbours(v)) == 0) {
-				t.Fatalf("d=%d v=%d: VisitNeighbours %v, want %v", d, v, got, m.Neighbours(v))
-			}
-			if !reflect.DeepEqual(m.SmallerNeighbours(v), im.SmallerNeighbours(v)) ||
-				!reflect.DeepEqual(m.BiggerNeighbours(v), im.BiggerNeighbours(v)) {
-				t.Fatalf("d=%d v=%d: partition neighbours differ", d, v)
-			}
-			for _, w := range m.Neighbours(v) {
-				if !im.HasEdge(v, w) || im.Label(v, w) != m.Label(v, w) {
+			for i, w := range o.neighbours[v] {
+				if !h.HasEdge(v, w) || h.Label(v, w) != i+1 || h.Neighbour(v, i+1) != w {
 					t.Fatalf("d=%d: edge (%d,%d) disagrees", d, v, w)
 				}
 			}
-			if im.HasEdge(v, v) {
+			if h.HasEdge(v, v) {
 				t.Fatalf("d=%d: self-loop at %d", d, v)
 			}
 		}
 		for l := 0; l <= d; l++ {
-			if !reflect.DeepEqual(m.NodesAtLevel(l), im.NodesAtLevel(l)) {
-				t.Fatalf("d=%d l=%d: NodesAtLevel differ", d, l)
+			if got := h.NodesAtLevel(l); !reflect.DeepEqual(got, o.levels[l]) {
+				t.Fatalf("d=%d l=%d: NodesAtLevel %v, want %v", d, l, got, o.levels[l])
 			}
-			if got := collect(func(y func(int) bool) { im.VisitNodesAtLevel(l, y) }); !reflect.DeepEqual(got, m.NodesAtLevel(l)) {
-				t.Fatalf("d=%d l=%d: VisitNodesAtLevel %v, want %v", d, l, got, m.NodesAtLevel(l))
+			if got := collect(func(y func(int) bool) { h.VisitNodesAtLevel(l, y) }); !reflect.DeepEqual(got, o.levels[l]) {
+				t.Fatalf("d=%d l=%d: VisitNodesAtLevel %v, want %v", d, l, got, o.levels[l])
 			}
 		}
 	}
 }
 
-// TestForDimThreshold: ForDim materializes up to MaterializeLimit and
-// goes implicit beyond, transparently crossing the d>24 wall that New
-// enforces.
-func TestForDimThreshold(t *testing.T) {
-	if ForDim(MaterializeLimit).IsImplicit() {
-		t.Errorf("ForDim(%d) should materialize", MaterializeLimit)
-	}
-	if !ForDim(MaterializeLimit + 1).IsImplicit() {
-		t.Errorf("ForDim(%d) should be implicit", MaterializeLimit+1)
-	}
-	big := ForDim(26) // beyond MaxMaterializedDim: only possible implicitly
-	if big.Order() != 1<<26 || len(big.Neighbours(5)) != 26 {
-		t.Error("implicit ForDim(26) wrong")
-	}
-}
-
-// TestNewPanicNamesImplicit: the refusal to materialize a huge board
-// must tell the caller what to use instead.
-func TestNewPanicNamesImplicit(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("New(25) did not panic")
+// TestSliceAccessorsAreOwned: the slice-returning accessors hand out
+// fresh slices, so a caller that writes into one cannot corrupt the
+// next answer.
+func TestSliceAccessorsAreOwned(t *testing.T) {
+	h := New(5)
+	for _, get := range []func() []int{
+		func() []int { return h.Neighbours(6) },
+		func() []int { return h.SmallerNeighbours(6) },
+		func() []int { return h.BiggerNeighbours(6) },
+		func() []int { return h.NodesAtLevel(2) },
+	} {
+		want := append([]int(nil), get()...)
+		scribble := get()
+		for i := range scribble {
+			scribble[i] = -1
 		}
-		if !strings.Contains(r.(string), "Implicit") {
-			t.Errorf("panic %q does not name hypercube.Implicit", r)
+		if got := get(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after writing into a returned slice: %v, want %v", got, want)
 		}
-	}()
-	New(MaxMaterializedDim + 1)
+	}
 }

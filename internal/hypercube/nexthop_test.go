@@ -53,8 +53,8 @@ func TestNextHopTowardAtDestination(t *testing.T) {
 	}
 }
 
-// TestCachedNeighbourPartitions: the cached smaller/bigger lists match
-// the bits-level definitions and partition the neighbour row.
+// TestCachedNeighbourPartitions: the smaller/bigger lists match the
+// bits-level definitions and partition the neighbour row.
 func TestCachedNeighbourPartitions(t *testing.T) {
 	for d := 0; d <= 6; d++ {
 		h := New(d)
@@ -82,16 +82,21 @@ func TestCachedNeighbourPartitions(t *testing.T) {
 	}
 }
 
-// TestNeighbourQueriesZeroAlloc: the cached topology queries allocate
-// nothing.
+// TestNeighbourQueriesZeroAlloc: the iterator forms of the topology
+// queries and the step-by-step router allocate nothing.
 func TestNeighbourQueriesZeroAlloc(t *testing.T) {
 	h := New(8)
+	sum := 0
+	yield := func(w int) bool { sum += w; return true }
 	allocs := testing.AllocsPerRun(100, func() {
 		for v := 0; v < h.Order(); v++ {
-			_ = h.Neighbours(v)
-			_ = h.SmallerNeighbours(v)
-			_ = h.BiggerNeighbours(v)
-			_ = h.NextHopToward(v, h.Order()-1-v)
+			h.VisitNeighbours(v, yield)
+			h.VisitSmallerNeighbours(v, yield)
+			h.VisitBiggerNeighbours(v, yield)
+			sum += h.NextHopToward(v, h.Order()-1-v)
+		}
+		for l := 0; l <= h.Dim(); l++ {
+			h.VisitNodesAtLevel(l, yield)
 		}
 	})
 	if allocs != 0 {

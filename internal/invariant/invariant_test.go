@@ -15,8 +15,14 @@ import (
 func TestCheckAcceptsRealTraces(t *testing.T) {
 	for d := 1; d <= 5; d++ {
 		for name, run := range map[string]func(int, strategy.Options) (interface{}, *strategy.Env){
-			"clean":      func(d int, o strategy.Options) (interface{}, *strategy.Env) { r, e := coordinated.Run(d, o); return r, e },
-			"visibility": func(d int, o strategy.Options) (interface{}, *strategy.Env) { r, e := visibility.Run(d, o); return r, e },
+			"clean": func(d int, o strategy.Options) (interface{}, *strategy.Env) {
+				r, e := coordinated.Run(d, o)
+				return r, e
+			},
+			"visibility": func(d int, o strategy.Options) (interface{}, *strategy.Env) {
+				r, e := visibility.Run(d, o)
+				return r, e
+			},
 		} {
 			_, env := run(d, strategy.Options{Record: true})
 			rep, err := Check(env.Log(), hypercube.New(d), 0)

@@ -64,12 +64,17 @@ func HypercubeLowerBound(d int) int64 {
 // InnerBoundary returns the number of vertices of S (given as a
 // bitmask over a graph of order <= 30) that have a neighbour outside S.
 func InnerBoundary(g graph.Graph, set uint32) int {
+	return innerBoundary(graph.Snapshot(g), set)
+}
+
+// innerBoundary is InnerBoundary over the graph's neighbour lists adj.
+func innerBoundary(adj [][]int, set uint32) int {
 	count := 0
-	for v := 0; v < g.Order(); v++ {
+	for v, nbrs := range adj {
 		if set&(1<<uint(v)) == 0 {
 			continue
 		}
-		for _, w := range g.Neighbours(v) {
+		for _, w := range nbrs {
 			if set&(1<<uint(w)) == 0 {
 				count++
 				break
@@ -99,9 +104,10 @@ func ExactMonotoneLowerBound(g graph.Graph) int {
 	for k := range minBoundary {
 		minBoundary[k] = n + 1
 	}
+	adj := graph.Snapshot(g)
 	for set := uint32(1); set < uint32(1)<<n-1; set++ {
 		k := bits.OnesCount32(set)
-		b := InnerBoundary(g, set)
+		b := innerBoundary(adj, set)
 		if b < minBoundary[k-1] {
 			minBoundary[k-1] = b
 		}

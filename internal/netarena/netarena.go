@@ -5,8 +5,9 @@
 //
 // Sharing contract (see ALGORITHMS.md, "Network arena reset contract"):
 //
-//   - the topology (hypercube + broadcast tree) is immutable and
-//     shared process-wide via envpool.Topology, even across arenas;
+//   - the topology (hypercube + broadcast tree) holds only d and
+//     computes every query from the node's bits, so each fabric builds
+//     its own in O(1);
 //   - all mutable fabric state — mailboxes (retained capacity bounded
 //     by the mailbox reset), validator ledgers and replay scratch,
 //     per-host RNG/gather/ready scratch, faultlink link and ledger
@@ -22,14 +23,10 @@
 //
 // An Arena is NOT safe for concurrent use. Parallel sweeps give each
 // sched worker its own Arena, mirroring envpool's per-worker pools:
-// workers then reuse fabrics without locking, and only the read-mostly
-// topology cache is shared.
+// workers then reuse fabrics without locking.
 package netarena
 
-import (
-	"hypersearch/internal/envpool"
-	"hypersearch/internal/netsim"
-)
+import "hypersearch/internal/netsim"
 
 // Arena hands out reusable network fabrics, at most one cached per
 // dimension (a sweep worker hosts one run at a time, so deeper stacks
@@ -42,15 +39,13 @@ type Arena struct {
 func New() *Arena { return &Arena{fabrics: map[int]*netsim.Fabric{}} }
 
 // Acquire returns a fabric for dimension d: a pooled one when
-// available, otherwise a fresh one on the process-wide shared
-// topology. The caller owns it until Release.
+// available, otherwise a fresh one. The caller owns it until Release.
 func (a *Arena) Acquire(d int) *netsim.Fabric {
 	if f := a.fabrics[d]; f != nil {
 		delete(a.fabrics, d)
 		return f
 	}
-	h, bt := envpool.Topology(d)
-	return netsim.NewFabricOn(h, bt)
+	return netsim.NewFabric(d)
 }
 
 // Release returns a fabric to the arena. Poisoned fabrics — those

@@ -98,7 +98,7 @@ func RunCleanOn(f *Fabric, cfg Config) Stats {
 		Kind: SyncHop, From: 0, Agent: c.syncID,
 		Sync: &syncState{
 			ID: c.syncID, Phase: 0, Dest: -1, BounceTo: -1,
-			Stop: 0, Escorts: append([]int(nil), f.bt.Children(0)...),
+			Stop: 0, Escorts: f.bt.Children(0),
 		},
 	})
 	wg.Wait()
@@ -237,11 +237,9 @@ func (c *cleanNet) runHost(v int) {
 			st.shutdowns++
 			if !st.closed {
 				st.closed = true
-				for _, w := range c.h.Neighbours(v) {
-					c.send(rng, w, cleanMessage{Kind: Shutdown, From: v})
-				}
+				c.floodShutdown(rng, v)
 			}
-			if st.shutdowns == len(c.h.Neighbours(v)) {
+			if st.shutdowns == c.h.Dim() {
 				c.boxes[v].Close()
 			}
 			continue
@@ -329,9 +327,7 @@ func (c *cleanNet) advance(rng *hostRNG, v int, st *cleanHost) {
 		st.sync = nil
 		st.shutdowns = 0
 		st.closed = true
-		for _, w := range c.h.Neighbours(v) {
-			c.send(rng, w, cleanMessage{Kind: Shutdown, From: v})
-		}
+		c.floodShutdown(rng, v)
 		return
 	}
 	// Stop duties.
@@ -396,13 +392,21 @@ func (c *cleanNet) advance(rng *hostRNG, v int, st *cleanHost) {
 	c.nextStop(rng, v, st, s)
 }
 
+// floodShutdown sends the shutdown flood from v to all d neighbours,
+// in label order.
+func (c *cleanNet) floodShutdown(rng *hostRNG, v int) {
+	for i := 1; i <= c.h.Dim(); i++ {
+		c.send(rng, c.h.Neighbour(v, i), cleanMessage{Kind: Shutdown, From: v})
+	}
+}
+
 // nextStop advances the program once the current stop (if any) is
 // complete.
 func (c *cleanNet) nextStop(rng *hostRNG, v int, st *cleanHost, s *syncState) {
 	if len(s.Stops) > 0 {
 		s.Stop = s.Stops[0]
 		s.Stops = s.Stops[1:]
-		s.Escorts = append([]int(nil), c.bt.Children(s.Stop)...)
+		s.Escorts = c.bt.Children(s.Stop)
 		s.Dest = s.Stop
 		if s.Dest == v {
 			// Never happens on the hypercube (consecutive stops
@@ -431,9 +435,9 @@ func (c *cleanNet) nextStop(rng *hostRNG, v int, st *cleanHost, s *syncState) {
 	l := s.Phase + 1
 	s.Phase = l
 	s.Stop = -1
-	s.Stops = append([]int(nil), c.h.NodesAtLevel(l)...)
+	s.Stops = c.h.NodesAtLevel(l)
 	s.Extras = nil
-	for _, x := range c.h.NodesAtLevel(l) {
+	for _, x := range s.Stops {
 		k := c.bt.Type(x)
 		for i := 0; i < k-1; i++ {
 			route := c.bt.PathFromRoot(x)

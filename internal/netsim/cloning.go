@@ -68,8 +68,8 @@ func runCloningHost(n *network, v int) {
 	sc := &n.scratch[v]
 	sc.rng = newHostRNG(n.cfg.Seed, v, streamCloning)
 	rng := &sc.rng
-	smaller := n.h.SmallerNeighbours(v)
-	allReady := readyMask(len(smaller))
+	msb := bits.Msb(bits.Node(v))
+	allReady := readyMask(msb)
 
 	sc.gathered = sc.gathered[:0]
 	sc.ready = 0
@@ -92,15 +92,9 @@ func runCloningHost(n *network, v int) {
 				n.val.arrive(m.Agent, m.From, v)
 			}
 			incumbent = m.Agent
-			for i, w := range n.h.Neighbours(v) {
-				if i+1 <= bits.Msb(bits.Node(w)) {
-					n.send(rng, w, Message{Kind: GuardedBeacon, From: v})
-				}
-			}
+			n.beaconDependents(rng, v)
 		case GuardedBeacon:
-			if i := indexOf(smaller, m.From); i >= 0 {
-				sc.ready |= 1 << uint(i)
-			}
+			sc.ready |= readyBit(v, msb, m.From)
 		case HostRestart:
 			// Amnesia crash: the ledger replay behind this marker
 			// rebuilds incumbent/ready; re-beacons collapse in the
@@ -115,8 +109,8 @@ func runCloningHost(n *network, v int) {
 			continue
 		}
 		dispatched = true
-		children := n.bt.Children(v)
-		if len(children) == 0 {
+		k := n.bt.Type(v) // v's children are v | 1<<(msb+i), i < k
+		if k == 0 {
 			n.val.terminate(incumbent, v)
 			n.boxes[v].Close()
 			continue
@@ -124,13 +118,13 @@ func runCloningHost(n *network, v int) {
 		// The incumbent continues to the first child; clones take the
 		// rest. Cloning is host-local: no messages, no latency.
 		movers := append(sc.gathered[:0], incumbent)
-		for i := 1; i < len(children); i++ {
+		for i := 1; i < k; i++ {
 			movers = append(movers, n.val.clone(v))
 		}
 		sc.gathered = movers
-		for i, child := range children {
-			n.val.depart(movers[i], v)
-			n.send(rng, child, Message{Kind: AgentArrival, From: v, Agent: movers[i]})
+		for i, a := range movers {
+			n.val.depart(a, v)
+			n.send(rng, v|1<<(msb+i), Message{Kind: AgentArrival, From: v, Agent: a})
 		}
 		n.boxes[v].Close()
 	}

@@ -16,8 +16,8 @@ import (
 // Fabric follows the envpool sharing contract (see ALGORITHMS.md,
 // "Network arena reset contract"):
 //
-//   - the topology (hypercube + broadcast tree) is immutable and may
-//     be shared process-wide (NewFabricOn accepts the envpool copy);
+//   - the topology (hypercube + broadcast tree) holds only d and
+//     computes every query from the node's bits, so it costs O(1);
 //   - all mutable state is reset in O(n) at the start of the next run;
 //   - a run that panicked leaves the fabric poisoned (Completed stays
 //     false), so pools must drop it — blocked host goroutines may
@@ -42,16 +42,9 @@ type Fabric struct {
 	completed bool
 }
 
-// NewFabric builds a fresh fabric with its own private topology.
+// NewFabric builds a fresh fabric for dimension d.
 func NewFabric(d int) *Fabric {
-	return NewFabricOn(hypercube.New(d), heapqueue.New(d))
-}
-
-// NewFabricOn builds a fabric over a shared immutable topology pair
-// (typically envpool.Topology's), the netsim analogue of
-// strategy.NewEnvOn.
-func NewFabricOn(h *hypercube.Hypercube, bt *heapqueue.Tree) *Fabric {
-	return &Fabric{d: h.Dim(), h: h, bt: bt}
+	return &Fabric{d: d, h: hypercube.New(d), bt: heapqueue.New(d)}
 }
 
 // Dim returns the fabric's hypercube dimension.

@@ -279,8 +279,8 @@ func runHost(n *network, v int) {
 	rng := &sc.rng
 	k := n.bt.Type(v)
 	required := int(heapqueue.AgentsRequired(k))
-	smaller := n.h.SmallerNeighbours(v)
-	allReady := readyMask(len(smaller))
+	msb := bits.Msb(bits.Node(v))
+	allReady := readyMask(msb)
 
 	sc.gathered = sc.gathered[:0]
 	sc.ready = 0
@@ -306,21 +306,10 @@ func runHost(n *network, v int) {
 			}
 			sc.gathered = append(sc.gathered, m.Agent)
 			if len(sc.gathered) == required {
-				// Guarded with the full complement: one bit to every
-				// neighbour that waits on this host's state — the
-				// neighbours y for which v is a *smaller* neighbour
-				// (label(v,y) <= m(y)). Others have already retired
-				// their mailboxes and never read v's state.
-				for i, w := range n.h.Neighbours(v) {
-					if i+1 <= bits.Msb(bits.Node(w)) {
-						n.send(rng, w, Message{Kind: GuardedBeacon, From: v})
-					}
-				}
+				n.beaconDependents(rng, v)
 			}
 		case GuardedBeacon:
-			if i := indexOf(smaller, m.From); i >= 0 {
-				sc.ready |= 1 << uint(i)
-			}
+			sc.ready |= readyBit(v, msb, m.From)
 		case HostRestart:
 			// Amnesia crash: lose the soft protocol state. The wire
 			// layer replays every delivered frame right behind this
@@ -349,7 +338,8 @@ func runHost(n *network, v int) {
 		// this host: with the children notified, no further message
 		// can matter here.
 		plan := heapqueue.DispatchPlan(k)
-		for i, child := range n.bt.Children(v) {
+		for i := 0; i < k; i++ {
+			child := v | 1<<(msb+i)
 			for j := int64(0); j < plan[i]; j++ {
 				a := sc.gathered[len(sc.gathered)-1]
 				sc.gathered = sc.gathered[:len(sc.gathered)-1]
@@ -365,13 +355,25 @@ func runHost(n *network, v int) {
 // a host with k smaller neighbours (k <= d < 64).
 func readyMask(k int) uint64 { return uint64(1)<<uint(k) - 1 }
 
-// indexOf returns w's position in the (short, <= d entries) neighbour
-// list, or -1.
-func indexOf(list []int, w int) int {
-	for i, x := range list {
-		if x == w {
-			return i
+// readyBit is the ready-mask bit a guarded beacon from neighbour u
+// sets at host v: bit label-1 when u is one of v's smaller neighbours
+// (label(v,u) <= m(v), given as msb), else none.
+func readyBit(v, msb, u int) uint64 {
+	if l := bits.Label(bits.Node(v), bits.Node(u)); l <= msb {
+		return 1 << uint(l-1)
+	}
+	return 0
+}
+
+// beaconDependents sends one guarded beacon from the newly guarded v
+// to every neighbour that waits on its state — the neighbours y for
+// which v is a *smaller* neighbour (label(v,y) <= m(y)) — in label
+// order. Others have already retired their mailboxes and never read
+// v's state.
+func (n *network) beaconDependents(rng *hostRNG, v int) {
+	for i := 1; i <= n.h.Dim(); i++ {
+		if w := v ^ 1<<(i-1); i <= bits.Msb(bits.Node(w)) {
+			n.send(rng, w, Message{Kind: GuardedBeacon, From: v})
 		}
 	}
-	return -1
 }

@@ -91,7 +91,6 @@ func (w *world) agentMain(id int, spare bool, rng *rand.Rand) {
 		w.syncID = id
 		w.removeFromPoolLocked(id)
 		w.mu.Unlock()
-		w.wb.At(0).Write(w.fOwner, int64(id)+1)
 		w.syncProgram(id, rng)
 		return
 	}

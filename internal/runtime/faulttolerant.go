@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hypersearch/internal/faults"
-	"hypersearch/internal/whiteboard"
 )
 
 // The crash-recovery protocol of the coordinated runtime: an order
@@ -21,21 +20,15 @@ import (
 // it, so it doubles as the durable registry of the paper's model).
 const (
 	fieldCk    = "ck"          // synchronizer checkpoint: completed steps
-	fieldOwner = "sync.owner"  // current synchronizer id + 1
 	fieldEpoch = "sync.epoch." // re-election CAS field, one per epoch
 	fieldLease = "lease."      // per-agent heartbeat counter
-	fieldFence = "fence."      // set once the watchdog declares an agent dead
-	fieldOrder = "ord."        // per-order destination / completion mirror
 )
 
-// Field names for the per-agent and per-order dynamic fields. The
-// per-agent lease/fence fields are interned once in initAgents and the
-// per-order fields once at issue time, so the heartbeat, watchdog and
-// walk loops never hash a field name.
-func leaseField(id int) string      { return fmt.Sprintf("%s%d", fieldLease, id) }
-func fenceField(id int) string      { return fmt.Sprintf("%s%d", fieldFence, id) }
-func epochField(e int64) string     { return fmt.Sprintf("%s%d", fieldEpoch, e) }
-func orderField(k, f string) string { return fieldOrder + k + "." + f }
+// Field names for the per-agent and per-epoch dynamic fields. The
+// per-agent lease fields are interned once in initAgents, so the
+// heartbeat and watchdog loops never hash a field name.
+func leaseField(id int) string  { return fmt.Sprintf("%s%d", fieldLease, id) }
+func epochField(e int64) string { return fmt.Sprintf("%s%d", fieldEpoch, e) }
 
 // order is one ledger entry: a walk some agent owes the search. The
 // destination plus the walker's board position fully determine the
@@ -48,8 +41,6 @@ type order struct {
 	dst      int
 	register bool // true: report to at[dst]; false: walk home to the pool
 	done     bool
-
-	doneF whiteboard.Field // interned "ord.<key>.done" mirror field
 }
 
 // noteCrash is the injected crash: the agent's goroutines stop, its
@@ -159,7 +150,6 @@ func (w *world) declareDead(id int) {
 		return
 	}
 	w.dead[id] = true
-	w.wb.At(0).Write(w.fFence[id], 1)
 	w.inbox[id] = nil
 	if id == w.syncID {
 		w.epoch++
@@ -244,18 +234,15 @@ func (w *world) popLiveAtLocked(x int) int {
 	return -1
 }
 
-// issueLocked records an order on the ledger (mirrored to the homebase
-// whiteboard) and posts it to the assignee's inbox. An assignee of -1
-// records a vacuously complete order — the work is moot, e.g. a dead
-// leaf agent that stays behind as a permanent guard.
+// issueLocked records an order on the ledger and posts it to the
+// assignee's inbox. An assignee of -1 records a vacuously complete
+// order — the work is moot, e.g. a dead leaf agent that stays behind
+// as a permanent guard.
 func (w *world) issueLocked(key string, assignee, dst int, register bool) *order {
 	ord := &order{key: key, assignee: assignee, dst: dst, register: register}
-	ord.doneF = w.wb.Field(orderField(key, "done"))
 	w.ledger[key] = ord
-	w.wb.At(0).Write(w.wb.Field(orderField(key, "dst")), int64(dst))
 	if assignee < 0 {
 		ord.done = true
-		w.wb.At(0).Write(ord.doneF, 1)
 	} else {
 		w.inbox[assignee] = append(w.inbox[assignee], key)
 	}
@@ -299,7 +286,6 @@ func (w *world) execute(id int, ord *order, rng *rand.Rand) bool {
 	}
 	w.mu.Lock()
 	ord.done = true
-	w.wb.At(0).Write(ord.doneF, 1)
 	if ord.register {
 		w.at[ord.dst] = append(w.at[ord.dst], id)
 	} else {
@@ -350,7 +336,6 @@ func (w *world) workerLoop(id int, spare bool, rng *rand.Rand) {
 				w.removeSpareLocked(id)
 				w.sparesUsed++
 				w.reelections++
-				w.wb.At(0).Write(w.fOwner, int64(id)+1)
 				w.cond.Broadcast()
 				w.mu.Unlock()
 				w.syncProgram(id, rng)

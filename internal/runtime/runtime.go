@@ -98,9 +98,9 @@ type Report struct {
 // agent registry, root pool, spare pool, fencing flags, and the
 // synchronizer epoch — are guarded by mu; cond broadcasts on every
 // board change so local agent programs can re-evaluate their
-// conditions. The homebase whiteboard mirrors the durable fields
-// (leases, checkpoint, order records, fences) that the paper's model
-// would store on node whiteboards.
+// conditions. The homebase whiteboard holds the fields recovery reads
+// back (leases, the synchronizer checkpoint and election CAS) that the
+// paper's model would store on node whiteboards.
 type world struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -114,7 +114,6 @@ type world struct {
 	// the agents' Read/Write/CAS hot paths then index by ID and never
 	// hash a field name again.
 	fSync    whiteboard.Field
-	fOwner   whiteboard.Field
 	fCk      whiteboard.Field
 	fAgents  whiteboard.Field
 	fPlanned whiteboard.Field
@@ -137,7 +136,6 @@ type world struct {
 	exited []bool // returned cleanly (lease no longer monitored)
 
 	fLease []whiteboard.Field // per-agent heartbeat fields, interned in initAgents
-	fFence []whiteboard.Field // per-agent fence fields, interned in initAgents
 
 	syncID   int
 	epoch    int64
@@ -154,10 +152,10 @@ type world struct {
 }
 
 func newWorld(d int, cfg Config, inj *faults.Injector) *world {
-	h := hypercube.ForDim(d)
+	h := hypercube.New(d)
 	w := &world{
 		h:      h,
-		bt:     heapqueue.ForDim(d),
+		bt:     heapqueue.New(d),
 		b:      board.New(h, 0),
 		wb:     whiteboard.NewStore(h.Order()),
 		cfg:    cfg,
@@ -168,7 +166,6 @@ func newWorld(d int, cfg Config, inj *faults.Injector) *world {
 	}
 	w.cond = sync.NewCond(&w.mu)
 	w.fSync = w.wb.Field(fieldSync)
-	w.fOwner = w.wb.Field(fieldOwner)
 	w.fCk = w.wb.Field(fieldCk)
 	w.fAgents = w.wb.Field(fieldAgents)
 	w.fPlanned = w.wb.Field(fieldPlanned)
@@ -191,10 +188,8 @@ func (w *world) initAgents(total, team int) {
 	w.hbQuit = make([]chan struct{}, total)
 	w.hbOnce = make([]sync.Once, total)
 	w.fLease = make([]whiteboard.Field, total)
-	w.fFence = make([]whiteboard.Field, total)
 	for i := 0; i < total; i++ {
 		w.fLease[i] = w.wb.Field(leaseField(i))
-		w.fFence[i] = w.wb.Field(fenceField(i))
 	}
 	w.mu.Lock()
 	for i := 0; i < total; i++ {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"hypersearch/internal/bits"
 	"hypersearch/internal/board"
 	"hypersearch/internal/combin"
 	"hypersearch/internal/faults"
@@ -146,12 +147,12 @@ func (w *world) agentProgram(id int, rng *rand.Rand) {
 // smallerReadyLocked is the visibility read: every smaller neighbour
 // of v is clean or guarded. Caller holds w.mu.
 func (w *world) smallerReadyLocked(v int) bool {
-	for _, u := range w.h.SmallerNeighbours(v) {
-		if w.b.StateOf(u) == board.Contaminated {
-			return false
-		}
-	}
-	return true
+	ready := true
+	w.h.VisitSmallerNeighbours(v, func(u int) bool {
+		ready = w.b.StateOf(u) != board.Contaminated
+		return ready
+	})
+	return ready
 }
 
 // claimSlotLocked atomically claims one dispatch slot on v's
@@ -165,11 +166,12 @@ func (w *world) claimSlotLocked(v, k int) int {
 			wb.Write(w.fQuota[i], q)
 		}
 	}
-	children := w.bt.Children(v)
-	for i, c := range children {
+	// Quota slot i belongs to the child across label m(v)+1+i.
+	msb := bits.Msb(bits.Node(v))
+	for i := 0; i < k; i++ {
 		if wb.Read(w.fQuota[i]) > 0 {
 			wb.Add(w.fQuota[i], -1)
-			return c
+			return w.h.Neighbour(v, msb+1+i)
 		}
 	}
 	panic(fmt.Sprintf("runtime: node %d has no free dispatch slot", v))

@@ -28,23 +28,23 @@ type LoadConfig struct {
 // assertion: the harness errors out if an expected behaviour (a 429, a
 // 503, a recovery, an identity match) did not happen.
 type LoadReport struct {
-	Submitted   int           `json:"submitted"`    // campaigns admitted across all phases
-	Shed        int           `json:"shed_429"`     // submissions shed by admission control
-	DrainReject int           `json:"drain_503"`    // submissions rejected while draining
-	Completed   int           `json:"completed"`    // campaigns that finished all runs
-	Canceled    int           `json:"canceled"`     // campaigns cancelled mid-flight
-	Failed      int           `json:"failed"`       // campaigns failed by an injected panic
-	Runs        int           `json:"runs"`         // run records produced by completed campaigns
-	StreamRuns  int           `json:"stream_runs"`  // run events observed over HTTP streams
-	CacheHits   int64         `json:"cache_hits"`   // result-cache hits across phases
-	CacheMisses int64         `json:"cache_misses"` // result-cache misses across phases
-	Interrupted int           `json:"interrupted"`  // campaigns left queued by the drain
-	Recovered   int           `json:"recovered"`    // campaigns re-run after restart
-	Identity    int           `json:"identity_checked"` // campaigns compared byte-for-byte to the serial batch path
-	Compactions int64         `json:"compactions"`    // journal compactions observed under load
-	CompactSaved int          `json:"compact_saved"`  // journal records the compacted twin avoided vs the uncompacted one
-	Evicted     int64         `json:"evicted"`        // cache evictions forced by the bounded-cache phase
-	Elapsed     time.Duration `json:"elapsed_ns"`
+	Submitted    int           `json:"submitted"`        // campaigns admitted across all phases
+	Shed         int           `json:"shed_429"`         // submissions shed by admission control
+	DrainReject  int           `json:"drain_503"`        // submissions rejected while draining
+	Completed    int           `json:"completed"`        // campaigns that finished all runs
+	Canceled     int           `json:"canceled"`         // campaigns cancelled mid-flight
+	Failed       int           `json:"failed"`           // campaigns failed by an injected panic
+	Runs         int           `json:"runs"`             // run records produced by completed campaigns
+	StreamRuns   int           `json:"stream_runs"`      // run events observed over HTTP streams
+	CacheHits    int64         `json:"cache_hits"`       // result-cache hits across phases
+	CacheMisses  int64         `json:"cache_misses"`     // result-cache misses across phases
+	Interrupted  int           `json:"interrupted"`      // campaigns left queued by the drain
+	Recovered    int           `json:"recovered"`        // campaigns re-run after restart
+	Identity     int           `json:"identity_checked"` // campaigns compared byte-for-byte to the serial batch path
+	Compactions  int64         `json:"compactions"`      // journal compactions observed under load
+	CompactSaved int           `json:"compact_saved"`    // journal records the compacted twin avoided vs the uncompacted one
+	Evicted      int64         `json:"evicted"`          // cache evictions forced by the bounded-cache phase
+	Elapsed      time.Duration `json:"elapsed_ns"`
 }
 
 func (r LoadReport) String() string {

@@ -615,13 +615,13 @@ func (c *Campaign) next(ctx context.Context, i int) (StreamEvent, bool) {
 
 // Snapshot is a campaign's queryable state.
 type Snapshot struct {
-	ID       string      `json:"id"`
-	Name     string      `json:"name,omitempty"`
-	Status   string      `json:"status"`
-	Total    int         `json:"total"`
-	Done     int         `json:"done"`
-	Error    string      `json:"error,omitempty"`
-	Runs     []RunRecord `json:"runs,omitempty"` // completed campaigns only
+	ID     string      `json:"id"`
+	Name   string      `json:"name,omitempty"`
+	Status string      `json:"status"`
+	Total  int         `json:"total"`
+	Done   int         `json:"done"`
+	Error  string      `json:"error,omitempty"`
+	Runs   []RunRecord `json:"runs,omitempty"` // completed campaigns only
 }
 
 // Snapshot returns the campaign's current state. Done counts runs

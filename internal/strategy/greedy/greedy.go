@@ -29,7 +29,7 @@ const Name = "greedy"
 // TeamSize in the result is the high-water mark actually used.
 func Run(g graph.Graph, home int) (metrics.Result, *board.Board, *trace.Log) {
 	ex := &executor{
-		g:    g,
+		adj:  graph.Snapshot(g),
 		home: home,
 		b:    board.New(g, home),
 		log:  &trace.Log{},
@@ -64,7 +64,7 @@ func Team(g graph.Graph, home int) int {
 }
 
 type executor struct {
-	g     graph.Graph
+	adj   [][]int // g's neighbour lists, snapshotted once per run
 	home  int
 	b     *board.Board
 	log   *trace.Log
@@ -92,7 +92,7 @@ func (ex *executor) run() {
 // when the board is clean.
 func (ex *executor) pickTarget() int {
 	bestV, bestScore := -1, 1<<30
-	for v := 0; v < ex.g.Order(); v++ {
+	for v := range ex.adj {
 		if ex.b.StateOf(v) != board.Contaminated || !ex.touchesClean(v) {
 			continue
 		}
@@ -105,7 +105,7 @@ func (ex *executor) pickTarget() int {
 }
 
 func (ex *executor) touchesClean(v int) bool {
-	for _, w := range ex.g.Neighbours(v) {
+	for _, w := range ex.adj[v] {
 		if ex.b.StateOf(w) != board.Contaminated {
 			return true
 		}
@@ -117,12 +117,12 @@ func (ex *executor) touchesClean(v int) bool {
 // touch contamination if v were annexed.
 func (ex *executor) frontierAfter(v int) int {
 	count := 0
-	for w := 0; w < ex.g.Order(); w++ {
+	for w := range ex.adj {
 		if w != v && ex.b.StateOf(w) == board.Contaminated {
 			continue
 		}
 		touches := false
-		for _, u := range ex.g.Neighbours(w) {
+		for _, u := range ex.adj[w] {
 			if u != v && ex.b.StateOf(u) == board.Contaminated {
 				touches = true
 				break
@@ -148,7 +148,7 @@ func (ex *executor) annex(v int) {
 		return
 	}
 	gate := -1
-	for _, w := range ex.g.Neighbours(v) {
+	for _, w := range ex.adj[v] {
 		if ex.b.StateOf(w) != board.Contaminated {
 			gate = w
 			break
@@ -167,12 +167,12 @@ func (ex *executor) annex(v int) {
 // exposes nothing), or -1. Smallest vertex wins for determinism.
 func (ex *executor) advanceableGuard(v int) int {
 	best := -1
-	for _, w := range ex.g.Neighbours(v) {
+	for _, w := range ex.adj[v] {
 		if _, ok := ex.at[w]; !ok {
 			continue
 		}
 		clean := true
-		for _, u := range ex.g.Neighbours(w) {
+		for _, u := range ex.adj[w] {
 			if u != v && ex.b.StateOf(u) == board.Contaminated {
 				clean = false
 				break
@@ -196,7 +196,7 @@ func (ex *executor) releaseInterior() {
 	sort.Ints(posts)
 	for _, v := range posts {
 		touches := false
-		for _, w := range ex.g.Neighbours(v) {
+		for _, w := range ex.adj[v] {
 			if ex.b.StateOf(w) == board.Contaminated {
 				touches = true
 				break
@@ -236,7 +236,7 @@ func (ex *executor) walkClean(a, dst int) {
 	if from == dst {
 		return
 	}
-	parent := make([]int, ex.g.Order())
+	parent := make([]int, len(ex.adj))
 	for i := range parent {
 		parent[i] = -1
 	}
@@ -248,7 +248,7 @@ func (ex *executor) walkClean(a, dst int) {
 		if v == dst {
 			break
 		}
-		for _, w := range ex.g.Neighbours(v) {
+		for _, w := range ex.adj[v] {
 			if parent[w] < 0 && ex.b.StateOf(w) != board.Contaminated {
 				parent[w] = v
 				queue = append(queue, w)

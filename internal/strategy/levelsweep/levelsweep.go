@@ -71,7 +71,7 @@ func Run(g graph.Graph, home int) (metrics.Result, *board.Board, *trace.Log) {
 		}
 	}
 	ex := &executor{
-		g:      g,
+		adj:    graph.Snapshot(g),
 		home:   home,
 		b:      board.New(g, home),
 		log:    &trace.Log{},
@@ -107,7 +107,7 @@ func Run(g graph.Graph, home int) (metrics.Result, *board.Board, *trace.Log) {
 }
 
 type executor struct {
-	g      graph.Graph
+	adj    [][]int // g's neighbour lists, snapshotted once per run
 	home   int
 	b      *board.Board
 	log    *trace.Log
@@ -135,7 +135,7 @@ func (ex *executor) sweep() {
 		// Guard every level-(l+1) node. Couriers walk from home
 		// through decontaminated territory to a guarded level-l
 		// neighbour, then step across.
-		for v := 0; v < ex.g.Order(); v++ {
+		for v := range ex.adj {
 			if ex.levels[v] != l+1 {
 				continue
 			}
@@ -147,7 +147,7 @@ func (ex *executor) sweep() {
 		}
 		// Retire level-l guards: their neighbours are now all guarded
 		// or clean, so departure cannot recontaminate.
-		for v := 0; v < ex.g.Order(); v++ {
+		for v := range ex.adj {
 			if ex.levels[v] != l {
 				continue
 			}
@@ -164,7 +164,7 @@ func (ex *executor) sweep() {
 
 // gateFor returns a guarded level-l neighbour of the level-(l+1) node v.
 func (ex *executor) gateFor(v, l int) int {
-	for _, w := range ex.g.Neighbours(v) {
+	for _, w := range ex.adj[v] {
 		if ex.levels[w] == l {
 			if _, ok := ex.at[w]; ok {
 				return w
@@ -202,7 +202,7 @@ func (ex *executor) walkThroughClean(a, dst int) {
 
 // cleanPath is a BFS restricted to decontaminated nodes.
 func (ex *executor) cleanPath(src, dst int) []int {
-	parent := make([]int, ex.g.Order())
+	parent := make([]int, len(ex.adj))
 	for i := range parent {
 		parent[i] = -1
 	}
@@ -222,7 +222,7 @@ func (ex *executor) cleanPath(src, dst int) []int {
 			}
 			return rev
 		}
-		for _, w := range ex.g.Neighbours(v) {
+		for _, w := range ex.adj[v] {
 			if parent[w] < 0 && ex.b.StateOf(w) != board.Contaminated {
 				parent[w] = v
 				queue = append(queue, w)

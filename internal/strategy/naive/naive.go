@@ -111,13 +111,14 @@ func expandWalk(env *strategy.Env) []int {
 	var rec func(v int)
 	rec = func(v int) {
 		seen[v] = true
-		for _, w := range env.H.Neighbours(v) {
+		env.H.VisitNeighbours(v, func(w int) bool {
 			if !seen[w] {
 				walk = append(walk, w)
 				rec(w)
 				walk = append(walk, v)
 			}
-		}
+			return true
+		})
 	}
 	rec(0)
 	return walk

@@ -93,13 +93,14 @@ func Search(g graph.Graph, home, team int, lim Limits) Answer {
 		s     state
 		moves int
 	}
+	adj := graph.Snapshot(g)
 	seen := map[uint64]bool{start.key(n): true}
 	queue := []entry{{s: start}}
 	explored := 1
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, next := range successors(g, cur.s) {
+		for _, next := range successors(adj, cur.s) {
 			k := next.key(n)
 			if seen[k] {
 				continue
@@ -152,19 +153,20 @@ func canonical(agents []int) []int {
 	return agents
 }
 
-// successors enumerates the monotone transitions from s: move one
-// agent to a neighbour such that the contamination closure stays
-// empty-handed (no decontaminated node floods).
-func successors(g graph.Graph, s state) []state {
+// successors enumerates the monotone transitions from s over the
+// graph's neighbour lists adj: move one agent to a neighbour such that
+// the contamination closure stays empty-handed (no decontaminated node
+// floods).
+func successors(adj [][]int, s state) []state {
 	var out []state
 	tried := map[[2]int]bool{} // (position, destination) dedup across equal agents
 	for i, a := range s.agents {
-		for _, w := range g.Neighbours(a) {
+		for _, w := range adj[a] {
 			if tried[[2]int{a, w}] {
 				continue
 			}
 			tried[[2]int{a, w}] = true
-			next, ok := apply(g, s, i, w)
+			next, ok := apply(adj, s, i, w)
 			if ok {
 				out = append(out, next)
 			}
@@ -176,20 +178,20 @@ func successors(g graph.Graph, s state) []state {
 // apply moves agent index i to w and recomputes the closure; it reports
 // false if the move would recontaminate (non-monotone) — such moves
 // are never useful for a monotone strategy.
-func apply(g graph.Graph, s state, i, w int) (state, bool) {
+func apply(adj [][]int, s state, i, w int) (state, bool) {
 	agents := append([]int(nil), s.agents...)
 	from := agents[i]
 	agents[i] = w
 	mask := s.mask | 1<<uint(w)
 
 	// Guard counts after the move.
-	guarded := make([]bool, g.Order())
+	guarded := make([]bool, len(adj))
 	for _, a := range agents {
 		guarded[a] = true
 	}
 	// The only possible flood conduit is `from` if now unguarded.
 	if !guarded[from] {
-		for _, x := range g.Neighbours(from) {
+		for _, x := range adj[from] {
 			if mask&(1<<uint(x)) == 0 {
 				return state{}, false // from would flood: non-monotone
 			}

@@ -134,24 +134,12 @@ type Env struct {
 }
 
 // NewEnv builds an environment for dimension d with all nodes
-// contaminated except the homebase 0, choosing the materialized or
-// implicit topology representation by dimension (hypercube.ForDim).
+// contaminated except the homebase 0.
 func NewEnv(d int, opts Options) *Env {
-	return NewEnvOn(hypercube.ForDim(d), heapqueue.ForDim(d), opts)
-}
-
-// NewEnvOn builds an environment over an existing hypercube and
-// broadcast tree (which must share the same dimension). The topology
-// structures are read-only to the environment, so one pair can back
-// any number of environments concurrently — the basis of envpool's
-// per-dimension sharing.
-func NewEnvOn(h *hypercube.Hypercube, bt *heapqueue.Tree, opts Options) *Env {
-	if h.Dim() != bt.Dim() {
-		panic(fmt.Sprintf("strategy: hypercube H_%d paired with tree T(%d)", h.Dim(), bt.Dim()))
-	}
+	h := hypercube.New(d)
 	e := &Env{
 		H:         h,
-		BT:        bt,
+		BT:        heapqueue.New(d),
 		Sim:       des.New(),
 		B:         board.New(h, 0),
 		roleMoves: map[string]int64{},

@@ -15,6 +15,12 @@ import (
 	"hypersearch/internal/hypercube"
 )
 
+// MaxFullBoardDim is the largest dimension the CLIs render a full
+// board for or keep an in-memory trace of: 2^16 nodes. Past it such
+// output would exhaust memory; streaming the trace to disk works at
+// any dimension.
+const MaxFullBoardDim = 16
+
 // BroadcastTree renders the broadcast tree T(d) of H_d, one node per
 // line, indented by depth, annotated with the node's bitstring and its
 // heap-queue type — the content of the paper's Figure 1.
