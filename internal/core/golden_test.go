@@ -80,6 +80,14 @@ var goldenPlans = []struct {
 		{Kind: faults.KernelLag, From: 3, To: 9},
 		{Kind: faults.LatencySpike, Target: faults.TargetSync, At: 1, Until: 4, Delay: 3},
 	}}},
+	// Delays of 64 or more steps: events due that far ahead, and a
+	// kernel-lag window that empties the near future and jumps the
+	// clock to its end.
+	{"far-future", &faults.Plan{Name: "far-future", Seed: 6, Faults: []faults.Fault{
+		{Kind: faults.Stall, Target: faults.TargetAny, At: 3, Delay: 100},
+		{Kind: faults.LatencySpike, Target: faults.TargetAny, At: 5, Until: 8, Delay: 70},
+		{Kind: faults.KernelLag, From: 12, To: 300},
+	}}},
 }
 
 const (
@@ -189,8 +197,8 @@ func TestGoldenDESOutputs(t *testing.T) {
 			}
 		}
 	}
-	if runs != 2960 {
-		t.Errorf("golden table ran %d runs, want 2960", runs)
+	if runs != 3440 {
+		t.Errorf("golden table ran %d runs, want 3440", runs)
 	}
 	for key := range want {
 		t.Errorf("golden table row %q matches no cell", key)
