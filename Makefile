@@ -108,10 +108,12 @@ perfbench-test:
 
 ci: fmt build vet staticcheck race faults faults-netsim serve-smoke bench-smoke bench-scale-smoke bench-check perfbench-test
 
-# Short real fuzz runs of the fault-plan parser and the engine under
-# fuzzed fault application (regression corpus always runs under `test`).
+# Short real fuzz runs of the fault-plan parser, the engine under
+# fuzzed fault application and the DES queue's dispatch order
+# (regression corpus always runs under `test`).
 fuzz:
 	$(GO) test ./internal/faults -fuzz FuzzParse -fuzztime 15s
 	$(GO) test ./internal/runtime -fuzz FuzzFaultApplication -fuzztime 20s
 	$(GO) test ./internal/serve -fuzz FuzzParseRequest -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzReadEntries -fuzztime 10s
+	$(GO) test ./internal/des -fuzz FuzzEventOrder -fuzztime 10s

@@ -11,9 +11,10 @@ import (
 // allocations, not the test closure's.
 var nop = func() {}
 
-// TestScheduleRunZeroAllocs: once heap capacity is warm, scheduling
-// and dispatching plain events allocates nothing — the typed 4-ary
-// heap moves events without interface boxing.
+// TestScheduleRunZeroAllocs: once the queue is warm, scheduling and
+// dispatching plain events allocates nothing — the ring's chunks and
+// the overflow heap's typed slice move events without interface
+// boxing.
 func TestScheduleRunZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed by the race detector")
@@ -22,7 +23,7 @@ func TestScheduleRunZeroAllocs(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		s.After(int64(i), nop)
 	}
-	s.Run() // warm the heap's backing array
+	s.Run() // warm the queue's chunks and overflow capacity
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := int64(1); i <= 64; i++ {
 			s.After(i, nop)
@@ -35,9 +36,9 @@ func TestScheduleRunZeroAllocs(t *testing.T) {
 }
 
 // TestDeferralZeroAllocs: an interceptor deferral re-pushes the popped
-// event into the slot pop just freed. Before the typed heap, every
-// deferral boxed the event into an interface{} — a fresh allocation
-// per deferral.
+// event into storage the queue already holds. Before the typed heap,
+// every deferral boxed the event into an interface{} — a fresh
+// allocation per deferral.
 func TestDeferralZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed by the race detector")
@@ -152,9 +153,10 @@ func TestFireReusesWaiterArrays(t *testing.T) {
 	}
 }
 
-// TestHeapOrderRandomized: the 4-ary heap dispatches any workload in
-// (time, seq) order — the same contract the container/heap version
-// obeyed.
+// TestHeapOrderRandomized: the queue dispatches any workload in
+// (time, seq) order, inside the ring's 64-step window and in the
+// overflow heap beyond it — the same contract the container/heap
+// version obeyed.
 func TestHeapOrderRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -162,7 +164,7 @@ func TestHeapOrderRandomized(t *testing.T) {
 		n := 1 + rng.Intn(500)
 		var got []int64
 		for i := 0; i < n; i++ {
-			at := int64(rng.Intn(64))
+			at := int64(rng.Intn(256))
 			s.Schedule(at, func() { got = append(got, at) })
 		}
 		s.Run()
@@ -178,7 +180,7 @@ func TestHeapOrderRandomized(t *testing.T) {
 }
 
 // TestHeapSameTimeFIFO: equal-time events fire in scheduling order
-// even through heap reshuffles caused by interleaved earlier events.
+// even with earlier events interleaved among them.
 func TestHeapSameTimeFIFO(t *testing.T) {
 	s := New()
 	var got []int

@@ -1,7 +1,9 @@
 package des
 
 import (
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -71,6 +73,36 @@ func TestNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	s.After(-1, func() {})
+}
+
+// TestDelayOverflowPanics: a delay or deferral carrying the clock past
+// math.MaxInt64 panics naming the overflow, rather than wrapping into
+// a time in the past.
+func TestDelayOverflowPanics(t *testing.T) {
+	for name, run := range map[string]func(s *Simulator){
+		"After": func(s *Simulator) {
+			s.Schedule(math.MaxInt64, func() { s.After(1, func() {}) })
+			s.Run()
+		},
+		"AfterInline": func(s *Simulator) {
+			s.Schedule(math.MaxInt64, func() { s.AfterInline(1, &Inline{Step: func(*Simulator) {}}) })
+			s.Run()
+		},
+		"deferral": func(s *Simulator) {
+			s.Intercept(func(at, _ int64) int64 { return 5 })
+			s.Schedule(math.MaxInt64-1, func() {})
+			s.Run()
+		},
+	} {
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			run(New())
+		}()
+		if msg, _ := got.(string); !strings.Contains(msg, "overflows the clock") {
+			t.Errorf("%s: panic %v, want one naming the clock overflow", name, got)
+		}
+	}
 }
 
 func TestProcessDelay(t *testing.T) {

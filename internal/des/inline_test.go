@@ -125,7 +125,7 @@ func TestInterceptorDefersInlineSteps(t *testing.T) {
 }
 
 // TestInlineZeroAllocs: scheduling and dispatching inline steps
-// allocates nothing once heap capacity is warm — the event carries the
+// allocates nothing once the queue is warm — the event carries the
 // header pointer, no closure.
 func TestInlineZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -135,7 +135,7 @@ func TestInlineZeroAllocs(t *testing.T) {
 	var journal []string
 	r := rec(&journal, "t", 1024, 1)
 	s.ScheduleInline(0, &r.Inline)
-	s.Run() // warm the heap and the journal's backing array
+	s.Run() // warm the queue and the journal's backing array
 	allocs := testing.AllocsPerRun(100, func() {
 		journal = journal[:0]
 		r.hops = 64
