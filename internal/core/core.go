@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hypersearch/internal/bits"
@@ -82,19 +83,25 @@ type Spec struct {
 	Faults *faults.Plan
 }
 
+// strategyNames is the registry checkSpec consults; Strategies hands
+// out copies.
+var strategyNames = []string{Clean, Visibility, Cloning, Synchronous, NaiveDFS, NaiveConvoy}
+
 // Strategies lists the registered strategy names.
-func Strategies() []string {
-	return []string{Clean, Visibility, Cloning, Synchronous, NaiveDFS, NaiveConvoy}
-}
+func Strategies() []string { return slices.Clone(strategyNames) }
 
 // maxNetworkDim is the largest dimension the network engine accepts:
 // it starts one host goroutine per node, 2^24 of them at the limit.
 const maxNetworkDim = 24
 
-// checkDim rejects a dimension outside the engine's range:
+// checkSpec rejects, before any engine builds an environment, an
+// unknown strategy and a dimension outside the engine's range:
 // [0, bits.MaxDim] everywhere, and at most maxNetworkDim on the network
 // engine.
-func checkDim(spec Spec) error {
+func checkSpec(spec Spec) error {
+	if !slices.Contains(strategyNames, spec.Strategy) {
+		return fmt.Errorf("core: unknown strategy %q", spec.Strategy)
+	}
 	if spec.Dim < 0 || spec.Dim > bits.MaxDim {
 		return fmt.Errorf("core: dimension %d out of range [0,%d]", spec.Dim, bits.MaxDim)
 	}
@@ -109,7 +116,7 @@ func checkDim(spec Spec) error {
 // goroutine runs Env is nil (the engine is real-time and keeps no
 // virtual clock).
 func Run(spec Spec) (metrics.Result, *strategy.Env, error) {
-	if err := checkDim(spec); err != nil {
+	if err := checkSpec(spec); err != nil {
 		return metrics.Result{}, nil, err
 	}
 	switch spec.Engine {
@@ -156,7 +163,7 @@ func RunWith(spec Spec, src strategy.Source) (metrics.Result, *strategy.Env, err
 	if spec.Engine != "" && spec.Engine != EngineDES {
 		return Run(spec)
 	}
-	if err := checkDim(spec); err != nil {
+	if err := checkSpec(spec); err != nil {
 		return metrics.Result{}, nil, err
 	}
 	return runDES(spec, src)
@@ -206,8 +213,7 @@ func runDES(spec Spec, src strategy.Source) (metrics.Result, *strategy.Env, erro
 		}
 		res = naive.RunConvoyEnv(env, team)
 	default:
-		src.Release(env)
-		return metrics.Result{}, nil, fmt.Errorf("core: unknown strategy %q", spec.Strategy)
+		panic(fmt.Sprintf("core: strategy %q passed checkSpec but has no DES dispatch", spec.Strategy))
 	}
 	return res, env, nil
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"hypersearch/internal/bits"
 	"hypersearch/internal/combin"
+	"hypersearch/internal/faults"
 	"hypersearch/internal/strategy"
 )
 
@@ -128,6 +131,30 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, _, err := Run(Spec{Strategy: Cloning, Dim: 3, Engine: EngineGoroutines}); err == nil {
 		t.Error("cloning has no goroutine engine but was accepted")
+	}
+	// An unknown strategy is rejected before a 2^24-node environment
+	// is built for it.
+	typo := Spec{Strategy: "no-such-strategy", Dim: 24}
+	for name, run := range map[string]func() error{
+		"Run":     func() error { _, _, err := Run(typo); return err },
+		"RunWith": func() error { _, _, err := RunWith(typo, strategy.Fresh{}); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := run()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s accepted an unknown strategy", name)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+			t.Errorf("%s allocated %d bytes before rejecting an unknown strategy, want < 1 MiB", name, b)
+		}
+	}
+	// A kernel-lag window ending at the clock's limit is an error, not
+	// an overflow panic at the first move after it.
+	lag := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.KernelLag, From: 0, To: math.MaxInt64}}}
+	if _, _, err := Run(Spec{Strategy: Visibility, Dim: 3, Faults: lag}); err == nil {
+		t.Error("kernel-lag window ending at math.MaxInt64 accepted")
 	}
 }
 

@@ -74,6 +74,13 @@ const (
 // an engine for unbounded wall time.
 const MaxDelay = 1 << 20
 
+// MaxKernelLagEnd bounds a kernel-lag window's end. The DES defers
+// every event in the window to its end and the run goes on from
+// there, so an end near math.MaxInt64 would overflow the virtual
+// clock at the next move; an end of at most 2^40 leaves the run
+// nearly all of the clock's 2^63 range.
+const MaxKernelLagEnd = 1 << 40
+
 // MaxLinkRetransmits bounds the transmissions of one wire frame: a
 // link-drop fault may swallow at most MaxLinkRetransmits-2 attempts,
 // so every frame still delivers within the budget and the wire layer
@@ -259,6 +266,9 @@ func (f Fault) validate() error {
 	case KernelLag:
 		if f.From < 0 || f.To <= f.From {
 			return fmt.Errorf("kernel-lag window [%d,%d) invalid", f.From, f.To)
+		}
+		if f.To > MaxKernelLagEnd {
+			return fmt.Errorf("kernel-lag window end %d exceeds %d", f.To, MaxKernelLagEnd)
 		}
 	case LinkDrop, LinkDup, LinkDelay, HostCrash, Cascade:
 		from, to, err := ParseLinkTarget(f.Target)

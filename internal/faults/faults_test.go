@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,6 +24,8 @@ func TestValidateRejects(t *testing.T) {
 		{"lost-wakeup inverted window", Fault{Kind: LostWakeup, At: 9, Until: 3}},
 		{"kernel-lag empty window", Fault{Kind: KernelLag, From: 5, To: 5}},
 		{"kernel-lag negative start", Fault{Kind: KernelLag, From: -1, To: 5}},
+		{"kernel-lag end overflowing the clock", Fault{Kind: KernelLag, From: 0, To: math.MaxInt64}},
+		{"kernel-lag end past the bound", Fault{Kind: KernelLag, From: 0, To: MaxKernelLagEnd + 1}},
 		{"unknown kind", Fault{Kind: "meteor", Target: TargetAny, At: 1}},
 		{"negative delay", Fault{Kind: Stall, Target: TargetAny, At: 1, Delay: -1}},
 		{"oversized delay", Fault{Kind: Stall, Target: TargetAny, At: 1, Delay: MaxDelay + 1}},

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -67,6 +68,7 @@ func TestValidateRejections(t *testing.T) {
 	link := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.LinkDrop, Target: faults.LinkTarget(0, 1), At: 1}}}
 	bigLink := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.LinkDrop, Target: faults.LinkTarget(0, 128), At: 1}}}
 	hostCrash := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.HostCrash, Target: faults.LinkTarget(0, 1), At: 1}}}
+	endlessLag := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.KernelLag, From: 0, To: math.MaxInt64}}}
 	manySeeds := make([]int64, 20)
 	for i := range manySeeds {
 		manySeeds[i] = int64(i)
@@ -92,6 +94,7 @@ func TestValidateRejections(t *testing.T) {
 		{"link plan on des", Request{DimMin: 2, Protocols: []string{core.Visibility}, Faults: link}, "network engine"},
 		{"link target outside small cube", Request{DimMin: 2, DimMax: 3, Engine: EngineNetwork, Protocols: []string{core.Visibility}, Faults: bigLink}, "at d=2"},
 		{"host crash vs clean net", Request{DimMin: 2, Engine: EngineNetwork, Protocols: []string{core.Clean}, Faults: hostCrash}, "clean"},
+		{"kernel-lag end overflowing the clock", Request{DimMin: 2, Protocols: []string{core.Visibility}, Faults: endlessLag}, "kernel-lag window end"},
 		{"network-only protocol", Request{DimMin: 2, Engine: EngineNetwork, Protocols: []string{core.Synchronous}}, "unknown protocol"},
 	}
 	for _, tc := range cases {
