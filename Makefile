@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt build vet staticcheck test race ci faults faults-netsim fuzz bench bench-smoke bench-check bench-scale bench-scale-smoke serve-smoke serve-loadtest perfbench-test
+.PHONY: all fmt build vet staticcheck test race ci faults faults-netsim fuzz bench bench-quick bench-smoke bench-check bench-scale bench-scale-smoke serve-smoke serve-loadtest perfbench-test
 
 # Committed benchmark baseline the regression gate compares against.
 BENCH_BASELINE ?= BENCH_pr8.json
@@ -83,6 +83,12 @@ bench-scale:
 bench-scale-smoke:
 	$(GO) run ./cmd/hqbench -out /tmp/BENCH_scale_smoke.json -families clean/d=16,visibility/d=16 -against $(BENCH_BASELINE)
 
+# Every hqbench family once, with its invariant and closed-form
+# self-checks but without the timing gate, so a self-check failure
+# cannot be mistaken for a slow or contended host.
+bench-quick:
+	$(GO) run ./cmd/hqbench -quick -out /tmp/BENCH_quick.json
+
 # End-to-end smoke of the campaign service: start an hqserved daemon,
 # submit a d<=8 campaign over HTTP, require streamed per-run progress,
 # resubmit it verbatim and require a byte-identical cache hit, then
@@ -106,7 +112,7 @@ serve-loadtest:
 perfbench-test:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-ci: fmt build vet staticcheck race faults faults-netsim serve-smoke bench-smoke bench-scale-smoke bench-check perfbench-test
+ci: fmt build vet staticcheck race faults faults-netsim serve-smoke bench-quick bench-smoke bench-scale-smoke bench-check perfbench-test
 
 # Short real fuzz runs of the fault-plan parser, the engine under
 # fuzzed fault application and the DES queue's dispatch order

@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"hypersearch/internal/benchgate"
-	"hypersearch/internal/combin"
 	"hypersearch/internal/core"
 	"hypersearch/internal/des"
 	"hypersearch/internal/envpool"
@@ -85,20 +84,38 @@ var pool = envpool.New()
 var arena = netarena.New()
 
 // mustRun executes one spec on the shared pool, failing loudly on any
-// invariant violation: a benchmark that lies about correctness is
-// worse than a slow one.
+// invariant or closed-form violation: a benchmark that lies about
+// correctness is worse than a slow one, and a scale benchmark that
+// silently swept the wrong number of nodes would be worse than none.
 func mustRun(spec core.Spec) metrics.Result {
 	res, env, err := core.RunWith(spec, pool)
+	mustHold(spec, res, err)
+	pool.Release(env)
+	return res
+}
+
+// mustRunNetwork is mustRun for the netsim families: strategy on the
+// network engine at d=6, seed 1, on the shared arena.
+func mustRunNetwork(strategy string, plan *faults.Plan) netsim.Stats {
+	spec := core.Spec{Strategy: strategy, Dim: 6, Engine: core.EngineNetwork, Seed: 1, Faults: plan}
+	st, err := core.RunNetwork(spec, arena)
+	mustHold(spec, st.Result, err)
+	return st
+}
+
+// mustHold exits unless the run succeeded, kept the invariants and met
+// the paper's closed forms for its (strategy, engine) pair.
+func mustHold(spec core.Spec, res metrics.Result, err error) {
+	if err == nil && !res.Ok() {
+		err = fmt.Errorf("invariants violated: %s", res)
+	}
+	if err == nil {
+		err = core.CheckClosedForms(spec, res)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hqbench:", err)
 		os.Exit(1)
 	}
-	if !res.Ok() {
-		fmt.Fprintf(os.Stderr, "hqbench: invariants violated: %s\n", res)
-		os.Exit(1)
-	}
-	pool.Release(env)
-	return res
 }
 
 // strategyFamily benchmarks one strategy at one dimension.
@@ -107,51 +124,6 @@ func strategyFamily(name string, d, iters int) family {
 		name:  fmt.Sprintf("%s/d=%d", name, d),
 		iters: iters,
 		run:   func() map[string]float64 { return strategyMetrics(mustRun(core.Spec{Strategy: name, Dim: d})) },
-	}
-}
-
-// cleanScaleFamily benchmarks Algorithm CLEAN at kilonode-and-up
-// boards and cross-checks every iteration against the
-// paper's closed forms (Theorems 2 and 3; the DES run saves one move
-// per root child because phase 0 places agents instead of escorting
-// them up): a scale benchmark that silently swept the wrong number of
-// nodes would be worse than no benchmark.
-func cleanScaleFamily(d, iters int) family {
-	return family{
-		name:  fmt.Sprintf("%s/d=%d", core.Clean, d),
-		iters: iters,
-		run: func() map[string]float64 {
-			res := mustRun(core.Spec{Strategy: core.Clean, Dim: d})
-			if int64(res.TeamSize) != combin.CleanTeamSize(d) ||
-				res.AgentMoves != combin.CleanAgentMoves(d)-int64(d) {
-				fmt.Fprintf(os.Stderr, "hqbench: clean/d=%d diverged from the closed forms: %s\n", d, res)
-				os.Exit(1)
-			}
-			return strategyMetrics(res)
-		},
-	}
-}
-
-// visibilityScaleFamily benchmarks Algorithm CLEAN WITH VISIBILITY on
-// the event-driven inline engine at kilonode-and-up boards,
-// cross-checking every iteration against the paper's closed forms
-// (Theorems 5, 7 and 8): team n/2, moves (d+1)*2^(d-2), makespan d. At
-// d=20 that is a 1,048,576-node board swept by 524,288 agents with no
-// per-node goroutines — the workload the engine exists for.
-func visibilityScaleFamily(d, iters int) family {
-	return family{
-		name:  fmt.Sprintf("%s/d=%d", core.Visibility, d),
-		iters: iters,
-		run: func() map[string]float64 {
-			res := mustRun(core.Spec{Strategy: core.Visibility, Dim: d})
-			if int64(res.TeamSize) != combin.VisibilityAgents(d) ||
-				res.TotalMoves != combin.VisibilityMoves(d) ||
-				res.Makespan != combin.VisibilityTime(d) {
-				fmt.Fprintf(os.Stderr, "hqbench: visibility/d=%d diverged from the closed forms: %s\n", d, res)
-				os.Exit(1)
-			}
-			return strategyMetrics(res)
-		},
 	}
 }
 
@@ -181,11 +153,11 @@ func families() []family {
 	// engine exists for. One and two iterations keep the suite in CLI
 	// territory; the closed-form self-check makes even a single
 	// iteration trustworthy.
-	fams = append(fams, cleanScaleFamily(16, 2), cleanScaleFamily(20, 1))
+	fams = append(fams, strategyFamily(core.Clean, 16, 2), strategyFamily(core.Clean, 20, 1))
 	for _, d := range []int{4, 6, 8, 10, 12} {
 		fams = append(fams, strategyFamily(core.Visibility, d, iters(d)))
 	}
-	fams = append(fams, visibilityScaleFamily(16, 2), visibilityScaleFamily(20, 1))
+	fams = append(fams, strategyFamily(core.Visibility, 16, 2), strategyFamily(core.Visibility, 20, 1))
 	fams = append(fams,
 		strategyFamily(core.Cloning, 8, 8),
 		strategyFamily(core.Synchronous, 8, 8),
@@ -239,11 +211,7 @@ func families() []family {
 			name:  "netsim-visibility/d=6",
 			iters: 10,
 			run: func() map[string]float64 {
-				st := arena.Run(6, netsim.Config{Seed: 1})
-				if !st.Ok() {
-					fmt.Fprintf(os.Stderr, "hqbench: netsim invariants violated: %s\n", st.Result)
-					os.Exit(1)
-				}
+				st := mustRunNetwork(core.Visibility, nil)
 				return map[string]float64{
 					"agents":  float64(st.TeamSize),
 					"beacons": float64(st.BeaconMessages),
@@ -254,11 +222,7 @@ func families() []family {
 			name:  "netsim-clean/d=6",
 			iters: 10,
 			run: func() map[string]float64 {
-				st := arena.RunClean(6, netsim.Config{Seed: 1})
-				if !st.Ok() {
-					fmt.Fprintf(os.Stderr, "hqbench: netsim invariants violated: %s\n", st.Result)
-					os.Exit(1)
-				}
+				st := mustRunNetwork(core.Clean, nil)
 				return map[string]float64{
 					"agents": float64(st.TeamSize),
 					"moves":  float64(st.TotalMoves),
@@ -281,11 +245,7 @@ func families() []family {
 					{Kind: faults.Cascade, Target: faults.LinkTarget(0, 1), At: 2,
 						Threshold: 2, Victims: []int{3, 5}},
 				}}
-				st := arena.Run(6, netsim.Config{Seed: 1, Faults: plan})
-				if !st.Ok() {
-					fmt.Fprintf(os.Stderr, "hqbench: netsim invariants violated: %s\n", st.Result)
-					os.Exit(1)
-				}
+				st := mustRunNetwork(core.Visibility, plan)
 				return map[string]float64{
 					"agents":      float64(st.TeamSize),
 					"wiretime":    float64(st.Link.WireTime),

@@ -31,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"hypersearch/internal/core"
 	"hypersearch/internal/faults"
 	"hypersearch/internal/heapqueue"
 	"hypersearch/internal/hypercube"
@@ -41,7 +42,6 @@ import (
 	"hypersearch/internal/runtime"
 	"hypersearch/internal/sched"
 	"hypersearch/internal/strategy"
-	"hypersearch/internal/strategy/coordinated"
 	"hypersearch/internal/suggest"
 	"hypersearch/internal/trace"
 )
@@ -181,19 +181,10 @@ func runRuntime(d int, engine string, plan *faults.Plan) (runtime.Report, error)
 	return runtime.RunClean(d, runtimeConfig(7, plan))
 }
 
+// runDES runs the discrete-event CLEAN with every-move contiguity
+// checks and a recorded trace.
 func runDES(d int, plan *faults.Plan) (metrics.Result, *strategy.Env, error) {
-	opts := strategy.Options{Record: true, Contiguity: strategy.CheckEveryMove}
-	if plan != nil {
-		if err := plan.Validate(); err != nil {
-			return metrics.Result{}, nil, err
-		}
-		if plan.RequiresRecovery() {
-			return metrics.Result{}, nil, fmt.Errorf("crash faults require the goroutine runtime")
-		}
-		opts.Faults = faults.NewInjector(plan)
-	}
-	res, env := coordinated.Run(d, opts)
-	return res, env, nil
+	return core.Run(core.Spec{Strategy: core.Clean, Dim: d, CheckEveryMove: true, Record: true, Faults: plan})
 }
 
 func runScenario(d int, s scenario, bases map[string]baseline) outcome {
@@ -408,16 +399,22 @@ type netBaseline struct {
 	moves, agentMsgs, beaconMsgs int64
 }
 
+// netsimStrategies maps each netsim engine label to the strategy it
+// runs on the network engine.
+var netsimStrategies = map[string]string{
+	engineNetsimVis:   core.Visibility,
+	engineNetsimClone: core.Cloning,
+	engineNetsimClean: core.Clean,
+}
+
 func runNetsim(a *netarena.Arena, d int, engine string, plan *faults.Plan) netsim.Stats {
-	cfg := netsim.Config{Seed: 7, MaxLatency: 300 * time.Microsecond, Faults: plan}
-	switch engine {
-	case engineNetsimClone:
-		return a.RunCloning(d, cfg)
-	case engineNetsimClean:
-		return a.RunClean(d, cfg)
-	default:
-		return a.Run(d, cfg)
+	spec := core.Spec{Strategy: netsimStrategies[engine], Dim: d, Engine: core.EngineNetwork,
+		Seed: 7, AdversarialLatency: 300, Faults: plan}
+	st, err := core.RunNetwork(spec, a)
+	if err != nil {
+		panic(err) // the campaign's plans carry only link faults
 	}
+	return st
 }
 
 // runNetScenario executes one wire-fault scenario: the run must

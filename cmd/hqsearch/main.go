@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -70,7 +71,9 @@ func main() {
 		AdversarialLatency: *async,
 		ConvoyTeam:         *convoy,
 		CheckEveryMove:     *check,
-		Record:             *tracePath != "" || *order,
+		// -order and -states read the final board, which only an engine
+		// that keeps a trace returns; core rejects the others.
+		Record: *tracePath != "" || *order || *states,
 	}
 
 	var (
@@ -78,8 +81,11 @@ func main() {
 		streamBuf *bufio.Writer
 	)
 	if *streamTrace != "" {
-		if *engine != "" && *engine != core.EngineDES {
-			fmt.Fprintln(os.Stderr, "hqsearch: -stream-trace needs the des engine")
+		// Ask core whether the engine keeps a trace before truncating
+		// the file.
+		spec.Stream = trace.NewStream(io.Discard)
+		if err := core.Check(spec); err != nil {
+			fmt.Fprintln(os.Stderr, "hqsearch:", err)
 			os.Exit(2)
 		}
 		f, err := os.Create(*streamTrace)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"hypersearch/internal/combin"
 	"hypersearch/internal/faults"
 	"hypersearch/internal/strategy"
+	"hypersearch/internal/trace"
 )
 
 func TestRunAllStrategiesDES(t *testing.T) {
@@ -155,6 +157,35 @@ func TestRunErrors(t *testing.T) {
 	lag := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.KernelLag, From: 0, To: math.MaxInt64}}}
 	if _, _, err := Run(Spec{Strategy: Visibility, Dim: 3, Faults: lag}); err == nil {
 		t.Error("kernel-lag window ending at math.MaxInt64 accepted")
+	}
+	// A plan whose faults the engine never fires is an error, not a
+	// fault-free run under the plan's name: the network engine injects
+	// only link faults, and no DES strategy broadcasts wakeups.
+	stall := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.Stall, Target: faults.TargetAny, At: 3, Delay: 5}}}
+	crash := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.Crash, Target: faults.TargetSync, At: 1}}}
+	lost := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.LostWakeup, At: 1, Until: 200}}}
+	for _, spec := range []Spec{
+		{Strategy: Visibility, Dim: 3, Engine: EngineNetwork, Faults: stall},
+		{Strategy: Visibility, Dim: 3, Engine: EngineNetwork, Faults: crash},
+		{Strategy: Clean, Dim: 5, Faults: lost},
+		{Strategy: Visibility, Dim: 5, AdversarialLatency: 13, Faults: lost},
+		{Strategy: Cloning, Dim: 5, Engine: EngineDES, Faults: lost},
+	} {
+		if _, _, err := Run(spec); err == nil {
+			t.Errorf("%s on engine %q accepted plan %v, whose faults it never fires", spec.Strategy, spec.Engine, spec.Faults.Faults[0].Kind)
+		}
+	}
+	// Record and Stream are errors on the engines that keep no trace,
+	// not flags silently ignored.
+	for _, spec := range []Spec{
+		{Strategy: Clean, Dim: 4, Engine: EngineGoroutines, Record: true},
+		{Strategy: Visibility, Dim: 4, Engine: EngineNetwork, Record: true},
+		{Strategy: Clean, Dim: 4, Engine: EngineGoroutines, Stream: trace.NewStream(io.Discard)},
+		{Strategy: Cloning, Dim: 4, Engine: EngineNetwork, Stream: trace.NewStream(io.Discard)},
+	} {
+		if _, _, err := Run(spec); err == nil {
+			t.Errorf("%s on engine %q accepted Record=%v Stream=%v but keeps no trace", spec.Strategy, spec.Engine, spec.Record, spec.Stream != nil)
+		}
 	}
 }
 

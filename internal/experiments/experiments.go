@@ -9,7 +9,6 @@ import (
 	"fmt"
 	goruntime "runtime"
 	"strings"
-	"time"
 
 	"hypersearch/internal/board"
 	"hypersearch/internal/combin"
@@ -544,9 +543,7 @@ func x9Ceiling(numCPU int) int {
 // byte-identical for every worker count.
 func X9(maxD, seeds, workers int) Report {
 	t := metrics.NewTable("protocol", "d", "n", "agents", "migrations", "beacons/sync hops", "all seeds OK")
-	protocols := []func(a *netarena.Arena, d int, cfg netsim.Config) netsim.Stats{
-		(*netarena.Arena).Run, (*netarena.Arena).RunClean, (*netarena.Arena).RunCloning,
-	}
+	protocols := []string{core.Visibility, core.Clean, core.Cloning}
 	dims := maxD - 1 // d ranges over 2..maxD
 	if dims < 0 {
 		dims = 0
@@ -556,11 +553,12 @@ func X9(maxD, seeds, workers int) Report {
 	// sweep builds each dimension's mailboxes/ledgers once per worker
 	// instead of once per (protocol, seed) run.
 	arenas := netArenas(workers)
-	flat, err := sched.CollectW(workers, dims*len(protocols)*seeds, func(w, i int) netsim.Stats {
+	flat, err := sched.MapW(workers, dims*len(protocols)*seeds, func(w, i int) (netsim.Stats, error) {
 		seed := i % seeds
 		proto := i / seeds % len(protocols)
 		d := 2 + i/(seeds*len(protocols))
-		return protocols[proto](arenas[w], d, netsim.Config{Seed: int64(seed), MaxLatency: 5 * time.Microsecond})
+		return core.RunNetwork(core.Spec{Strategy: protocols[proto], Dim: d, Engine: core.EngineNetwork,
+			Seed: int64(seed), AdversarialLatency: 5}, arenas[w])
 	})
 	if err != nil {
 		panic(err)

@@ -61,29 +61,3 @@ func (a *Arena) Release(f *netsim.Fabric) {
 	f.Quiesce()
 	a.fabrics[f.Dim()] = f
 }
-
-// Run executes the visibility protocol on a pooled fabric: Acquire,
-// netsim.RunOn, Release. A panicking run skips the Release, so the
-// poisoned fabric is dropped rather than pooled.
-func (a *Arena) Run(d int, cfg netsim.Config) netsim.Stats {
-	f := a.Acquire(d)
-	s := netsim.RunOn(f, cfg)
-	a.Release(f)
-	return s
-}
-
-// RunClean executes Algorithm CLEAN on a pooled fabric.
-func (a *Arena) RunClean(d int, cfg netsim.Config) netsim.Stats {
-	f := a.Acquire(d)
-	s := netsim.RunCleanOn(f, cfg)
-	a.Release(f)
-	return s
-}
-
-// RunCloning executes the cloning variant on a pooled fabric.
-func (a *Arena) RunCloning(d int, cfg netsim.Config) netsim.Stats {
-	f := a.Acquire(d)
-	s := netsim.RunCloningOn(f, cfg)
-	a.Release(f)
-	return s
-}

@@ -9,15 +9,24 @@ import (
 	"hypersearch/internal/netsim"
 )
 
-// engines are the three netsim protocols, paired fresh-vs-arena.
+// engines are the three netsim protocols, each as a fresh-fabric run
+// and as a run on a caller's fabric.
 var engines = []struct {
 	name  string
 	fresh func(d int, cfg netsim.Config) netsim.Stats
-	arena func(a *Arena, d int, cfg netsim.Config) netsim.Stats
+	on    func(f *netsim.Fabric, cfg netsim.Config) netsim.Stats
 }{
-	{"visibility", netsim.Run, (*Arena).Run},
-	{"clean", netsim.RunClean, (*Arena).RunClean},
-	{"cloning", netsim.RunCloning, (*Arena).RunCloning},
+	{"visibility", netsim.Run, netsim.RunOn},
+	{"clean", netsim.RunClean, netsim.RunCleanOn},
+	{"cloning", netsim.RunCloning, netsim.RunCloningOn},
+}
+
+// runPooled runs one engine on a fabric from a: Acquire, run, Release.
+func runPooled(a *Arena, d int, cfg netsim.Config, on func(*netsim.Fabric, netsim.Config) netsim.Stats) netsim.Stats {
+	f := a.Acquire(d)
+	s := on(f, cfg)
+	a.Release(f)
+	return s
 }
 
 // dupPlan builds a link-fault plan whose duplicate copies and delays
@@ -46,7 +55,7 @@ func TestArenaMatchesFreshByteIdentity(t *testing.T) {
 			cfg := netsim.Config{Seed: int64(11*d + 5), MaxLatency: 20 * time.Microsecond}
 			fresh := e.fresh(d, cfg)
 			for round := 0; round < 3; round++ {
-				got := e.arena(a, d, cfg)
+				got := runPooled(a, d, cfg, e.on)
 				if got != fresh {
 					t.Errorf("%s d=%d round %d: arena stats diverge from fresh:\narena: %+v\nfresh: %+v",
 						e.name, d, round, got, fresh)
@@ -72,11 +81,11 @@ func TestArenaReuseAcrossFaultedThenClean(t *testing.T) {
 
 			faulted := cfg
 			faulted.Faults = dupPlan(d)
-			ff := e.arena(a, d, faulted)
+			ff := runPooled(a, d, faulted, e.on)
 			if ff.Link.Dups == 0 {
 				t.Errorf("%s d=%d: faulted run injected no duplicates; plan inert", e.name, d)
 			}
-			got := e.arena(a, d, cfg)
+			got := runPooled(a, d, cfg, e.on)
 			if got != fresh {
 				t.Errorf("%s d=%d: clean run after faulted reuse diverges:\narena: %+v\nfresh: %+v",
 					e.name, d, got, fresh)
@@ -167,15 +176,7 @@ func TestArenaReuseAfterPartition(t *testing.T) {
 			faulted := cfg
 			faulted.Faults = partitionPlan(d)
 			f := a.Acquire(d)
-			var ff netsim.Stats
-			switch e.name {
-			case "visibility":
-				ff = netsim.RunOn(f, faulted)
-			case "clean":
-				ff = netsim.RunCleanOn(f, faulted)
-			case "cloning":
-				ff = netsim.RunCloningOn(f, faulted)
-			}
+			ff := e.on(f, faulted)
 			if ff.Link.Partitioned == 0 {
 				t.Errorf("%s d=%d: partition parked no frames; plan inert (%+v)", e.name, d, ff.Link)
 			}
@@ -184,7 +185,7 @@ func TestArenaReuseAfterPartition(t *testing.T) {
 			}
 			a.Release(f)
 
-			got := e.arena(a, d, cfg)
+			got := runPooled(a, d, cfg, e.on)
 			if got != fresh {
 				t.Errorf("%s d=%d: fault-free run on the reused fabric diverges:\narena: %+v\nfresh: %+v",
 					e.name, d, got, fresh)

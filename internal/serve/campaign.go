@@ -42,6 +42,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"hypersearch/internal/core"
 	"hypersearch/internal/faults"
@@ -75,10 +76,12 @@ type Request struct {
 	AdversarialLatency int64 `json:"adversarial_latency,omitempty"`
 
 	// Faults optionally injects a deterministic fault plan into every
-	// run. DES campaigns take delay faults (stall, spike, starve,
-	// lost-wakeup, kernel-lag); network campaigns take wire faults
-	// (drop/dup/delay/host-crash/partition/cascade). Crash faults need
-	// the goroutine runtime and are rejected at admission.
+	// run. DES campaigns take the delay faults stall, latency-spike,
+	// lock-starve and kernel-lag; network campaigns take the link
+	// faults link-drop, link-dup, link-delay, host-crash, partition and
+	// cascade, except that clean takes no host-crash or cascade. Any
+	// other kind (crash and lost-wakeup need the goroutine runtime) is
+	// rejected at admission; core.Spec.Faults states the same table.
 	Faults *faults.Plan `json:"faults,omitempty"`
 
 	// DeadlineMS caps the campaign's wall-clock execution; 0 uses the
@@ -121,20 +124,14 @@ func (r RunSpec) Key() Key {
 	}
 }
 
-// desProtocols are the strategies served on the DES engine. The naive
-// baselines are deliberately absent: the service exists for the
-// paper's deterministic strategies, and every admitted run must be
-// cacheable by its key.
-var desProtocols = []string{core.Clean, core.Visibility, core.Cloning, core.Synchronous}
-
-// networkProtocols are the protocols with a message-passing engine.
-var networkProtocols = []string{core.Visibility, core.Clean, core.Cloning}
-
+// protocolsFor lists the protocols served on engine: core's strategies
+// for it, in core's order, less the naive baselines. The service exists
+// for the paper's strategies, and naive-convoy's team size is not part
+// of a run's cache key.
 func protocolsFor(engine string) []string {
-	if engine == EngineNetwork {
-		return networkProtocols
-	}
-	return desProtocols
+	return slices.DeleteFunc(core.EngineStrategies(engine), func(p string) bool {
+		return p == core.NaiveDFS || p == core.NaiveConvoy
+	})
 }
 
 // ParseRequest decodes one campaign submission, rejecting unknown
@@ -189,20 +186,13 @@ func (q *Request) Validate(lim Limits) error {
 	if q.DimMax > lim.MaxDim {
 		return fmt.Errorf("dim_max %d exceeds the server's limit %d", q.DimMax, lim.MaxDim)
 	}
-	if len(q.Protocols) == 0 {
-		return fmt.Errorf("no protocols requested (want a subset of %v)", protocolsFor(q.Engine))
-	}
 	known := protocolsFor(q.Engine)
+	if len(q.Protocols) == 0 {
+		return fmt.Errorf("no protocols requested (want a subset of %v)", known)
+	}
 	seen := map[string]bool{}
 	for _, p := range q.Protocols {
-		ok := false
-		for _, k := range known {
-			if p == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(known, p) {
 			if close := suggest.Nearest(p, known); close != "" {
 				return fmt.Errorf("unknown protocol %q on engine %q — did you mean %q?", p, q.Engine, close)
 			}
@@ -235,40 +225,14 @@ func (q *Request) Validate(lim Limits) error {
 	if n := q.runs(); n > lim.MaxRuns {
 		return fmt.Errorf("campaign expands to %d runs, server limit is %d", n, lim.MaxRuns)
 	}
-	return q.validatePlan()
-}
-
-// validatePlan applies the per-engine fault-plan admission rules, the
-// same checks the engines enforce at config time — rejected here they
-// cost a 400, rejected there they'd cost a failed campaign.
-func (q *Request) validatePlan() error {
-	if q.Faults == nil {
-		return nil
-	}
-	if err := q.Faults.Validate(); err != nil {
-		return err
-	}
-	if q.Faults.RequiresRecovery() {
-		return fmt.Errorf("plan %q carries crash faults, which need the crash-tolerant goroutine runtime — not served", q.Faults.Name)
-	}
-	switch q.Engine {
-	case EngineDES:
-		if q.Faults.HasLinkFaults() {
-			return fmt.Errorf("plan %q carries link faults, which need the network engine", q.Faults.Name)
-		}
-	case EngineNetwork:
-		// A link target valid on H_8 may name a host outside H_4, so
-		// the plan must fit every dimension of the range.
-		for d := q.DimMin; d <= q.DimMax; d++ {
-			if err := q.Faults.ValidateForHosts(1 << d); err != nil {
+	// core decides what each engine runs: dimensions, fault kinds, and
+	// a plan's fit to the topology. A link target valid on H_8 may name
+	// a host outside H_4, so every dimension of the range is checked.
+	for d := q.DimMin; d <= q.DimMax; d++ {
+		for _, p := range q.Protocols {
+			spec := core.Spec{Strategy: p, Dim: d, Engine: q.Engine, Faults: q.Faults}
+			if err := core.Check(spec); err != nil {
 				return fmt.Errorf("at d=%d: %w", d, err)
-			}
-		}
-		if q.Faults.HasHostCrashFaults() {
-			for _, p := range q.Protocols {
-				if p == core.Clean {
-					return fmt.Errorf("plan %q carries host-crash/cascade faults, which the clean network protocol rejects", q.Faults.Name)
-				}
 			}
 		}
 	}

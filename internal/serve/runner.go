@@ -3,13 +3,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"hypersearch/internal/core"
 	"hypersearch/internal/envpool"
 	"hypersearch/internal/metrics"
 	"hypersearch/internal/netarena"
-	"hypersearch/internal/netsim"
 	"hypersearch/internal/netsim/faultlink"
 	"hypersearch/internal/strategy"
 )
@@ -91,15 +89,17 @@ func (f *fleet) run(w int, spec RunSpec) (RunRecord, error) {
 // fleet's pools, or fresh environments for the serial path.
 func executeSpec(src strategy.Source, arena *netarena.Arena, spec RunSpec) (RunRecord, error) {
 	rec := RunRecord{Dim: spec.Dim, Protocol: spec.Protocol, Engine: spec.Engine, Seed: spec.Seed}
+	cs := core.Spec{
+		Strategy:           spec.Protocol,
+		Dim:                spec.Dim,
+		Engine:             spec.Engine,
+		Seed:               spec.Seed,
+		AdversarialLatency: spec.AdversarialLatency,
+		Faults:             spec.Plan,
+	}
 	switch spec.Engine {
 	case EngineDES, "":
-		res, env, err := core.RunWith(core.Spec{
-			Strategy:           spec.Protocol,
-			Dim:                spec.Dim,
-			Seed:               spec.Seed,
-			AdversarialLatency: spec.AdversarialLatency,
-			Faults:             spec.Plan,
-		}, src)
+		res, env, err := core.RunWith(cs, src)
 		if err != nil {
 			return rec, err
 		}
@@ -107,21 +107,9 @@ func executeSpec(src strategy.Source, arena *netarena.Arena, spec RunSpec) (RunR
 		rec.Engine = EngineDES
 		rec.Result = res
 	case EngineNetwork:
-		cfg := netsim.Config{
-			Seed:       spec.Seed,
-			MaxLatency: time.Duration(spec.AdversarialLatency) * time.Microsecond,
-			Faults:     spec.Plan,
-		}
-		var st netsim.Stats
-		switch spec.Protocol {
-		case core.Visibility:
-			st = arena.Run(spec.Dim, cfg)
-		case core.Clean:
-			st = arena.RunClean(spec.Dim, cfg)
-		case core.Cloning:
-			st = arena.RunCloning(spec.Dim, cfg)
-		default:
-			return rec, fmt.Errorf("serve: protocol %q has no network engine", spec.Protocol)
+		st, err := core.RunNetwork(cs, arena)
+		if err != nil {
+			return rec, err
 		}
 		rec.Result = st.Result
 		rec.Net = &NetStats{

@@ -69,6 +69,8 @@ func TestValidateRejections(t *testing.T) {
 	bigLink := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.LinkDrop, Target: faults.LinkTarget(0, 128), At: 1}}}
 	hostCrash := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.HostCrash, Target: faults.LinkTarget(0, 1), At: 1}}}
 	endlessLag := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.KernelLag, From: 0, To: math.MaxInt64}}}
+	stall := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.Stall, Target: faults.TargetAny, At: 3, Delay: 5}}}
+	lostWakeup := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.LostWakeup, At: 1, Until: 200}}}
 	manySeeds := make([]int64, 20)
 	for i := range manySeeds {
 		manySeeds[i] = int64(i)
@@ -96,11 +98,24 @@ func TestValidateRejections(t *testing.T) {
 		{"host crash vs clean net", Request{DimMin: 2, Engine: EngineNetwork, Protocols: []string{core.Clean}, Faults: hostCrash}, "clean"},
 		{"kernel-lag end overflowing the clock", Request{DimMin: 2, Protocols: []string{core.Visibility}, Faults: endlessLag}, "kernel-lag window end"},
 		{"network-only protocol", Request{DimMin: 2, Engine: EngineNetwork, Protocols: []string{core.Synchronous}}, "unknown protocol"},
+		// Plans whose faults the engine never fires are refused at
+		// admission.
+		{"stall plan on network", Request{DimMin: 2, Engine: EngineNetwork, Protocols: []string{core.Visibility}, Faults: stall}, "stall"},
+		{"lost-wakeup plan on des", Request{DimMin: 2, Protocols: []string{core.Cloning}, Faults: lostWakeup}, "lost-wakeup"},
+		// Under a server limit past every engine's own, the engines'
+		// limits still hold.
+		{"network beyond its limit", Request{DimMin: 25, Engine: EngineNetwork, Protocols: []string{core.Visibility}}, "at d=25"},
+		{"network far beyond its limit", Request{DimMin: 30, Engine: EngineNetwork, Protocols: []string{core.Clean}}, "at d=30"},
+		{"des beyond the topology", Request{DimMin: 31, Protocols: []string{core.Visibility}}, "at d=31"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			q := tc.req
 			q.Normalize()
+			lim := lim
+			if q.DimMin > lim.MaxDim {
+				lim.MaxDim = 40 // past every engine's own limit
+			}
 			err := q.Validate(lim)
 			if err == nil {
 				t.Fatalf("want rejection containing %q, got nil", tc.want)
