@@ -18,6 +18,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"hypersearch/internal/bits"
@@ -82,7 +83,9 @@ type Spec struct {
 	// Faults optionally injects a deterministic fault plan. A plan
 	// carrying a kind the engine does not inject is rejected rather
 	// than run with faults that never fire. The DES injects stall,
-	// latency-spike, lock-starve and kernel-lag; the network engine
+	// latency-spike, lock-starve and kernel-lag, and rejects delays
+	// targeted at "order:<key>" (its moves carry no order key); the
+	// network engine
 	// the link kinds (link-drop, link-dup, link-delay, host-crash,
 	// partition, cascade), less host-crash and cascade for clean; the
 	// goroutine engine none (crash and lost-wakeup faults go through
@@ -228,6 +231,11 @@ func lookup(spec Spec) (*row, error) {
 				where = fmt.Sprintf("%s on the %s engine does", table[i].strategy, table[i].engine)
 			}
 			return nil, fmt.Errorf("core: plan %q carries %s faults, which %s on the %s engine does not inject; %s", spec.Faults.Name, f.Kind, r.strategy, r.engine, where)
+		}
+		// A move delay counts its target's moves, and DES moves carry
+		// no order key, so an order-targeted delay would never fire.
+		if r.des != nil && f.Kind != faults.KernelLag && strings.HasPrefix(f.Target, "order:") {
+			return nil, fmt.Errorf("core: plan %q targets %s faults at %q, but moves on the %s engine carry no order key, so they never fire", spec.Faults.Name, f.Kind, f.Target, r.engine)
 		}
 	}
 	return r, nil

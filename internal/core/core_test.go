@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hypersearch/internal/bits"
@@ -173,6 +174,24 @@ func TestRunErrors(t *testing.T) {
 	} {
 		if _, _, err := Run(spec); err == nil {
 			t.Errorf("%s on engine %q accepted plan %v, whose faults it never fires", spec.Strategy, spec.Engine, spec.Faults.Faults[0].Kind)
+		}
+	}
+	// DES moves carry no order key, so a delay aimed at an order never
+	// fires: the DES rejects stall, latency-spike and lock-starve faults
+	// with an order target instead of returning the fault-free result.
+	orderStall := &faults.Plan{Seed: 1, Faults: []faults.Fault{
+		{Kind: faults.Stall, Target: "order:p0.e1", At: 1, Delay: 50},
+		{Kind: faults.LatencySpike, Target: "order:p0.e1", At: 1, Until: 9, Delay: 9},
+	}}
+	orderStarve := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.LockStarve, Target: "order:p0.e1", At: 2, Delay: 7}}}
+	for _, spec := range []Spec{
+		{Strategy: Clean, Dim: 5, Faults: orderStall},
+		{Strategy: Visibility, Dim: 5, Faults: orderStall},
+		{Strategy: Cloning, Dim: 5, Faults: orderStall},
+		{Strategy: NaiveDFS, Dim: 3, AdversarialLatency: 13, Faults: orderStarve},
+	} {
+		if _, _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "order key") {
+			t.Errorf("%s accepted order-targeted %v faults, which never fire on the DES (err %v)", spec.Strategy, spec.Faults.Faults[0].Kind, err)
 		}
 	}
 	// Record and Stream are errors on the engines that keep no trace,

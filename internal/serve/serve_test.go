@@ -71,6 +71,10 @@ func TestValidateRejections(t *testing.T) {
 	endlessLag := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.KernelLag, From: 0, To: math.MaxInt64}}}
 	stall := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.Stall, Target: faults.TargetAny, At: 3, Delay: 5}}}
 	lostWakeup := &faults.Plan{Seed: 1, Faults: []faults.Fault{{Kind: faults.LostWakeup, At: 1, Until: 200}}}
+	orderDelay := &faults.Plan{Seed: 1, Faults: []faults.Fault{
+		{Kind: faults.Stall, Target: "order:p0.e1", At: 1, Delay: 50},
+		{Kind: faults.LatencySpike, Target: "order:p0.e1", At: 1, Until: 9, Delay: 9},
+	}}
 	manySeeds := make([]int64, 20)
 	for i := range manySeeds {
 		manySeeds[i] = int64(i)
@@ -102,6 +106,7 @@ func TestValidateRejections(t *testing.T) {
 		// admission.
 		{"stall plan on network", Request{DimMin: 2, Engine: EngineNetwork, Protocols: []string{core.Visibility}, Faults: stall}, "stall"},
 		{"lost-wakeup plan on des", Request{DimMin: 2, Protocols: []string{core.Cloning}, Faults: lostWakeup}, "lost-wakeup"},
+		{"order-targeted delays on des", Request{DimMin: 2, Protocols: []string{core.Clean, core.Visibility}, Faults: orderDelay}, "order key"},
 		// Under a server limit past every engine's own, the engines'
 		// limits still hold.
 		{"network beyond its limit", Request{DimMin: 25, Engine: EngineNetwork, Protocols: []string{core.Visibility}}, "at d=25"},
