@@ -4,8 +4,8 @@ import mathbits "math/bits"
 
 // words is a fixed-capacity bitset packed into 64-bit words. The board
 // keeps one bitplane per boolean node attribute (decontaminated,
-// ever-clean, settled, occupied, flood-visited), so per-node state
-// costs bits instead of the bytes the legacy []bool/[]int layout paid.
+// ever-clean, settled, flood-visited), so per-node state costs bits
+// instead of the bytes the legacy []bool/[]int layout paid.
 // Bits above the node count are never set, so popcounts need no tail
 // masking.
 type words []uint64

@@ -2,15 +2,16 @@ package board
 
 import "fmt"
 
-// sparseCount maps node -> number of agents standing on it, for the
-// handful of nodes that are occupied at any instant. The legacy board
-// kept a dense count []int — O(n·8B) that a d=20 board cannot afford
-// when the team touches at most CleanTeamSize(d) ≪ n nodes at once.
+// sparseCount maps node -> count for the few nodes whose agent count
+// passes what the board's byte-per-node plane holds: the board keeps
+// the first 255 agents on a node in that byte and the excess here.
+// Only the homebase of a big team and the crowded nodes of the
+// visibility strategy (about 512 of them at d=18) ever get an entry.
 //
 // Open addressing with linear probing and backward-shift deletion;
 // keys are stored as node+1 so the zero word means empty. The table
-// grows at 50% load and is bounded by the peak number of simultaneously
-// occupied nodes, not by the graph order.
+// grows at 50% load and is bounded by the peak number of nodes holding
+// an excess at once, not by the graph order.
 type sparseCount struct {
 	keys []int32 // node+1; 0 = empty slot
 	vals []int32
@@ -111,36 +112,6 @@ func (s *sparseCount) grow() {
 	s.keys = make([]int32, 2*len(oldKeys))
 	s.vals = make([]int32, 2*len(oldVals))
 	mask := uint32(len(s.keys) - 1)
-	for j, key := range oldKeys {
-		if key == 0 {
-			continue
-		}
-		i := s.slot(key)
-		for s.keys[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.keys[i] = key
-		s.vals[i] = oldVals[j]
-	}
-}
-
-// reserve grows the table so it can hold at least k live entries
-// without ever rehashing mid-run. A visibility-style run ends with one
-// guard per leaf — n/2 simultaneously occupied nodes at d=20 — and
-// growing to that size through doubling would rehash megabyte tables a
-// dozen times inside the measured region.
-func (s *sparseCount) reserve(k int) {
-	need := sparseMinCap
-	for need < 2*(k+1) {
-		need <<= 1
-	}
-	if len(s.keys) >= need {
-		return
-	}
-	oldKeys, oldVals := s.keys, s.vals
-	s.keys = make([]int32, need)
-	s.vals = make([]int32, need)
-	mask := uint32(need - 1)
 	for j, key := range oldKeys {
 		if key == 0 {
 			continue

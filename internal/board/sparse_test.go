@@ -63,44 +63,9 @@ func TestSparseCountDecPanicsOnEmptyNode(t *testing.T) {
 	s.dec(4)
 }
 
-// TestSparseCountReserve: reserving capacity up front preserves the
-// live entries, prevents any further growth up to the reserved load,
-// and is idempotent and safe on empty and on already-populated tables.
-func TestSparseCountReserve(t *testing.T) {
-	var s sparseCount
-	for v := 0; v < 10; v++ {
-		s.inc(v)
-	}
-	const k = 1000
-	s.reserve(k)
-	capAfter := len(s.keys)
-	if capAfter < 2*(k+1) {
-		t.Fatalf("reserve(%d) left capacity %d, want >= %d", k, capAfter, 2*(k+1))
-	}
-	for v := 0; v < 10; v++ {
-		if s.get(v) != 1 {
-			t.Fatalf("reserve lost entry for node %d", v)
-		}
-	}
-	for v := 10; v < k; v++ {
-		s.inc(v)
-	}
-	if len(s.keys) != capAfter {
-		t.Fatalf("table grew to %d entries despite reserve(%d) to capacity %d", len(s.keys), k, capAfter)
-	}
-	for v := 0; v < k; v++ {
-		if s.get(v) != 1 {
-			t.Fatalf("node %d count = %d after fill, want 1", v, s.get(v))
-		}
-	}
-	s.reserve(k / 2) // smaller reservation must be a no-op
-	if len(s.keys) != capAfter {
-		t.Fatalf("shrinking reserve resized the table to %d", len(s.keys))
-	}
-}
-
-// TestBoardReserve: Board.Reserve pre-sizes both the position slice and
-// the count table without disturbing live agents.
+// TestBoardReserve: Board.Reserve pre-sizes the position slice without
+// disturbing live agents, and 500 agents on the homebase count right
+// across the byte plane's 255 and the overflow table.
 func TestBoardReserve(t *testing.T) {
 	b := New(hypercube.New(4), 0)
 	a := b.Place(0)
