@@ -64,7 +64,9 @@ func TestPathSweepIsMonotone(t *testing.T) {
 	b.RecordClean(true)
 	a := b.Place(0)
 	for v := 1; v < n; v++ {
-		b.Move(a, v, int64(v))
+		if from := b.Move(a, v, int64(v)); from != v-1 {
+			t.Fatalf("Move to %d returned %d, want the node it left, %d", v, from, v-1)
+		}
 		if !b.Contiguous() {
 			t.Fatalf("contiguity broken at step %d", v)
 		}
@@ -88,7 +90,9 @@ func TestPathSweepIsMonotone(t *testing.T) {
 	if b.CleanOrder(n-1) != -1 {
 		t.Error("guarded terminal node should not be settled yet")
 	}
-	b.Terminate(a, int64(n))
+	if v := b.Terminate(a, int64(n)); v != n-1 {
+		t.Errorf("Terminate returned %d, want the node it settled on, %d", v, n-1)
+	}
 	if b.CleanOrder(n-1) < 0 {
 		t.Error("terminate should settle the final node")
 	}

@@ -347,8 +347,7 @@ func (e *Env) Clone(parent, v int, role string) int {
 
 // Terminate retires an agent in place.
 func (e *Env) Terminate(agent int) {
-	v, _ := e.B.Position(agent)
-	e.B.Terminate(agent, e.Sim.Now())
+	v := e.B.Terminate(agent, e.Sim.Now())
 	if e.log != nil || e.sink != nil {
 		e.emit(trace.Event{Time: e.Sim.Now(), Kind: trace.Terminate, Agent: agent, From: v, To: v})
 	}
@@ -361,8 +360,7 @@ func (e *Env) Terminate(agent int) {
 // An escort (the synchronizer carrying a cleaner across one edge) is
 // one draw and two ApplyMoves at the same instant.
 func (e *Env) ApplyMove(agent, to int, role string) {
-	from, _ := e.B.Position(agent)
-	e.B.Move(agent, to, e.Sim.Now())
+	from := e.B.Move(agent, to, e.Sim.Now())
 	switch role {
 	case RoleCleaner:
 		e.cleanerMoves++
@@ -430,13 +428,18 @@ func (e *Env) Walk(agent, dst int, role string, arrived func(agent, dst int)) {
 }
 
 // step lands the hop in flight, if any, then starts the next one or
-// finishes the walk, returning the walker to the pool.
+// finishes the walk, returning the walker to the pool. The agent's
+// node is the hop it just landed; only the first step reads it from
+// the board.
 func (w *walker) step(s *des.Simulator) {
 	e := w.env
-	if w.hop >= 0 {
-		e.ApplyMove(w.agent, w.hop, w.role)
+	at := w.hop
+	if at >= 0 {
+		e.ApplyMove(w.agent, at, w.role)
+	} else {
+		at, _ = e.B.Position(w.agent)
 	}
-	if at, _ := e.B.Position(w.agent); at != w.dst {
+	if at != w.dst {
 		w.hop = e.H.NextHopToward(at, w.dst)
 		s.AfterInline(e.MoveLatency(w.agent, at, w.hop, w.role), &w.Inline)
 		return
