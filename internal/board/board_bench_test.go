@@ -3,6 +3,7 @@ package board
 import (
 	"testing"
 
+	"hypersearch/internal/graph"
 	"hypersearch/internal/hypercube"
 )
 
@@ -24,16 +25,30 @@ func BenchmarkMoveHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkContiguityCheck measures the full O(n+m) connectivity scan
-// used by the every-move checking mode.
+// BenchmarkContiguityCheck times the final contiguity check every run
+// pays: an all-clean H_16, on the hypercube word search and on the
+// generic node BFS (the same cube behind plainGraph).
 func BenchmarkContiguityCheck(b *testing.B) {
-	h := hypercube.New(12)
-	bd := New(h, 0)
-	bd.Place(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !bd.Contiguous() {
-			b.Fatal("board should be contiguous")
-		}
+	h := hypercube.New(16)
+	all := make([]bool, h.Order())
+	for v := range all {
+		all[v] = true
+	}
+	for _, bc := range []struct {
+		name string
+		g    graph.Graph
+	}{
+		{"hypercube", h},
+		{"generic", plainGraph{h}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bd := New(bc.g, 0)
+			setDecon(bd, all)
+			for i := 0; i < b.N; i++ {
+				if !bd.Contiguous() {
+					b.Fatal("an all-clean board should be contiguous")
+				}
+			}
+		})
 	}
 }
