@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt build vet staticcheck test race ci faults faults-netsim fuzz bench bench-quick bench-smoke bench-check bench-scale bench-scale-smoke serve-smoke serve-loadtest perfbench-test
+.PHONY: all fmt build vet staticcheck test race ci faults faults-netsim fuzz bench bench-quick bench-smoke bench-check bench-scale bench-scale-smoke profile-sweeps serve-smoke serve-loadtest perfbench-test
 
 # Committed benchmark baseline the regression gate compares against.
 BENCH_BASELINE ?= BENCH_pr8.json
@@ -82,6 +82,17 @@ bench-scale:
 # closed-form self-checks without paying for the d=20 megannode runs.
 bench-scale-smoke:
 	$(GO) run ./cmd/hqbench -out /tmp/BENCH_scale_smoke.json -families clean/d=16,visibility/d=16 -against $(BENCH_BASELINE)
+
+# CPU profiles of the two perfbench sweeps' run shapes
+# (BenchmarkSweepShapes in internal/core) at GOMAXPROCS=1: 20
+# visibility runs at d=18 and 100 CLEAN runs at d=14 under adversary
+# 13, each profile written to /tmp and printed as pprof's top table.
+# A starting point for a board or engine change; not part of ci.
+profile-sweeps:
+	GOMAXPROCS=1 $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweepShapes/visibility' -benchtime 20x -o /tmp/sweeps.test -cpuprofile /tmp/sweep-visibility.pprof
+	$(GO) tool pprof -top -nodecount 40 /tmp/sweeps.test /tmp/sweep-visibility.pprof
+	GOMAXPROCS=1 $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweepShapes/clean' -benchtime 100x -o /tmp/sweeps.test -cpuprofile /tmp/sweep-clean.pprof
+	$(GO) tool pprof -top -nodecount 40 /tmp/sweeps.test /tmp/sweep-clean.pprof
 
 # Every hqbench family once, with its invariant and closed-form
 # self-checks but without the timing gate, so a self-check failure
