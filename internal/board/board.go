@@ -47,6 +47,7 @@ import (
 
 	"hypersearch/internal/graph"
 	"hypersearch/internal/hypercube"
+	"hypersearch/internal/metrics"
 )
 
 // State is the paper's node state.
@@ -692,6 +693,28 @@ func (b *Board) contiguousWords() bool {
 		}
 	}
 	return reached == b.deconCount
+}
+
+// Result summarizes the run on the board under the strategy name: the
+// order, the agents created, the peak away from home, the moves, the
+// board clock as makespan, and the three correctness verdicts. It
+// leaves Dim zero and counts every move as an agent move; an engine
+// that knows the dimension, splits moves by role or keeps no virtual
+// clock overwrites those fields.
+func (b *Board) Result(name string) metrics.Result {
+	return metrics.Result{
+		Strategy:         name,
+		Nodes:            b.n,
+		TeamSize:         len(b.pos),
+		PeakAway:         b.peakAway,
+		AgentMoves:       b.moves,
+		TotalMoves:       b.moves,
+		Makespan:         b.currentTime,
+		Recontaminations: b.recontaminations,
+		MonotoneOK:       b.violations == 0,
+		ContiguousOK:     b.Contiguous(),
+		Captured:         b.AllClean(),
+	}
 }
 
 // Snapshot returns a copy of the per-node states, for renderers and

@@ -51,12 +51,10 @@ func Run(rows, cols int) (metrics.Result, *board.Board, *trace.Log) {
 		}
 		return r*realCols + c
 	}
-	realG := board.New(topologies.Mesh(realRows, realCols), at(0, 0))
-
-	ex := &executor{b: realG, log: &trace.Log{}}
+	ex := trace.NewSequential(topologies.Mesh(realRows, realCols), at(0, 0))
 	agents := make([]int, rows)
 	for i := range agents {
-		agents[i] = ex.place(at(0, 0))
+		agents[i] = ex.Place()
 	}
 
 	// Deploy down column 0, shallowest-first: each later agent
@@ -64,54 +62,14 @@ func Run(rows, cols int) (metrics.Result, *board.Board, *trace.Log) {
 	for r := 1; r < rows; r++ {
 		a := agents[r]
 		for rr := 1; rr <= r; rr++ {
-			ex.move(a, at(rr, 0))
+			ex.Move(a, at(rr, 0))
 		}
 	}
 	// Advance the rank column by column.
 	for c := 1; c < cols; c++ {
 		for r := 0; r < rows; r++ {
-			ex.move(agents[r], at(r, c))
+			ex.Move(agents[r], at(r, c))
 		}
 	}
-	for _, a := range agents {
-		ex.terminate(a)
-	}
-
-	return metrics.Result{
-		Strategy:         Name,
-		Nodes:            realG.Graph().Order(),
-		TeamSize:         rows,
-		PeakAway:         realG.PeakAway(),
-		AgentMoves:       realG.Moves(),
-		TotalMoves:       realG.Moves(),
-		Makespan:         ex.clock,
-		Recontaminations: realG.Recontaminations(),
-		MonotoneOK:       realG.MonotoneViolations() == 0,
-		ContiguousOK:     realG.Contiguous(),
-		Captured:         realG.AllClean(),
-	}, realG, ex.log
-}
-
-type executor struct {
-	b     *board.Board
-	log   *trace.Log
-	clock int64
-}
-
-func (ex *executor) place(home int) int {
-	id := ex.b.Place(ex.clock)
-	ex.log.Append(trace.Event{Time: ex.clock, Kind: trace.Place, Agent: id, To: home, Role: "cleaner"})
-	return id
-}
-
-func (ex *executor) move(a, to int) {
-	ex.clock++
-	from, _ := ex.b.Position(a)
-	ex.b.Move(a, to, ex.clock)
-	ex.log.Append(trace.Event{Time: ex.clock, Kind: trace.Move, Agent: a, From: from, To: to, Role: "cleaner"})
-}
-
-func (ex *executor) terminate(a int) {
-	ex.b.Terminate(a, ex.clock)
-	ex.log.Append(trace.Event{Time: ex.clock, Kind: trace.Terminate, Agent: a})
+	return ex.Finish(Name)
 }

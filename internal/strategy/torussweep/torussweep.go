@@ -45,80 +45,36 @@ func Run(rows, cols int) (metrics.Result, *board.Board, *trace.Log) {
 		}
 		return r*realCols + c
 	}
-	b := board.New(topologies.Torus(realRows, realCols), at(0, 0))
-	ex := &executor{b: b, log: &trace.Log{}}
-
+	ex := trace.NewSequential(topologies.Torus(realRows, realCols), at(0, 0))
 	anchor := make([]int, rows)
 	sweep := make([]int, rows)
 	for r := range anchor {
-		anchor[r] = ex.place(at(0, 0))
+		anchor[r] = ex.Place()
 	}
 	for r := range sweep {
-		sweep[r] = ex.place(at(0, 0))
+		sweep[r] = ex.Place()
 	}
 
 	// Deploy the anchor rank down column 0, shallowest-first (each
 	// agent transits only guarded cells).
 	for r := 1; r < rows; r++ {
 		for rr := 1; rr <= r; rr++ {
-			ex.move(anchor[r], at(rr, 0))
+			ex.Move(anchor[r], at(rr, 0))
 		}
 	}
 	// Deploy the sweep rank onto column 1 through the anchored column.
 	for r := 0; r < rows; r++ {
 		for rr := 1; rr <= r; rr++ {
-			ex.move(sweep[r], at(rr, 0))
+			ex.Move(sweep[r], at(rr, 0))
 		}
-		ex.move(sweep[r], at(r, 1))
+		ex.Move(sweep[r], at(r, 1))
 	}
 	// Sweep the long way around; the anchor blocks the wrap.
 	for c := 2; c < cols; c++ {
 		for r := 0; r < rows; r++ {
-			ex.move(sweep[r], at(r, c))
+			ex.Move(sweep[r], at(r, c))
 		}
 	}
-	for _, a := range anchor {
-		ex.terminate(a)
-	}
-	for _, a := range sweep {
-		ex.terminate(a)
-	}
-
-	return metrics.Result{
-		Strategy:         Name,
-		Nodes:            b.Graph().Order(),
-		TeamSize:         2 * rows,
-		PeakAway:         b.PeakAway(),
-		AgentMoves:       b.Moves(),
-		TotalMoves:       b.Moves(),
-		Makespan:         ex.clock,
-		Recontaminations: b.Recontaminations(),
-		MonotoneOK:       b.MonotoneViolations() == 0,
-		ContiguousOK:     b.Contiguous(),
-		Captured:         b.AllClean(),
-	}, b, ex.log
-}
-
-type executor struct {
-	b     *board.Board
-	log   *trace.Log
-	clock int64
-}
-
-func (ex *executor) place(home int) int {
-	id := ex.b.Place(ex.clock)
-	ex.log.Append(trace.Event{Time: ex.clock, Kind: trace.Place, Agent: id, To: home, Role: "cleaner"})
-	return id
-}
-
-func (ex *executor) move(a, to int) {
-	ex.clock++
-	from, _ := ex.b.Position(a)
-	ex.b.Move(a, to, ex.clock)
-	ex.log.Append(trace.Event{Time: ex.clock, Kind: trace.Move, Agent: a, From: from, To: to, Role: "cleaner"})
-}
-
-func (ex *executor) terminate(a int) {
-	ex.b.Terminate(a, ex.clock)
-	ex.log.Append(trace.Event{Time: ex.clock, Kind: trace.Terminate, Agent: a})
+	// Finish retires the anchor rank, then the sweep rank: id order.
+	return ex.Finish(Name)
 }

@@ -60,52 +60,21 @@ func subtreeCost(t *graph.Tree, v int) int {
 // Cost(t); the execution asserts it suffices (the board panics if a
 // move is illegal, and the run fails if capture or monotonicity fail).
 func Execute(t *graph.Tree) (metrics.Result, *board.Board, *trace.Log) {
-	b := board.New(t, t.Root())
-	log := &trace.Log{}
-	team := Cost(t)
-	ex := &executor{t: t, b: b, log: log}
-	for i := 0; i < team; i++ {
-		id := b.Place(0)
-		log.Append(trace.Event{Time: 0, Kind: trace.Place, Agent: id, To: t.Root(), Role: "cleaner"})
-		ex.free = append(ex.free, id)
+	ex := &executor{Sequential: trace.NewSequential(t, t.Root()), t: t}
+	for i := Cost(t); i > 0; i-- {
+		ex.free = append(ex.free, ex.Place())
 	}
-
 	// Seed: one agent guards the root, then the recursion cleans it.
-	first := ex.takeFree()
-	ex.clean(t.Root(), first)
-
-	// Retire everything still active.
-	for id := 0; id < b.Agents(); id++ {
-		if _, active := b.Position(id); active {
-			b.Terminate(id, ex.clock)
-			log.Append(trace.Event{Time: ex.clock, Kind: trace.Terminate, Agent: id})
-		}
-	}
-
-	return metrics.Result{
-		Strategy:         Name,
-		Dim:              0,
-		Nodes:            t.Order(),
-		TeamSize:         team,
-		PeakAway:         b.PeakAway(),
-		AgentMoves:       b.Moves(),
-		TotalMoves:       b.Moves(),
-		Makespan:         ex.clock,
-		Recontaminations: b.Recontaminations(),
-		MonotoneOK:       b.MonotoneViolations() == 0,
-		ContiguousOK:     b.Contiguous(),
-		Captured:         b.AllClean(),
-	}, b, log
+	ex.clean(t.Root(), ex.takeFree())
+	return ex.Finish(Name)
 }
 
 // executor carries the sequential execution state. Agents positions
 // are tracked on the board; free agents idle inside cleaned territory.
 type executor struct {
-	t     *graph.Tree
-	b     *board.Board
-	log   *trace.Log
-	clock int64
-	free  []int // agents idling at the root, available for summoning
+	*trace.Sequential
+	t    *graph.Tree
+	free []int // agents idling at the root, available for summoning
 }
 
 func (ex *executor) takeFree() int {
@@ -117,28 +86,10 @@ func (ex *executor) takeFree() int {
 	return a
 }
 
-// move advances the clock one step and moves agent a to node w.
-func (ex *executor) move(a, w int) {
-	ex.clock++
-	from, _ := ex.b.Position(a)
-	ex.b.Move(a, w, ex.clock)
-	ex.log.Append(trace.Event{Time: ex.clock, Kind: trace.Move, Agent: a, From: from, To: w, Role: "cleaner"})
-}
-
-// walk moves agent a along the unique tree path to node w (through
-// cleaned or guarded territory).
-func (ex *executor) walk(a, dst int) {
-	from, _ := ex.b.Position(a)
-	path := graph.ShortestPath(ex.t, from, dst)
-	for _, v := range path[1:] {
-		ex.move(a, v)
-	}
-}
-
 // release returns agent a to the root pool (walking back through clean
 // territory).
 func (ex *executor) release(a int) {
-	ex.walk(a, ex.t.Root())
+	ex.WalkClean(a, ex.t.Root())
 	ex.free = append(ex.free, a)
 }
 
@@ -158,11 +109,11 @@ func (ex *executor) clean(v, guard int) {
 	})
 	for _, c := range children[:len(children)-1] {
 		worker := ex.takeFree()
-		ex.walk(worker, v) // summon through clean territory
-		ex.move(worker, c)
+		ex.WalkClean(worker, v) // summon through clean territory
+		ex.Move(worker, c)
 		ex.clean(c, worker)
 	}
 	last := children[len(children)-1]
-	ex.move(guard, last)
+	ex.Move(guard, last)
 	ex.clean(last, guard)
 }
