@@ -53,12 +53,19 @@ func main() {
 	}
 	fmt.Printf("replaying %d events on %s...\n", log.Len(), *spec)
 
+	b := board.New(g, *home)
+	var after func(i int) error
 	if *steps {
-		replayVerbose(g, *home, log)
-		return
+		events, last := log.Events(), -1
+		after = func(i int) error {
+			if c := b.ContaminatedCount(); c != last {
+				fmt.Printf("t=%-6d contaminated=%d\n", events[i].Time, c)
+				last = c
+			}
+			return nil
+		}
 	}
-	b, err := log.Replay(g, *home)
-	if err != nil {
+	if err := log.ReplayOn(b, after); err != nil {
 		fmt.Fprintln(os.Stderr, "hqreplay:", err)
 		os.Exit(1)
 	}
@@ -78,32 +85,6 @@ func readTrace(f *os.File) (*trace.Log, error) {
 		return trace.ReadJSON(r)
 	}
 	return trace.ReadJSONL(r)
-}
-
-func replayVerbose(g interface {
-	Order() int
-	Neighbours(int) []int
-}, home int, log *trace.Log) {
-	b := board.New(g, home)
-	ids := map[int]int{}
-	last := -1
-	for _, e := range log.Events() {
-		switch e.Kind {
-		case trace.Place:
-			ids[e.Agent] = b.Place(e.Time)
-		case trace.Clone:
-			ids[e.Agent] = b.Clone(e.To, e.Time)
-		case trace.Move:
-			b.Move(ids[e.Agent], e.To, e.Time)
-		case trace.Terminate:
-			b.Terminate(ids[e.Agent], e.Time)
-		}
-		if c := b.ContaminatedCount(); c != last {
-			fmt.Printf("t=%-6d contaminated=%d\n", e.Time, c)
-			last = c
-		}
-	}
-	report(b)
 }
 
 func report(b *board.Board) {

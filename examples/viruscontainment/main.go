@@ -16,7 +16,6 @@ import (
 	"hypersearch/internal/board"
 	"hypersearch/internal/core"
 	"hypersearch/internal/intruder"
-	"hypersearch/internal/trace"
 	"hypersearch/internal/viz"
 )
 
@@ -33,25 +32,20 @@ func main() {
 	fmt.Printf("A virus lurks at host %s of a %d-host network.\n", h.String(virus.At()), h.Order())
 	fmt.Printf("Deploying %d agents from host %s...\n\n", env.B.Agents(), h.String(0))
 
-	ids := map[int]int{}
-	lastShown := -1
-	for _, e := range env.Log().Events() {
-		switch e.Kind {
-		case trace.Place:
-			ids[e.Agent] = fresh.Place(e.Time)
-		case trace.Move:
-			fresh.Move(ids[e.Agent], e.To, e.Time)
-		case trace.Terminate:
-			fresh.Terminate(ids[e.Agent], e.Time)
-		}
+	events, lastShown := env.Log().Events(), -1
+	err = env.Log().ReplayOn(fresh, func(i int) error {
 		virus.React()
 		if remaining := fresh.ContaminatedCount(); remaining != lastShown {
 			lastShown = remaining
 			if remaining%8 == 0 || remaining < 4 {
 				fmt.Printf("t=%2d  %2d hosts still at risk; virus hides at %v\n",
-					e.Time, remaining, hostName(h.Dim(), virus.At()))
+					events[i].Time, remaining, hostName(h.Dim(), virus.At()))
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Println()

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	goruntime "runtime"
 	"strings"
@@ -29,7 +30,6 @@ import (
 	"hypersearch/internal/strategy/naive"
 	"hypersearch/internal/strategy/optimal"
 	"hypersearch/internal/strategy/treesearch"
-	"hypersearch/internal/trace"
 	"hypersearch/internal/viz"
 )
 
@@ -663,25 +663,17 @@ func xIntruder(src strategy.Source, d, seeds, workers int) Report {
 // replayWithIntruder replays a recorded run while a live intruder
 // token reacts to every event.
 func replayWithIntruder(env *strategy.Env, seed int64) *intruder.Intruder {
-	h := env.H
-	fresh := board.New(h, 0)
-	in := intruder.New(h, fresh, seed)
-	ids := map[int]int{}
-	for _, e := range env.Log().Events() {
-		switch e.Kind {
-		case trace.Place:
-			ids[e.Agent] = fresh.Place(e.Time)
-		case trace.Clone:
-			ids[e.Agent] = fresh.Clone(e.To, e.Time)
-		case trace.Move:
-			fresh.Move(ids[e.Agent], e.To, e.Time)
-		case trace.Terminate:
-			fresh.Terminate(ids[e.Agent], e.Time)
-		}
+	fresh := board.New(env.H, 0)
+	in := intruder.New(env.H, fresh, seed)
+	err := env.Log().ReplayOn(fresh, func(int) error {
 		in.React()
 		if !in.InsideClosure() {
-			panic("experiments: intruder escaped the closure")
+			return errors.New("experiments: intruder escaped the closure")
 		}
+		return nil
+	})
+	if err != nil {
+		panic(err)
 	}
 	return in
 }

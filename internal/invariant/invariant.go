@@ -43,54 +43,24 @@ func (r Report) String() string {
 // Check replays l on a fresh board over g with the given homebase,
 // verifying monotonicity after every event and contiguity every
 // CheckedEvery events (1 for small graphs, 32 beyond 1024 nodes, plus
-// always after the final event). Structural errors in the trace —
-// unknown agents, non-edges, time running backwards — are returned as
-// errors rather than panics, so the checker is safe on traces of
-// arbitrary provenance.
-func Check(l *trace.Log, g graph.Graph, home int) (rep Report, err error) {
+// always after the final event). The replay runs through
+// trace.Log.ReplayOn, so structural errors in the trace — unknown
+// agents, non-edges, time running backwards — are returned as errors
+// rather than panics, and the checker is safe on traces of arbitrary
+// provenance.
+func Check(l *trace.Log, g graph.Graph, home int) (Report, error) {
 	every := 1
 	if g.Order() > 1024 {
 		every = 32
 	}
-	rep = Report{MonotoneOK: true, ContiguousOK: true, CheckedEvery: every}
-
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("invariant: trace violates board rules: %v", r)
-		}
-	}()
-
+	rep := Report{MonotoneOK: true, ContiguousOK: true, CheckedEvery: every}
 	b := board.New(g, home)
-	ids := map[int]int{} // recorded agent id -> replay agent id
 	events := l.Events()
 	var seenViolations int64
-	for i, e := range events {
-		switch e.Kind {
-		case trace.Place:
-			if _, ok := ids[e.Agent]; ok {
-				return rep, fmt.Errorf("invariant: place reuses agent id %d (event %d)", e.Agent, e.Seq)
-			}
-			ids[e.Agent] = b.Place(e.Time)
-		case trace.Clone:
-			if _, ok := ids[e.Agent]; ok {
-				return rep, fmt.Errorf("invariant: clone reuses agent id %d (event %d)", e.Agent, e.Seq)
-			}
-			ids[e.Agent] = b.Clone(e.To, e.Time)
-		case trace.Move:
-			id, ok := ids[e.Agent]
-			if !ok {
-				return rep, fmt.Errorf("invariant: move of unknown agent %d (event %d)", e.Agent, e.Seq)
-			}
-			b.Move(id, e.To, e.Time)
+	err := l.ReplayOn(b, func(i int) error {
+		e := events[i]
+		if e.Kind == trace.Move {
 			rep.Moves++
-		case trace.Terminate:
-			id, ok := ids[e.Agent]
-			if !ok {
-				return rep, fmt.Errorf("invariant: terminate of unknown agent %d (event %d)", e.Agent, e.Seq)
-			}
-			b.Terminate(id, e.Time)
-		default:
-			return rep, fmt.Errorf("invariant: unknown event kind %q (event %d)", e.Kind, e.Seq)
 		}
 		if v := b.MonotoneViolations(); v > seenViolations {
 			seenViolations = v
@@ -103,6 +73,10 @@ func Check(l *trace.Log, g graph.Graph, home int) (rep Report, err error) {
 			}
 			rep.ContiguousOK = false
 		}
+		return nil
+	})
+	if err != nil {
+		return rep, fmt.Errorf("invariant: %w", err)
 	}
 	rep.Events = len(events)
 	rep.Captured = b.AllClean()
