@@ -77,7 +77,7 @@ func RunCleanOn(f *Fabric, cfg Config) Stats {
 	}
 	if d == 0 {
 		val.terminate(ids[0], 0)
-		s := val.stats(team, 0, 0)
+		s := val.stats(0, 0)
 		s.Strategy = CleanName
 		f.complete()
 		return s
@@ -103,7 +103,7 @@ func RunCleanOn(f *Fabric, cfg Config) Stats {
 	})
 	wg.Wait()
 	c.quiesce()
-	s := val.stats(team, c.moves.Load(), 0)
+	s := val.stats(c.moves.Load(), 0)
 	s.Strategy = CleanName
 	s.SyncMoves = c.syncMoves.Load()
 	s.AgentMoves = s.TotalMoves - s.SyncMoves

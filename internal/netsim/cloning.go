@@ -28,7 +28,7 @@ func RunCloningOn(f *Fabric, cfg Config) Stats {
 	seed := val.place()
 	if f.d == 0 {
 		val.terminate(seed, 0)
-		s := val.stats(1, 0, 0)
+		s := val.stats(0, 0)
 		s.Strategy = CloningName
 		f.complete()
 		return s
@@ -45,7 +45,7 @@ func RunCloningOn(f *Fabric, cfg Config) Stats {
 	wg.Wait()
 	net.quiesce()
 
-	s := val.stats(val.agents(), net.agentMsgs.Load(), net.beaconMsgs.Load())
+	s := val.stats(net.agentMsgs.Load(), net.beaconMsgs.Load())
 	if net.fl != nil {
 		s.Link = net.fl.SummaryStats()
 	}

@@ -122,7 +122,7 @@ func RunOn(f *Fabric, cfg Config) Stats {
 	}
 	if d == 0 {
 		val.terminate(ids[0], 0)
-		s := val.stats(team, 0, 0)
+		s := val.stats(0, 0)
 		f.complete()
 		return s
 	}
@@ -148,7 +148,7 @@ func RunOn(f *Fabric, cfg Config) Stats {
 	// delivery (a late duplicate copy, say) is still in flight into
 	// the mailboxes and ledgers the next run will reuse.
 	net.quiesce()
-	s := val.stats(team, net.agentMsgs.Load(), net.beaconMsgs.Load())
+	s := val.stats(net.agentMsgs.Load(), net.beaconMsgs.Load())
 	if net.fl != nil {
 		s.Link = net.fl.SummaryStats()
 	}

@@ -10,7 +10,6 @@ import (
 	"hypersearch/internal/bits"
 	"hypersearch/internal/board"
 	"hypersearch/internal/hypercube"
-	"hypersearch/internal/metrics"
 )
 
 // validator observes every agent lifecycle event of a network run and
@@ -27,26 +26,17 @@ type validator interface {
 	depart(agent, from int)
 	arrive(agent, from, to int)
 	terminate(agent, at int)
-	agents() int
-	stats(team int, agentMsgs, beaconMsgs int64) Stats
+	stats(agentMsgs, beaconMsgs int64) Stats
 }
 
 // buildStats assembles a validator's Stats from a fully-applied board.
-func buildStats(b *board.Board, team int, agentMsgs, beaconMsgs int64) Stats {
+// The board's agents are the team; its clock never leaves 0, so the
+// makespan stays 0.
+func buildStats(b *board.Board, agentMsgs, beaconMsgs int64) Stats {
+	r := b.Result(Name)
+	r.Dim = bits.Dim(r.Nodes)
 	return Stats{
-		Result: metrics.Result{
-			Strategy:         Name,
-			Dim:              bits.Dim(b.Graph().Order()),
-			Nodes:            b.Graph().Order(),
-			TeamSize:         team,
-			PeakAway:         b.PeakAway(),
-			AgentMoves:       b.Moves(),
-			TotalMoves:       b.Moves(),
-			Recontaminations: b.Recontaminations(),
-			MonotoneOK:       b.MonotoneViolations() == 0,
-			ContiguousOK:     b.Contiguous(),
-			Captured:         b.AllClean(),
-		},
+		Result:         r,
 		AgentMessages:  agentMsgs,
 		BeaconMessages: beaconMsgs,
 		BeaconBits:     beaconMsgs, // one bit each, by construction
@@ -174,13 +164,11 @@ func (v *stripedValidator) terminate(agent, at int) {
 	v.record(at, valOp{kind: opTerminate, agent: agent, to: at})
 }
 
-func (v *stripedValidator) agents() int { return int(v.created.Load()) }
-
 // stats merges the ledgers and replays them. Callers must have joined
 // every host goroutine first (the Run functions wg.Wait before stats),
 // so the ledgers are complete; the stripe locks are still taken to
 // keep the harvest well-ordered under the race detector.
-func (v *stripedValidator) stats(team int, agentMsgs, beaconMsgs int64) Stats {
+func (v *stripedValidator) stats(agentMsgs, beaconMsgs int64) Stats {
 	ops := v.merged[:0]
 	for i := range v.stripes {
 		st := &v.stripes[i]
@@ -234,5 +222,5 @@ func (v *stripedValidator) stats(team int, agentMsgs, beaconMsgs int64) Stats {
 			b.Terminate(ids[op.agent], 0)
 		}
 	}
-	return buildStats(b, team, agentMsgs, beaconMsgs)
+	return buildStats(b, agentMsgs, beaconMsgs)
 }

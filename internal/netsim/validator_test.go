@@ -68,16 +68,10 @@ func (v *lockedValidator) terminate(agent, _ int) {
 	v.b.Terminate(agent, 0)
 }
 
-func (v *lockedValidator) agents() int {
+func (v *lockedValidator) stats(agentMsgs, beaconMsgs int64) Stats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.b.Agents()
-}
-
-func (v *lockedValidator) stats(team int, agentMsgs, beaconMsgs int64) Stats {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return buildStats(v.b, team, agentMsgs, beaconMsgs)
+	return buildStats(v.b, agentMsgs, beaconMsgs)
 }
 
 // dualValidator feeds every event to both validator implementations
@@ -140,21 +134,11 @@ func (v *dualValidator) terminate(agent, at int) {
 	v.striped.terminate(agent, at)
 }
 
-func (v *dualValidator) agents() int {
+func (v *dualValidator) stats(agentMsgs, beaconMsgs int64) Stats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	a, b := v.locked.agents(), v.striped.agents()
-	if a != b {
-		v.t.Errorf("agents: locked %d, striped %d", a, b)
-	}
-	return a
-}
-
-func (v *dualValidator) stats(team int, agentMsgs, beaconMsgs int64) Stats {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	a := v.locked.stats(team, agentMsgs, beaconMsgs)
-	b := v.striped.stats(team, agentMsgs, beaconMsgs)
+	a := v.locked.stats(agentMsgs, beaconMsgs)
+	b := v.striped.stats(agentMsgs, beaconMsgs)
 	if a != b {
 		v.t.Errorf("stats diverge:\n  locked:  %+v\n  striped: %+v", a, b)
 	}

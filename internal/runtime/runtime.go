@@ -309,21 +309,12 @@ func (w *world) terminateAllLocked() {
 func (w *world) report(name string, team, spares int) Report {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	r := w.b.Result(name)
+	r.Dim = w.h.Dim()
+	r.AgentMoves, r.SyncMoves = r.TotalMoves-w.syncMoves, w.syncMoves
+	r.Makespan = 0
 	return Report{
-		Result: metrics.Result{
-			Strategy:         name,
-			Dim:              w.h.Dim(),
-			Nodes:            w.h.Order(),
-			TeamSize:         team + spares,
-			PeakAway:         w.b.PeakAway(),
-			AgentMoves:       w.b.Moves() - w.syncMoves,
-			SyncMoves:        w.syncMoves,
-			TotalMoves:       w.b.Moves(),
-			Recontaminations: w.b.Recontaminations(),
-			MonotoneOK:       w.b.MonotoneViolations() == 0,
-			ContiguousOK:     w.b.Contiguous(),
-			Captured:         w.b.AllClean(),
-		},
+		Result:      r,
 		Log:         w.log,
 		Team:        team,
 		Spares:      spares,
