@@ -22,7 +22,6 @@
 //	hqserved -addr :9000 -journal /var/lib/hq/journal.jsonl
 //	hqserved -compact-threshold 0.5 -cache-max-entries 65536 -cache-max-bytes 268435456
 //	hqserved -smoke                  # self-contained end-to-end smoke (CI)
-//	hqserved -loadtest               # the robustness load-test, with numbers
 //
 // Submit with curl:
 //
@@ -69,7 +68,6 @@ func main() {
 		cacheB   = flag.Int64("cache-max-bytes", 0, "approximate result-cache byte budget, LRU-evicted (0 = unbounded)")
 		drainFor = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 		smoke    = flag.Bool("smoke", false, "run the self-contained smoke check and exit")
-		loadtest = flag.Bool("loadtest", false, "run the robustness load-test and exit")
 	)
 	flag.Parse()
 
@@ -93,8 +91,6 @@ func main() {
 	switch {
 	case *smoke:
 		err = runSmoke(cfg)
-	case *loadtest:
-		err = runLoadTest()
 	default:
 		err = runServe(cfg, *addr, *drainFor)
 	}
@@ -318,19 +314,4 @@ func smokeCampaign(base, body string) ([]byte, int, error) {
 	}
 	recs, err := json.Marshal(fin.Runs)
 	return recs, runs, err
-}
-
-// runLoadTest runs the robustness harness and prints its report — the
-// source of the EXPERIMENTS.md S1 numbers.
-func runLoadTest() error {
-	dir, err := os.MkdirTemp("", "hqserved-loadtest-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	rep, err := serve.RunLoadTest(serve.LoadConfig{Dir: dir, MaxDim: 8})
-	if rep != nil {
-		fmt.Println("loadtest:", rep)
-	}
-	return err
 }
