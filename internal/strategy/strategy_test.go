@@ -2,10 +2,21 @@ package strategy
 
 import (
 	"testing"
+	"unsafe"
 
 	"hypersearch/internal/des"
 	"hypersearch/internal/trace"
 )
+
+// Env must stay a multiple of the 64-byte cache line: pooled
+// environments that run at once on different cores are neighbours in
+// the heap, and at any other size one's move counter shares a cache
+// line with the next one's hot fields.
+func TestEnvSizeIsCacheLineMultiple(t *testing.T) {
+	if n := unsafe.Sizeof(Env{}); n%64 != 0 {
+		t.Errorf("Env is %d bytes; resize its trailing padding to reach a multiple of 64", n)
+	}
+}
 
 func TestUnitLatency(t *testing.T) {
 	if (Unit{}).Draw(0, 1) != 1 {
