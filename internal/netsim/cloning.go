@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
 
 	"hypersearch/internal/bits"
 )
@@ -20,66 +19,31 @@ const CloningName = "cloning-netsim"
 func RunCloning(d int, cfg Config) Stats { return RunCloningOn(NewFabric(d), cfg) }
 
 // RunCloningOn executes the cloning variant on a caller-owned fabric,
-// reusing its mailboxes, scratch and validator; like RunOn, it drains
-// the timer quiescence barrier before returning.
-func RunCloningOn(f *Fabric, cfg Config) Stats {
-	f.begin()
-	val := f.validator(cfg)
-	seed := val.place()
-	if f.d == 0 {
-		val.terminate(seed, 0)
-		s := val.stats(0, 0)
-		s.Strategy = CloningName
-		f.complete()
-		return s
-	}
+// reusing its wiring and validator; like RunOn, it drains the timer
+// quiescence barrier before returning.
+func RunCloningOn(f *Fabric, cfg Config) Stats { return f.run(cfg, &cloningProtocol) }
 
-	net := f.visNetwork(cfg, val)
-
-	var wg sync.WaitGroup
-	wg.Add(f.h.Order())
-	for v := 0; v < f.h.Order(); v++ {
-		go net.cloningHost(&wg, v)
-	}
-	net.boxes[0].Send(Message{Kind: AgentArrival, From: 0, Agent: seed})
-	wg.Wait()
-	net.quiesce()
-
-	s := val.stats(net.agentMsgs.Load(), net.beaconMsgs.Load())
-	if net.fl != nil {
-		s.Link = net.fl.SummaryStats()
-	}
-	s.Strategy = CloningName
-	f.complete()
-	return s
+// cloningProtocol boots one seed agent into the homebase; each host
+// runs cloningHost.
+var cloningProtocol = protocol{
+	name: CloningName, stream: streamCloning, team: func(int) int64 { return 1 },
+	host: (*network).cloningHost, boot: (*network).bootTeam,
 }
 
-// cloningHost runs one host's cloning loop and joins the run's
-// WaitGroup (closure-free spawn, like visHost).
-func (n *network) cloningHost(wg *sync.WaitGroup, v int) {
-	defer wg.Done()
-	runCloningHost(n, v)
-}
-
-// runCloningHost is the local cloning rule: one arrival, clone for the
+// cloningHost is the local cloning rule: one arrival, clone for the
 // children, beacon the dependents. The gathered scratch doubles as the
 // movers list at dispatch.
-func runCloningHost(n *network, v int) {
-	sc := &n.scratch[v]
-	sc.rng = newHostRNG(n.cfg.Seed, v, streamCloning)
+func (n *network) cloningHost(v int, sc *hostScratch) {
 	rng := &sc.rng
 	msb := bits.Msb(bits.Node(v))
 	allReady := readyMask(msb)
-
-	sc.gathered = sc.gathered[:0]
-	sc.ready = 0
 	incumbent := -1
 	dispatched := false
 
 	for {
 		m, ok := n.boxes[v].Recv()
 		if !ok {
-			break
+			return
 		}
 		if dispatched {
 			// Retired: only crash markers and replays can trail the

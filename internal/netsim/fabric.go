@@ -11,10 +11,11 @@ import (
 
 // Fabric is the reusable network fabric of one hypercube dimension:
 // everything a netsim run builds per execution that is not the run's
-// logical content — mailboxes, per-host scratch, validator ledgers and
-// replay scratch, and the wire-fault layer's link/ledger state. A
-// Fabric follows the envpool sharing contract (see ALGORITHMS.md,
-// "Network arena reset contract"):
+// logical content — one wiring (mailboxes, per-host scratch, the
+// wire-fault layer's link/ledger state and the timer barrier) that
+// visibility, cloning and CLEAN runs share, and the validator ledgers
+// and replay scratch. A Fabric follows the envpool sharing contract
+// (see ALGORITHMS.md, "Network arena reset contract"):
 //
 //   - the topology (hypercube + broadcast tree) holds only d and
 //     computes every query from the node's bits, so it costs O(1);
@@ -33,8 +34,7 @@ type Fabric struct {
 	h  *hypercube.Hypercube
 	bt *heapqueue.Tree
 
-	net  *network  // visibility/cloning wiring, built on first use
-	cnet *cleanNet // coordinated wiring, built on first use
+	net *network // the one wiring of every protocol, built on first use
 
 	striped *stripedValidator
 	ids     []int // boot-time agent id scratch
@@ -63,26 +63,17 @@ func (f *Fabric) Quiesce() {
 	if f.net != nil {
 		f.net.quiesce()
 	}
-	if f.cnet != nil {
-		f.cnet.quiesce()
-	}
 }
 
-// PendingTimers reports how many scheduled timers across the fabric's
+// PendingTimers reports how many scheduled timers on the fabric's
 // wiring have not yet completed; zero whenever no run is in flight.
 func (f *Fabric) PendingTimers() int64 {
-	var n int64
-	if f.net != nil {
-		n += f.net.timers.pending.Load()
-		if f.net.flPool != nil {
-			n += f.net.flPool.PendingTimers()
-		}
+	if f.net == nil {
+		return 0
 	}
-	if f.cnet != nil {
-		n += f.cnet.timers.pending.Load()
-		if f.cnet.flPool != nil {
-			n += f.cnet.flPool.PendingTimers()
-		}
+	n := f.net.timers.pending.Load()
+	if f.net.flPool != nil {
+		n += f.net.flPool.PendingTimers()
 	}
 	return n
 }
@@ -117,11 +108,67 @@ func (f *Fabric) bootIDs(n int) []int {
 	return f.ids
 }
 
-// visNetwork returns the visibility/cloning wiring reset for a new
-// run: mailboxes reopened with bounded retained capacity, message
-// counters zeroed, and the wire-fault layer re-armed when the plan
-// asks for it.
-func (f *Fabric) visNetwork(cfg Config, val validator) *network {
+// protocol is one message-passing program for Fabric.run: the loop
+// every host goroutine runs and the boot that injects the placed team
+// at the homebase.
+type protocol struct {
+	name   string
+	stream uint64          // the hosts' latency stream tag
+	team   func(int) int64 // agents placed at the homebase on H_d
+	host   func(n *network, v int, sc *hostScratch)
+	boot   func(n *network, ids []int)
+}
+
+// run is the one run skeleton of the three protocols: place the team,
+// wire the network, boot the homebase, start one goroutine per host,
+// join them, drain the timer barrier and harvest the Stats.
+func (f *Fabric) run(cfg Config, p *protocol) Stats {
+	f.begin()
+	val := f.validator(cfg)
+	ids := f.bootIDs(int(p.team(f.d)))
+	for i := range ids {
+		ids[i] = val.place()
+	}
+	if f.d == 0 {
+		val.terminate(ids[0], 0)
+		s := val.stats(0, 0)
+		s.Strategy = p.name
+		f.complete()
+		return s
+	}
+
+	n := f.wire(cfg, val, p)
+	// Boot injections bypass the fault layer: there is no link into
+	// host 0's console, so the initial placement is reliable. Booting
+	// before the hosts start changes nothing a host can observe, since
+	// no host sends to the homebase before hearing from it.
+	p.boot(n, ids)
+	var wg sync.WaitGroup
+	wg.Add(f.h.Order())
+	for v := 0; v < f.h.Order(); v++ {
+		go n.runHost(&wg, v)
+	}
+	wg.Wait()
+	// Quiesce before harvesting: joining the hosts proves the protocol
+	// finished, draining the timer barrier proves no wall-clock
+	// delivery (a late duplicate copy, say) is still in flight into
+	// the mailboxes and ledgers the next run will reuse.
+	n.quiesce()
+	s := val.stats(n.agentMsgs.Load(), n.beaconMsgs.Load())
+	s.Strategy = p.name
+	s.SyncMoves = n.syncMoves.Load()
+	s.AgentMoves = s.TotalMoves - s.SyncMoves
+	if n.fl != nil {
+		s.Link = n.fl.SummaryStats()
+	}
+	f.complete()
+	return s
+}
+
+// wire returns the fabric's wiring reset for a run of p: mailboxes
+// reopened with bounded retained capacity, message counters zeroed,
+// and the wire-fault layer re-armed when the plan asks for it.
+func (f *Fabric) wire(cfg Config, val validator, p *protocol) *network {
 	n := f.net
 	if n == nil {
 		n = &network{
@@ -138,53 +185,32 @@ func (f *Fabric) visNetwork(cfg Config, val validator) *network {
 			q.reset()
 		}
 	}
-	n.cfg = cfg
-	n.val = val
+	n.cfg, n.val, n.proto = cfg, val, p
 	n.agentMsgs.Store(0)
 	n.beaconMsgs.Store(0)
+	n.syncMoves.Store(0)
 	n.wireFaults()
 	return n
 }
 
-// cleanNetwork returns the coordinated wiring reset for a new run.
-func (f *Fabric) cleanNetwork(cfg Config, val validator) *cleanNet {
-	c := f.cnet
-	if c == nil {
-		c = &cleanNet{
-			h: f.h, bt: f.bt,
-			boxes:   make([]*cleanMailbox, f.h.Order()),
-			scratch: make([]cleanScratch, f.h.Order()),
-		}
-		for v := range c.boxes {
-			c.boxes[v] = newCleanMailbox()
-		}
-		f.cnet = c
-	} else {
-		for _, q := range c.boxes {
-			q.reset()
-		}
-	}
-	c.cfg = cfg
-	c.val = val
-	c.moves.Store(0)
-	c.syncMoves.Store(0)
-	c.wireFaults()
-	return c
-}
-
-// hostScratch is one visibility/cloning host's reusable protocol
-// state; runHost re-arms it at host start, so the fabric-level reset
-// stays O(1) per host.
+// hostScratch is one host's reusable protocol state; runHost re-arms
+// it at host start, so the fabric-level reset stays O(1) per host.
+// Visibility and cloning use gathered and ready, CLEAN gathered and
+// the rest.
 type hostScratch struct {
-	rng      hostRNG
-	gathered []int  // agents stationed here this phase
-	ready    uint64 // bitmask over SmallerNeighbours: beacon seen
+	rng       hostRNG
+	gathered  []int      // agents stationed here this phase
+	ready     uint64     // bitmask over smaller neighbours: beacon seen
+	pool      []int      // CLEAN root: parked cleaners
+	sync      *syncState // CLEAN: the synchronizer, while it is here
+	shutdowns int        // CLEAN: Shutdown messages heard (retire at d)
+	closed    bool       // CLEAN: this host has forwarded the shutdown
 }
 
-// cleanScratch is one coordinated host's reusable state.
-type cleanScratch struct {
-	rng hostRNG
-	st  cleanHost
+// rearm resets the scratch for host v's next run, keeping slice
+// capacity.
+func (sc *hostScratch) rearm(seed int64, v int, stream uint64) {
+	*sc = hostScratch{rng: newHostRNG(seed, v, stream), gathered: sc.gathered[:0], pool: sc.pool[:0]}
 }
 
 // timerSet is a run's timer quiescence barrier: every time.AfterFunc

@@ -2,29 +2,30 @@ package netsim
 
 import "sync"
 
-// queue is an unbounded FIFO mailbox: sends never block, so host
-// goroutines can post to each other without deadlock regardless of
-// topology cycles. It is condition-variable based rather than a
+// Mailbox is a host's unbounded FIFO mailbox: sends never block, so
+// host goroutines can post to each other without deadlock regardless
+// of topology cycles. It is condition-variable based rather than a
 // channel with a pump goroutine: a d-dimensional network already runs
 // 2^d host goroutines, and doubling that with pumps would blow the
 // race detector's goroutine budget at d=12.
-type queue[T any] struct {
+type Mailbox struct {
 	mu       sync.Mutex
 	nonEmpty sync.Cond
-	items    []T
+	items    []Message
 	head     int
 	closed   bool
 }
 
-func newQueue[T any]() *queue[T] {
-	q := &queue[T]{}
+// NewMailbox returns an empty open mailbox.
+func NewMailbox() *Mailbox {
+	q := &Mailbox{}
 	q.nonEmpty.L = &q.mu
 	return q
 }
 
 // Send enqueues m without blocking. Like a channel send, it panics on
 // a closed mailbox — a send after retirement is a protocol bug.
-func (q *queue[T]) Send(m T) {
+func (q *Mailbox) Send(m Message) {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -36,11 +37,11 @@ func (q *queue[T]) Send(m T) {
 }
 
 // TrySend enqueues m unless the mailbox is closed, reporting whether
-// it was accepted. The wire-fault layer delivers through it: a crash
-// marker or ledger replay aimed at a host that has dispatched and
-// retired is meaningless, and dropping it mirrors a real network's
-// indifference to traffic at a decommissioned node.
-func (q *queue[T]) TrySend(m T) bool {
+// it was accepted. The wire-fault layer delivers crash markers and
+// ledger replays through it: aimed at a host that has dispatched and
+// retired they are meaningless, and dropping them mirrors a real
+// network's indifference to traffic at a decommissioned node.
+func (q *Mailbox) TrySend(m Message) bool {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -55,7 +56,7 @@ func (q *queue[T]) TrySend(m T) bool {
 // Recv dequeues the oldest message, blocking while the mailbox is
 // empty and open. It returns ok=false once the mailbox is closed and
 // drained (messages enqueued before Close are still delivered).
-func (q *queue[T]) Recv() (m T, ok bool) {
+func (q *Mailbox) Recv() (m Message, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.head == len(q.items) && !q.closed {
@@ -65,8 +66,7 @@ func (q *queue[T]) Recv() (m T, ok bool) {
 		return m, false
 	}
 	m = q.items[q.head]
-	var zero T
-	q.items[q.head] = zero // release payload references
+	q.items[q.head] = Message{} // release payload references
 	q.head++
 	if q.head == len(q.items) {
 		q.items = q.items[:0]
@@ -77,10 +77,11 @@ func (q *queue[T]) Recv() (m T, ok bool) {
 
 // maxRetainedCap bounds the backing capacity a mailbox keeps across
 // arena reuse. Recv compacts but never shrinks, so one burst-heavy run
-// (the homebase receives the whole team at boot; at d=12 that is 925
-// arrivals) would otherwise pin its peak capacity in the pool forever.
-// 256 slots retain every burst up to d=9 and let the rare bigger runs
-// pay a fresh grow.
+// would otherwise pin its peak capacity in the pool forever: a
+// visibility run boots its whole team, 2^(d-1) arrivals, into the
+// homebase's mailbox (2,048 at d=12), while CLEAN and cloning boot
+// with one message. 256 slots retain every boot burst up to d=9 and
+// let the rare bigger runs pay a fresh grow.
 const maxRetainedCap = 256
 
 // reset reopens the mailbox for a new run on a pooled fabric: the
@@ -88,7 +89,7 @@ const maxRetainedCap = 256
 // is zeroed (releasing any payload references) and kept. Callers must
 // have quiesced the previous run first — no host goroutine or delivery
 // timer may still hold the mailbox.
-func (q *queue[T]) reset() {
+func (q *Mailbox) reset() {
 	q.mu.Lock()
 	if cap(q.items) > maxRetainedCap {
 		q.items = nil
@@ -102,20 +103,9 @@ func (q *queue[T]) reset() {
 }
 
 // Close marks the mailbox closed; queued messages remain receivable.
-func (q *queue[T]) Close() {
+func (q *Mailbox) Close() {
 	q.mu.Lock()
 	q.closed = true
 	q.nonEmpty.Broadcast()
 	q.mu.Unlock()
 }
-
-// Mailbox is the visibility/cloning protocols' unbounded mailbox.
-type Mailbox = queue[Message]
-
-// NewMailbox returns an empty open mailbox.
-func NewMailbox() *Mailbox { return newQueue[Message]() }
-
-// cleanMailbox is the coordinated protocol's unbounded mailbox.
-type cleanMailbox = queue[cleanMessage]
-
-func newCleanMailbox() *cleanMailbox { return newQueue[cleanMessage]() }

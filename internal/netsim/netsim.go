@@ -1,11 +1,18 @@
-// Package netsim executes the visibility strategy as a literal
-// distributed system: every hypercube host is a goroutine, links carry
-// randomized latency, agents migrate between hosts as messages, and —
-// exactly as Section 4 of the paper suggests — the "visibility" of
-// neighbour states is realized by each host sending a single bit to
-// its neighbours when it becomes guarded ("this capability could be
-// easily achieved if the agents ... send a message (e.g., a single
-// bit) to their neighbouring nodes").
+// Package netsim executes the paper's strategies as literal
+// distributed systems: every hypercube host is a goroutine, links carry
+// randomized latency, and agents migrate between hosts as messages.
+// Three protocols run on one wiring:
+//
+//   - CLEAN WITH VISIBILITY (Run), where — exactly as Section 4 of the
+//     paper suggests — the "visibility" of neighbour states is
+//     realized by each host sending a single bit to its neighbours when
+//     it becomes guarded ("this capability could be easily achieved if
+//     the agents ... send a message (e.g., a single bit) to their
+//     neighbouring nodes");
+//   - the Section-5 cloning variant (RunCloning), which sends one agent
+//     down each broadcast-tree edge;
+//   - Algorithm CLEAN (RunClean), whose cleaners are source-routed
+//     messages and whose synchronizer migrates with its program.
 //
 // There is no shared memory between hosts: coordination is purely
 // message-passing (the per-host whiteboard is host-local state). A
@@ -20,14 +27,18 @@
 // loses its soft protocol state and rebuilds it from the layer's
 // order ledger, with Replay-marked messages that skip validator and
 // accounting effects and re-sent beacons collapsed by the idempotent
-// sender. Boot injections to the homebase bypass the layer: host 0's
-// console is the one reliable component, exactly like the initial
-// placement in the runtime engines.
+// sender. CLEAN's protocol state rides its messages, so it takes
+// delivery faults only and rejects host crashes. Boot injections to
+// the homebase bypass the layer: host 0's console is the one reliable
+// component, exactly like the initial placement in the runtime
+// engines.
 //
 // Every run executes on a Fabric — the pooled network arena holding
-// mailboxes, per-host scratch, validator ledgers and the wire-fault
-// layer. Run builds a private throwaway fabric; RunOn executes on a
-// caller-owned (typically netarena-pooled) one, reusing all of it.
+// one wiring (mailboxes, per-host scratch, the wire-fault layer and
+// the timer barrier) that the three protocols share, and the
+// validator ledgers. Run builds a private throwaway fabric; RunOn
+// executes on a caller-owned (typically netarena-pooled) one, reusing
+// all of it.
 package netsim
 
 import (
@@ -48,10 +59,12 @@ import (
 // Name identifies the engine in results.
 const Name = "visibility-netsim"
 
-// MessageKind distinguishes the two message types on the wire.
+// MessageKind distinguishes the message types on the wire.
 type MessageKind uint8
 
-// The wire protocol: agents migrate, and hosts beacon one bit.
+// The wire protocols. Visibility and cloning migrate agents and
+// beacon one bit; CLEAN hops couriers and the synchronizer and ends
+// with a shutdown flood.
 const (
 	// AgentArrival carries one migrating agent.
 	AgentArrival MessageKind = iota
@@ -62,14 +75,27 @@ const (
 	// drops its soft protocol state and rebuilds it from the
 	// Replay-marked ledger redeliveries that follow immediately.
 	HostRestart
+	// CourierHop carries a source-routed cleaner one hop; on an escort
+	// leg the synchronizer rides in the same message ("the
+	// synchronizer guides one agent to level l+1"), which makes the
+	// pair's landing atomic exactly as in the other engines.
+	CourierHop
+	// SyncHop carries the synchronizer alone (walks, bounces).
+	SyncHop
+	// Shutdown floods the network when the search completes; every
+	// host forwards it once and retires after hearing it from each
+	// neighbour.
+	Shutdown
 )
 
 // Message is what travels on a link.
 type Message struct {
 	Kind   MessageKind
-	Replay bool // ledger redelivery after a crash: skip validator/accounting effects
-	From   int  // sending host
-	Agent  int  // AgentArrival: the migrating agent's id
+	Replay bool       // ledger redelivery after a crash: skip validator/accounting effects
+	From   int        // sending host
+	Agent  int        // AgentArrival, CourierHop, SyncHop: the migrating agent's id
+	Route  []int      // CourierHop: remaining hops, next first
+	Sync   *syncState // SyncHop payload, or the synchronizer riding an escort courier
 }
 
 // Config controls a network execution.
@@ -106,67 +132,32 @@ type Stats struct {
 func Run(d int, cfg Config) Stats { return RunOn(NewFabric(d), cfg) }
 
 // RunOn executes CLEAN WITH VISIBILITY on the fabric's hypercube,
-// reusing the fabric's mailboxes, scratch and validator. The caller
-// owns the fabric; after RunOn returns every timer the run scheduled
-// has drained (the quiescence barrier), so the fabric may immediately
+// reusing the fabric's wiring and validator. The caller owns the
+// fabric; after RunOn returns every timer the run scheduled has
+// drained (the quiescence barrier), so the fabric may immediately
 // host the next run.
-func RunOn(f *Fabric, cfg Config) Stats {
-	f.begin()
-	d := f.d
-	team := int(combin.VisibilityAgents(d))
+func RunOn(f *Fabric, cfg Config) Stats { return f.run(cfg, &visibilityProtocol) }
 
-	val := f.validator(cfg)
-	ids := f.bootIDs(team)
-	for i := range ids {
-		ids[i] = val.place()
-	}
-	if d == 0 {
-		val.terminate(ids[0], 0)
-		s := val.stats(0, 0)
-		f.complete()
-		return s
-	}
-
-	net := f.visNetwork(cfg, val)
-
-	var wg sync.WaitGroup
-	wg.Add(f.h.Order())
-	for v := 0; v < f.h.Order(); v++ {
-		go net.visHost(&wg, v)
-	}
-
-	// Boot: the homebase host receives the whole team as arrivals.
-	// Boot injections bypass the fault layer: there is no link into
-	// host 0's console, so the initial placement is reliable.
-	for _, id := range ids {
-		net.boxes[0].Send(Message{Kind: AgentArrival, From: 0, Agent: id})
-	}
-
-	wg.Wait()
-	// Quiesce before harvesting: joining the hosts proves the protocol
-	// finished, draining the timer barrier proves no wall-clock
-	// delivery (a late duplicate copy, say) is still in flight into
-	// the mailboxes and ledgers the next run will reuse.
-	net.quiesce()
-	s := val.stats(net.agentMsgs.Load(), net.beaconMsgs.Load())
-	if net.fl != nil {
-		s.Link = net.fl.SummaryStats()
-	}
-	f.complete()
-	return s
+// visibilityProtocol boots the whole team into the homebase as
+// arrivals; each host runs visibilityHost.
+var visibilityProtocol = protocol{
+	name: Name, stream: streamVisibility, team: combin.VisibilityAgents,
+	host: (*network).visibilityHost, boot: (*network).bootTeam,
 }
 
-// network is the shared wiring (hosts otherwise share nothing). It
-// lives inside a Fabric and is reused across runs: mailboxes reopen,
-// scratch re-arms per host, and the wire-fault layer resets under the
-// new plan.
+// network is a Fabric's one wiring, shared by the three protocols
+// (hosts otherwise share nothing). It is reused across runs: mailboxes
+// reopen, scratch re-arms per host, and the wire-fault layer resets
+// under the new plan.
 type network struct {
 	h       *hypercube.Hypercube
 	bt      *heapqueue.Tree
 	cfg     Config
 	val     validator
+	proto   *protocol // the run's program, read by every host goroutine
 	boxes   []*Mailbox
 	scratch []hostScratch
+	pool    []int // CLEAN: boot-time pool membership (root-local thereafter)
 
 	// fl is the active wire-fault layer (nil on the fault-free path);
 	// flPool is the pooled instance it aliases, kept across runs so a
@@ -176,16 +167,20 @@ type network struct {
 
 	timers timerSet // quiescence barrier over fault-free delivery timers
 
-	agentMsgs  atomic.Int64
-	beaconMsgs atomic.Int64
+	agentMsgs  atomic.Int64 // agent migrations: arrivals and courier hops
+	beaconMsgs atomic.Int64 // guarded beacons admitted to the wire
+	syncMoves  atomic.Int64 // synchronizer hops, alone or riding an escort
 }
 
 // wireFaults interposes the wire-fault layer when the plan asks for
-// it. Deliveries and crash markers use TrySend: a retired host has
-// closed its mailbox, and traffic at a decommissioned node is simply
-// dropped, never a protocol bug. The plan is validated against this
-// topology first — a link target naming a host outside 2^d would
-// silently never fire, so it is rejected here at engine-config time.
+// it. The plan is validated against this topology first — a link
+// target naming a host outside 2^d would silently never fire, so it is
+// rejected here at engine-config time. Every first delivery uses Send,
+// which panics on a closed mailbox: no protocol retires a host while a
+// frame it still needs is in flight, so a first frame chasing a
+// retired host is a protocol bug. Ledger replays and crash markers use
+// TrySend: at a host that has dispatched and retired they are simply
+// dropped.
 func (n *network) wireFaults() {
 	if err := n.cfg.Faults.ValidateForHosts(n.h.Order()); err != nil {
 		panic(fmt.Errorf("netsim: %w", err))
@@ -197,7 +192,11 @@ func (n *network) wireFaults() {
 	if n.flPool == nil {
 		n.flPool = faultlink.New(n.cfg.Faults, n.h.Order(), faultlink.Options{},
 			func(to, _ int, replay bool, m Message) {
-				m.Replay = replay
+				if !replay {
+					n.boxes[to].Send(m)
+					return
+				}
+				m.Replay = true
 				n.boxes[to].TrySend(m)
 			},
 			func(to int) {
@@ -219,71 +218,74 @@ func (n *network) quiesce() {
 	}
 }
 
-// send delivers a message after the link's randomized latency; rng is
-// owned by the sending host.
+// send counts the message and delivers it after the link's randomized
+// latency, through the wire-fault layer when the plan interposes one;
+// rng is owned by the sending host. Agent arrivals and courier hops
+// count as agent messages, and every hop carrying the synchronizer as
+// a synchronizer move.
 func (n *network) send(rng *hostRNG, to int, m Message) {
 	lat := time.Duration(0)
 	if n.cfg.MaxLatency > 0 {
 		lat = time.Duration(rng.Int63n(int64(n.cfg.MaxLatency) + 1))
 	}
-	if n.fl != nil {
-		n.sendFaulted(lat, to, m)
-		return
-	}
-	switch m.Kind {
-	case AgentArrival:
-		n.agentMsgs.Add(1)
-	case GuardedBeacon:
-		n.beaconMsgs.Add(1)
-	}
-	if lat == 0 {
-		n.boxes[to].Send(m)
-		return
-	}
-	n.timers.after(lat, func() { n.boxes[to].Send(m) })
-}
-
-// sendFaulted routes the message through the wire-fault layer.
-// Beacons take the idempotent path: a host rebuilt after a crash
-// blindly re-sends the beacons it already sent, the sender collapses
-// them, and only admitted frames count as messages. Agent dispatches
-// are always first sends — a host crash happens before its dispatch,
-// and the rebuilt host dispatches exactly once — so they use the
-// plain path.
-func (n *network) sendFaulted(lat time.Duration, to int, m Message) {
-	if m.Kind == GuardedBeacon {
+	if m.Kind == GuardedBeacon && n.fl != nil {
+		// A host rebuilt after a crash blindly re-sends the beacons it
+		// already sent; the sender collapses them, and only admitted
+		// frames count as messages. Agent dispatches are always first
+		// sends — a host crash happens before its dispatch, and the
+		// rebuilt host dispatches exactly once — so they use the plain
+		// path.
 		if n.fl.SendIdempotent(m.From, to, "beacon", lat, m) {
 			n.beaconMsgs.Add(1)
 		}
 		return
 	}
-	n.agentMsgs.Add(1)
-	n.fl.Send(m.From, to, lat, m)
+	switch m.Kind {
+	case AgentArrival, CourierHop:
+		n.agentMsgs.Add(1)
+	case GuardedBeacon:
+		n.beaconMsgs.Add(1)
+	}
+	if m.Sync != nil {
+		n.syncMoves.Add(1)
+	}
+	switch {
+	case n.fl != nil:
+		n.fl.Send(m.From, to, lat, m)
+	case lat == 0:
+		n.boxes[to].Send(m)
+	default:
+		n.timers.after(lat, func() { n.boxes[to].Send(m) })
+	}
 }
 
-// visHost runs one host's event loop and joins the run's WaitGroup.
-// Spawning a method with plain arguments keeps the per-host goroutine
-// launch closure-free: on a pooled fabric, host startup allocates
-// nothing.
-func (n *network) visHost(wg *sync.WaitGroup, v int) {
+// runHost is one host goroutine: it re-arms the host's scratch, runs
+// the protocol's host loop and joins the run's WaitGroup. Each go
+// statement allocates one closure capturing (n, wg, v); the program is
+// read from the wiring rather than passed in, which keeps that closure
+// at three words.
+func (n *network) runHost(wg *sync.WaitGroup, v int) {
 	defer wg.Done()
-	runHost(n, v)
+	sc := &n.scratch[v]
+	sc.rearm(n.cfg.Seed, v, n.proto.stream)
+	n.proto.host(n, v, sc)
 }
 
-// runHost is one host's event loop: the local program of Section 4.2
-// driven entirely by arrivals and beacons. All host state lives in the
-// fabric's per-host scratch, re-armed here at host start.
-func runHost(n *network, v int) {
-	sc := &n.scratch[v]
-	sc.rng = newHostRNG(n.cfg.Seed, v, streamVisibility)
+// bootTeam injects the placed team into the homebase as arrivals.
+func (n *network) bootTeam(ids []int) {
+	for _, id := range ids {
+		n.boxes[0].Send(Message{Kind: AgentArrival, From: 0, Agent: id})
+	}
+}
+
+// visibilityHost is one host's event loop: the local program of
+// Section 4.2 driven entirely by arrivals and beacons.
+func (n *network) visibilityHost(v int, sc *hostScratch) {
 	rng := &sc.rng
 	k := n.bt.Type(v)
 	required := int(heapqueue.AgentsRequired(k))
 	msb := bits.Msb(bits.Node(v))
 	allReady := readyMask(msb)
-
-	sc.gathered = sc.gathered[:0]
-	sc.ready = 0
 	dispatched := false
 
 	// The root has no smaller neighbours and may dispatch immediately
@@ -291,7 +293,7 @@ func runHost(n *network, v int) {
 	for {
 		m, ok := n.boxes[v].Recv()
 		if !ok {
-			break
+			return
 		}
 		if dispatched {
 			// Retired: only a crash marker or ledger replays can trail
