@@ -65,33 +65,72 @@ func TestArenaMatchesFreshByteIdentity(t *testing.T) {
 	}
 }
 
+// hostCrashPlan crashes the root's first tree child as it admits frame
+// 2 of its parent link, the first agent dispatch of a visibility run:
+// the host rebuilds from the ledger replay, whose stale frames must
+// not outlive the run on a pooled fabric.
+func hostCrashPlan(d int) *faults.Plan {
+	c0 := heapqueue.New(d).Children(0)[0]
+	return &faults.Plan{Name: "arena-host-crash", Seed: 22, Faults: []faults.Fault{
+		{Kind: faults.HostCrash, Target: faults.LinkTarget(0, c0), At: 2},
+	}}
+}
+
+// faultedRun is one engine's run under a plan, by index into engines.
+type faultedRun struct {
+	engine int
+	plan   func(d int) *faults.Plan
+}
+
 // TestArenaReuseAcrossFaultedThenClean runs a link-faulted run and a
 // fault-free run back to back on the same fabric: the clean run's
 // Stats must match a fresh fabric's exactly, including a zero wire
 // Summary — no ledger, ARQ or counter state may leak across the reset.
+// The three protocols share one wiring, so the cross-protocol input
+// follows each faulted run, a visibility host crash among them, with
+// every protocol's fault-free run.
 func TestArenaReuseAcrossFaultedThenClean(t *testing.T) {
+	inputs := []struct {
+		name    string
+		faulted []faultedRun
+		cross   bool // every engine's fault-free run follows, not only the faulted one's
+	}{
+		{"same protocol", []faultedRun{{0, dupPlan}, {1, dupPlan}, {2, dupPlan}}, false},
+		{"cross protocol", []faultedRun{{0, dupPlan}, {0, hostCrashPlan}, {1, dupPlan}, {2, dupPlan}}, true},
+	}
 	a := New()
-	for _, e := range engines {
+	for _, in := range inputs {
 		for _, d := range []int{3, 5, 7} {
 			if testing.Short() && d > 5 {
 				continue
 			}
 			cfg := netsim.Config{Seed: int64(7 * d), MaxLatency: 100 * time.Microsecond}
-			fresh := e.fresh(d, cfg)
-
-			faulted := cfg
-			faulted.Faults = dupPlan(d)
-			ff := runPooled(a, d, faulted, e.on)
-			if ff.Link.Dups == 0 {
-				t.Errorf("%s d=%d: faulted run injected no duplicates; plan inert", e.name, d)
+			fresh := make([]netsim.Stats, len(engines))
+			for i, e := range engines {
+				fresh[i] = e.fresh(d, cfg)
 			}
-			got := runPooled(a, d, cfg, e.on)
-			if got != fresh {
-				t.Errorf("%s d=%d: clean run after faulted reuse diverges:\narena: %+v\nfresh: %+v",
-					e.name, d, got, fresh)
-			}
-			if got.Link != (netsim.Stats{}).Link {
-				t.Errorf("%s d=%d: wire summary leaked across reset: %+v", e.name, d, got.Link)
+			for _, fr := range in.faulted {
+				followers := []int{fr.engine}
+				if in.cross {
+					followers = []int{0, 1, 2}
+				}
+				for _, g := range followers {
+					e := engines[fr.engine]
+					faulted := cfg
+					faulted.Faults = fr.plan(d)
+					ff := runPooled(a, d, faulted, e.on)
+					if ff.Link.Dups+ff.Link.Crashes == 0 {
+						t.Errorf("%s: %s d=%d: plan %s fired no fault; plan inert", in.name, e.name, d, faulted.Faults.Name)
+					}
+					got := runPooled(a, d, cfg, engines[g].on)
+					if got != fresh[g] {
+						t.Errorf("%s: %s run after faulted %s (%s) d=%d diverges:\narena: %+v\nfresh: %+v",
+							in.name, engines[g].name, e.name, faulted.Faults.Name, d, got, fresh[g])
+					}
+					if got.Link != (netsim.Stats{}).Link {
+						t.Errorf("%s: %s d=%d: wire summary leaked across reset: %+v", in.name, engines[g].name, d, got.Link)
+					}
+				}
 			}
 		}
 	}
