@@ -53,12 +53,25 @@ const (
 	familyNetsim  = "netsim"
 )
 
-// Engines a scenario can run on.
+// Engines a scenario can run on. The scenarios on the three netsim
+// engines form the netsim family, the rest the runtime family.
 const (
 	engineCleanFT = "clean-ft"  // crash-tolerant coordinated goroutine runtime
 	engineVisFT   = "vis-ft"    // fault-injected visibility goroutine runtime
 	engineDES     = "des-clean" // discrete-event CLEAN with kernel interception
+
+	engineNetsimVis   = "netsim-vis"   // visibility: full complements down the broadcast tree
+	engineNetsimClone = "netsim-clone" // cloning: one agent per tree edge
+	engineNetsimClean = "netsim-clean" // coordinated: delivery faults only (no host crashes)
 )
+
+// netsimStrategies maps each netsim engine label to the strategy it
+// runs on the network engine.
+var netsimStrategies = map[string]string{
+	engineNetsimVis:   core.Visibility,
+	engineNetsimClone: core.Cloning,
+	engineNetsimClean: core.Clean,
+}
 
 // scenario is one named entry of the declarative campaign.
 type scenario struct {
@@ -67,10 +80,25 @@ type scenario struct {
 	plan   func(d int) *faults.Plan
 }
 
-// campaign returns the named scenarios, every one seeded and
-// deterministic. Crash targets use the schedule-independent trigger
-// counters: the synchronizer's own move sequence and per-order edge
-// sequences (phase-0 escort keys p0.e<i> exist for every d >= 2).
+// family is the scenario family its engine belongs to.
+func (s scenario) family() string {
+	if _, ok := netsimStrategies[s.engine]; ok {
+		return familyNetsim
+	}
+	return familyRuntime
+}
+
+// campaign returns the named scenarios of both families, runtime
+// first, every one seeded and deterministic. Runtime crash targets use
+// the schedule-independent trigger counters: the synchronizer's own
+// move sequence and per-order edge sequences (phase-0 escort keys
+// p0.e<i> exist for every d >= 2). The wire-fault scenarios are
+// expressed against the concrete broadcast-tree links of H_d. Frame
+// numbering per link is fixed by the host program order: on a
+// parent->child tree link the guarded beacon is frame 1 and agent
+// dispatches follow; on a pure dependency link the beacon is the only
+// frame. Triggers count those sequence numbers, so every plan is
+// deterministic by construction.
 func campaign() []scenario {
 	return []scenario{
 		{"cleaner-crash", engineCleanFT, func(d int) *faults.Plan {
@@ -120,6 +148,102 @@ func campaign() []scenario {
 				{Kind: faults.LatencySpike, Target: faults.TargetAny, At: 4, Until: 20, Delay: 10},
 				{Kind: faults.Stall, Target: faults.TargetAny, At: 12, Delay: 80},
 				{Kind: faults.LostWakeup, At: 3, Until: 15},
+			}}
+		}},
+		{"lossy-links", engineNetsimVis, func(d int) *faults.Plan {
+			bt := heapqueue.New(d)
+			c0 := bt.Children(0)[0]
+			p := &faults.Plan{Name: "lossy-links", Seed: 201, Faults: []faults.Fault{
+				{Kind: faults.LinkDrop, Target: faults.LinkTarget(0, c0), At: 1, Until: 8, Times: 2},
+			}}
+			if gcs := bt.Children(c0); len(gcs) > 0 {
+				p.Faults = append(p.Faults, faults.Fault{
+					Kind: faults.LinkDrop, Target: faults.LinkTarget(c0, gcs[0]), At: 1, Until: 4, Times: 1,
+				})
+			}
+			return p
+		}},
+		{"dup-storm", engineNetsimVis, func(d int) *faults.Plan {
+			bt := heapqueue.New(d)
+			c0 := bt.Children(0)[0]
+			p := &faults.Plan{Name: "dup-storm", Seed: 202, Faults: []faults.Fault{
+				{Kind: faults.LinkDup, Target: faults.LinkTarget(0, c0), At: 1, Until: 16},
+				{Kind: faults.LinkDelay, Target: faults.LinkTarget(0, c0), At: 2, Until: 5, Delay: 400},
+			}}
+			if gcs := bt.Children(c0); len(gcs) > 0 {
+				p.Faults = append(p.Faults, faults.Fault{
+					Kind: faults.LinkDup, Target: faults.LinkTarget(c0, gcs[0]), At: 1, Until: 8,
+				})
+			}
+			return p
+		}},
+		{"beacon-blackout", engineNetsimVis, func(d int) *faults.Plan {
+			// All of the last node's neighbours are smaller, so every
+			// link into it opens with a beacon: swallow them all and
+			// let the ARQ re-deliver the bits.
+			h := hypercube.New(d)
+			p := &faults.Plan{Name: "beacon-blackout", Seed: 203}
+			last := h.Order() - 1
+			for _, u := range h.SmallerNeighbours(last) {
+				p.Faults = append(p.Faults, faults.Fault{
+					Kind: faults.LinkDrop, Target: faults.LinkTarget(u, last), At: 1, Times: 3,
+				})
+			}
+			return p
+		}},
+		{"host-crash", engineNetsimVis, func(d int) *faults.Plan {
+			// Frame 2 on the root's first tree link is the first agent
+			// dispatch: the child crashes mid-gather, loses its soft
+			// state, and rebuilds from the order-ledger replay.
+			bt := heapqueue.New(d)
+			c0 := bt.Children(0)[0]
+			return &faults.Plan{Name: "host-crash", Seed: 204, Faults: []faults.Fault{
+				{Kind: faults.HostCrash, Target: faults.LinkTarget(0, c0), At: 2},
+			}}
+		}},
+		{"clone-mixed", engineNetsimClone, func(d int) *faults.Plan {
+			bt := heapqueue.New(d)
+			c0 := bt.Children(0)[0]
+			return &faults.Plan{Name: "clone-mixed", Seed: 205, Faults: []faults.Fault{
+				{Kind: faults.LinkDrop, Target: faults.LinkTarget(0, c0), At: 1, Until: 2, Times: 2},
+				{Kind: faults.LinkDup, Target: faults.LinkTarget(0, c0), At: 1, Until: 2},
+				{Kind: faults.HostCrash, Target: faults.LinkTarget(0, c0), At: 2},
+			}}
+		}},
+		{"homebase-islanded", engineNetsimVis, func(d int) *faults.Plan {
+			// The partition severs every link incident to the homebase
+			// mid-sweep: the boot beacon and the first dispatches on each
+			// outgoing link are parked in the cut and released in
+			// per-link order when it heals 600 logical units later. The
+			// run must land on the fault-free move and message counts
+			// with the heal window as its only Δtime bill.
+			return &faults.Plan{Name: "homebase-islanded", Seed: 206, Faults: []faults.Fault{
+				{Kind: faults.Partition, Target: faults.LinksTarget(faults.IslandLinks(0, d)),
+					At: 1, Until: 3, Delay: 600},
+			}}
+		}},
+		{"crash-cascade", engineNetsimVis, func(d int) *faults.Plan {
+			// Host 1 is single-fed (its only smaller neighbour is the
+			// root), so its ledger holds exactly 2 entries when frame 2
+			// fires: threshold 2 trips deterministically and the
+			// recovery load crashes its larger neighbours too.
+			victims := []int{3}
+			if d >= 3 {
+				victims = append(victims, 5)
+			}
+			return &faults.Plan{Name: "crash-cascade", Seed: 207, Faults: []faults.Fault{
+				{Kind: faults.Cascade, Target: faults.LinkTarget(0, 1), At: 2,
+					Threshold: 2, Victims: victims},
+			}}
+		}},
+		{"clean-cut", engineNetsimClean, func(d int) *faults.Plan {
+			// The coordinated engine under a dimension-1 subcube cut plus
+			// frame loss: couriers and the synchronizer park in the cut
+			// and the ARQ re-delivers the dropped hop, with the whole
+			// recovery billed to WireTime.
+			return &faults.Plan{Name: "clean-cut", Seed: 208, Faults: []faults.Fault{
+				{Kind: faults.Partition, Target: faults.CutDimTarget(1), At: 1, Until: 2, Delay: 500},
+				{Kind: faults.LinkDrop, Target: faults.LinkTarget(0, 2), At: 1, Until: 2, Times: 2},
 			}}
 		}},
 	}
@@ -256,128 +380,6 @@ func report(d int, bases map[string]baseline, outs []outcome) (string, bool) {
 	return sb.String(), allPass
 }
 
-// Netsim engines a wire-fault scenario can run on.
-const (
-	engineNetsimVis   = "netsim-vis"   // visibility: full complements down the broadcast tree
-	engineNetsimClone = "netsim-clone" // cloning: one agent per tree edge
-	engineNetsimClean = "netsim-clean" // coordinated: delivery faults only (no host crashes)
-)
-
-// netScenario is one wire-fault entry of the campaign.
-type netScenario struct {
-	name   string
-	engine string
-	plan   func(d int) *faults.Plan
-}
-
-// netsimCampaign returns the wire-fault scenarios, expressed against
-// the concrete broadcast-tree links of H_d. Frame numbering per link
-// is fixed by the host program order: on a parent->child tree link
-// the guarded beacon is frame 1 and agent dispatches follow; on a
-// pure dependency link the beacon is the only frame. Triggers count
-// those sequence numbers, so every plan is deterministic by
-// construction.
-func netsimCampaign() []netScenario {
-	return []netScenario{
-		{"lossy-links", engineNetsimVis, func(d int) *faults.Plan {
-			bt := heapqueue.New(d)
-			c0 := bt.Children(0)[0]
-			p := &faults.Plan{Name: "lossy-links", Seed: 201, Faults: []faults.Fault{
-				{Kind: faults.LinkDrop, Target: faults.LinkTarget(0, c0), At: 1, Until: 8, Times: 2},
-			}}
-			if gcs := bt.Children(c0); len(gcs) > 0 {
-				p.Faults = append(p.Faults, faults.Fault{
-					Kind: faults.LinkDrop, Target: faults.LinkTarget(c0, gcs[0]), At: 1, Until: 4, Times: 1,
-				})
-			}
-			return p
-		}},
-		{"dup-storm", engineNetsimVis, func(d int) *faults.Plan {
-			bt := heapqueue.New(d)
-			c0 := bt.Children(0)[0]
-			p := &faults.Plan{Name: "dup-storm", Seed: 202, Faults: []faults.Fault{
-				{Kind: faults.LinkDup, Target: faults.LinkTarget(0, c0), At: 1, Until: 16},
-				{Kind: faults.LinkDelay, Target: faults.LinkTarget(0, c0), At: 2, Until: 5, Delay: 400},
-			}}
-			if gcs := bt.Children(c0); len(gcs) > 0 {
-				p.Faults = append(p.Faults, faults.Fault{
-					Kind: faults.LinkDup, Target: faults.LinkTarget(c0, gcs[0]), At: 1, Until: 8,
-				})
-			}
-			return p
-		}},
-		{"beacon-blackout", engineNetsimVis, func(d int) *faults.Plan {
-			// All of the last node's neighbours are smaller, so every
-			// link into it opens with a beacon: swallow them all and
-			// let the ARQ re-deliver the bits.
-			h := hypercube.New(d)
-			p := &faults.Plan{Name: "beacon-blackout", Seed: 203}
-			last := h.Order() - 1
-			for _, u := range h.SmallerNeighbours(last) {
-				p.Faults = append(p.Faults, faults.Fault{
-					Kind: faults.LinkDrop, Target: faults.LinkTarget(u, last), At: 1, Times: 3,
-				})
-			}
-			return p
-		}},
-		{"host-crash", engineNetsimVis, func(d int) *faults.Plan {
-			// Frame 2 on the root's first tree link is the first agent
-			// dispatch: the child crashes mid-gather, loses its soft
-			// state, and rebuilds from the order-ledger replay.
-			bt := heapqueue.New(d)
-			c0 := bt.Children(0)[0]
-			return &faults.Plan{Name: "host-crash", Seed: 204, Faults: []faults.Fault{
-				{Kind: faults.HostCrash, Target: faults.LinkTarget(0, c0), At: 2},
-			}}
-		}},
-		{"clone-mixed", engineNetsimClone, func(d int) *faults.Plan {
-			bt := heapqueue.New(d)
-			c0 := bt.Children(0)[0]
-			return &faults.Plan{Name: "clone-mixed", Seed: 205, Faults: []faults.Fault{
-				{Kind: faults.LinkDrop, Target: faults.LinkTarget(0, c0), At: 1, Until: 2, Times: 2},
-				{Kind: faults.LinkDup, Target: faults.LinkTarget(0, c0), At: 1, Until: 2},
-				{Kind: faults.HostCrash, Target: faults.LinkTarget(0, c0), At: 2},
-			}}
-		}},
-		{"homebase-islanded", engineNetsimVis, func(d int) *faults.Plan {
-			// The partition severs every link incident to the homebase
-			// mid-sweep: the boot beacon and the first dispatches on each
-			// outgoing link are parked in the cut and released in
-			// per-link order when it heals 600 logical units later. The
-			// run must land on the fault-free move and message counts
-			// with the heal window as its only Δtime bill.
-			return &faults.Plan{Name: "homebase-islanded", Seed: 206, Faults: []faults.Fault{
-				{Kind: faults.Partition, Target: faults.LinksTarget(faults.IslandLinks(0, d)),
-					At: 1, Until: 3, Delay: 600},
-			}}
-		}},
-		{"crash-cascade", engineNetsimVis, func(d int) *faults.Plan {
-			// Host 1 is single-fed (its only smaller neighbour is the
-			// root), so its ledger holds exactly 2 entries when frame 2
-			// fires: threshold 2 trips deterministically and the
-			// recovery load crashes its larger neighbours too.
-			victims := []int{3}
-			if d >= 3 {
-				victims = append(victims, 5)
-			}
-			return &faults.Plan{Name: "crash-cascade", Seed: 207, Faults: []faults.Fault{
-				{Kind: faults.Cascade, Target: faults.LinkTarget(0, 1), At: 2,
-					Threshold: 2, Victims: victims},
-			}}
-		}},
-		{"clean-cut", engineNetsimClean, func(d int) *faults.Plan {
-			// The coordinated engine under a dimension-1 subcube cut plus
-			// frame loss: couriers and the synchronizer park in the cut
-			// and the ARQ re-delivers the dropped hop, with the whole
-			// recovery billed to WireTime.
-			return &faults.Plan{Name: "clean-cut", Seed: 208, Faults: []faults.Fault{
-				{Kind: faults.Partition, Target: faults.CutDimTarget(1), At: 1, Until: 2, Delay: 500},
-				{Kind: faults.LinkDrop, Target: faults.LinkTarget(0, 2), At: 1, Until: 2, Times: 2},
-			}}
-		}},
-	}
-}
-
 // netOutcome collects the deterministic facts of one wire-fault run.
 type netOutcome struct {
 	name, engine string
@@ -399,14 +401,6 @@ type netBaseline struct {
 	moves, agentMsgs, beaconMsgs int64
 }
 
-// netsimStrategies maps each netsim engine label to the strategy it
-// runs on the network engine.
-var netsimStrategies = map[string]string{
-	engineNetsimVis:   core.Visibility,
-	engineNetsimClone: core.Cloning,
-	engineNetsimClean: core.Clean,
-}
-
 func runNetsim(a *netarena.Arena, d int, engine string, plan *faults.Plan) netsim.Stats {
 	spec := core.Spec{Strategy: netsimStrategies[engine], Dim: d, Engine: core.EngineNetwork,
 		Seed: 7, AdversarialLatency: 300, Faults: plan}
@@ -421,7 +415,7 @@ func runNetsim(a *netarena.Arena, d int, engine string, plan *faults.Plan) netsi
 // terminate monotone, contiguous and all-clean with zero
 // recontaminations, and recovery must leave the logical run unchanged
 // against the fault-free baseline.
-func runNetScenario(a *netarena.Arena, d int, s netScenario, bases map[string]netBaseline) netOutcome {
+func runNetScenario(a *netarena.Arena, d int, s scenario, bases map[string]netBaseline) netOutcome {
 	o := netOutcome{name: s.name, engine: s.engine}
 	st := runNetsim(a, d, s.engine, s.plan(d))
 
@@ -482,10 +476,16 @@ func netReport(bases map[string]netBaseline, outs []netOutcome) (string, bool) {
 	return sb.String(), allPass
 }
 
-// keepScenario reports whether the -scenarios selection (nil = all)
-// includes name.
-func keepScenario(keep map[string]bool, name string) bool {
-	return keep == nil || keep[name]
+// selected returns family's scenarios that the -scenarios selection
+// keep (nil = all) includes, in campaign order.
+func selected(family string, keep map[string]bool) []scenario {
+	var out []scenario
+	for _, s := range campaign() {
+		if s.family() == family && (keep == nil || keep[s.name]) {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // runNetsimCampaign executes the wire-fault baselines and scenarios
@@ -493,12 +493,7 @@ func keepScenario(keep map[string]bool, name string) bool {
 // runtime campaign. keep (nil = all) selects a scenario subset; with
 // nothing selected the family is skipped entirely, baselines included.
 func runNetsimCampaign(d, workers int, keep map[string]bool) (string, bool, error) {
-	var scenarios []netScenario
-	for _, s := range netsimCampaign() {
-		if keepScenario(keep, s.name) {
-			scenarios = append(scenarios, s)
-		}
-	}
+	scenarios := selected(familyNetsim, keep)
 	if len(scenarios) == 0 {
 		return "", true, nil
 	}
@@ -543,12 +538,7 @@ func runNetsimCampaign(d, workers int, keep map[string]bool) (string, bool, erro
 // (workers <= 1 is the serial path). keep (nil = all) selects a
 // scenario subset; with nothing selected the family is skipped.
 func runCampaign(d, workers int, keep map[string]bool) (string, bool, error) {
-	var scenarios []scenario
-	for _, s := range campaign() {
-		if keepScenario(keep, s.name) {
-			scenarios = append(scenarios, s)
-		}
-	}
+	scenarios := selected(familyRuntime, keep)
 	if len(scenarios) == 0 {
 		return "", true, nil
 	}
@@ -616,25 +606,28 @@ func runFamilies(d, workers int, family string, keep map[string]bool) (string, b
 // scenarioNames lists every scenario of both families, campaign order.
 func scenarioNames() (runtime, netsim []string) {
 	for _, s := range campaign() {
-		runtime = append(runtime, s.name)
-	}
-	for _, s := range netsimCampaign() {
-		netsim = append(netsim, s.name)
+		if s.family() == familyNetsim {
+			netsim = append(netsim, s.name)
+		} else {
+			runtime = append(runtime, s.name)
+		}
 	}
 	return runtime, netsim
 }
 
-// parseScenarios resolves the -scenarios selection: "" means all
-// (nil), otherwise a comma-separated list whose every name must exist
-// in some family.
-func parseScenarios(sel string) (map[string]bool, error) {
+// parseScenarios resolves the -scenarios selection for family: ""
+// means all (nil), otherwise a comma-separated list whose every name
+// must exist in the selected family (any family under "all"). A name
+// from the other family is an error, not an empty run.
+func parseScenarios(family, sel string) (map[string]bool, error) {
 	if sel == "" {
 		return nil, nil
 	}
-	rt, ns := scenarioNames()
-	known := map[string]bool{}
-	for _, n := range append(rt, ns...) {
-		known[n] = true
+	families := map[string]string{} // scenario name -> family
+	var names []string
+	for _, s := range campaign() {
+		families[s.name] = s.family()
+		names = append(names, s.name)
 	}
 	keep := map[string]bool{}
 	for _, n := range strings.Split(sel, ",") {
@@ -642,11 +635,15 @@ func parseScenarios(sel string) (map[string]bool, error) {
 		if n == "" {
 			continue
 		}
-		if !known[n] {
-			if close := suggest.Nearest(n, append(rt, ns...)); close != "" {
+		fam, ok := families[n]
+		switch {
+		case !ok:
+			if close := suggest.Nearest(n, names); close != "" {
 				return nil, fmt.Errorf("unknown scenario %q — did you mean %q? (use -scenarios list)", n, close)
 			}
 			return nil, fmt.Errorf("unknown scenario %q (use -scenarios list)", n)
+		case family != familyAll && fam != family:
+			return nil, fmt.Errorf("scenario %q is in the %s family, not the selected -family %s", n, fam, family)
 		}
 		keep[n] = true
 	}
@@ -681,7 +678,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hqfaults: unknown -family %q (want all, runtime, or netsim)\n", *family)
 		os.Exit(2)
 	}
-	keep, err := parseScenarios(*scenarios)
+	keep, err := parseScenarios(*family, *scenarios)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hqfaults:", err)
 		os.Exit(2)

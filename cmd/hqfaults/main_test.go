@@ -45,9 +45,10 @@ func TestNetsimFamilyVerifyReplay(t *testing.T) {
 }
 
 // A -scenarios subset must run exactly the named scenarios and replay
-// byte-identically, and an unknown name must be rejected up front.
+// byte-identically, and a name that is unknown or outside the selected
+// family must be rejected up front.
 func TestScenarioSubsetSelection(t *testing.T) {
-	keep, err := parseScenarios("homebase-islanded , crash-cascade")
+	keep, err := parseScenarios(familyAll, "homebase-islanded , crash-cascade")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,15 +77,24 @@ func TestScenarioSubsetSelection(t *testing.T) {
 		t.Fatalf("subset rerun diverged.\nfirst:\n%s\nagain:\n%s", first, again)
 	}
 
-	if _, err := parseScenarios("no-such-scenario"); err == nil {
-		t.Error("unknown scenario name accepted")
+	for _, row := range []struct {
+		family, sel string
+		wantErr     string // a substring of the rejection
+	}{
+		{familyAll, "no-such-scenario", `unknown scenario "no-such-scenario"`},
+		// A typo must come back with the nearest real scenario, the same
+		// hint hqbench gives on unknown families.
+		{familyAll, "lossy-link", `did you mean "lossy-links"`},
+		// A scenario of the other family would select nothing to run
+		// and pass silently.
+		{familyNetsim, "cleaner-crash", "in the runtime family"},
+		{familyRuntime, "lossy-links,cleaner-crash", "in the netsim family"},
+	} {
+		if _, err := parseScenarios(row.family, row.sel); err == nil || indexOf(err.Error(), row.wantErr) < 0 {
+			t.Errorf("-family %s -scenarios %s: got error %v, want one containing %q", row.family, row.sel, err, row.wantErr)
+		}
 	}
-	// A typo must come back with the nearest real scenario, the same
-	// hint hqbench gives on unknown families.
-	if _, err := parseScenarios("lossy-link"); err == nil || indexOf(err.Error(), `did you mean "lossy-links"`) < 0 {
-		t.Errorf("typo suggestion missing or wrong: %v", err)
-	}
-	if sel, err := parseScenarios(""); err != nil || sel != nil {
+	if sel, err := parseScenarios(familyAll, ""); err != nil || sel != nil {
 		t.Errorf("empty selection should mean all (nil), got %v, %v", sel, err)
 	}
 }
