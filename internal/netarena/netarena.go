@@ -5,13 +5,17 @@
 //
 // Sharing contract (see ALGORITHMS.md, "Network arena reset contract"):
 //
+//   - a fabric holds one wiring (mailboxes, per-host scratch, the
+//     wire-fault layer and the timer barrier) that the visibility,
+//     cloning and CLEAN protocols share, so a pooled fabric may host
+//     any protocol's run after any other's;
 //   - the topology (hypercube + broadcast tree) holds only d and
 //     computes every query from the node's bits, so each fabric builds
 //     its own in O(1);
 //   - all mutable fabric state — mailboxes (retained capacity bounded
 //     by the mailbox reset), validator ledgers and replay scratch,
-//     per-host RNG/gather/ready scratch, faultlink link and ledger
-//     maps — is reset in O(n) when the next run starts on the fabric;
+//     per-host scratch, faultlink link and ledger maps — is reset in
+//     O(n) when the next run starts on the fabric;
 //   - a fabric whose run panicked mid-flight is poisoned
 //     (Fabric.Completed stays false): Release drops it, because
 //     blocked host goroutines may still hold references into its
