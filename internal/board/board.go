@@ -549,6 +549,13 @@ func (b *Board) AgentsOn(v int) int {
 	return c
 }
 
+// ContaminatedNeighbours returns the number of v's neighbours that are
+// contaminated, from the counter the board keeps per node. Every
+// hypercube board has the counters (any graph whose degrees fit a
+// byte does); on a graph with a node of degree above 255 there are
+// none and it panics.
+func (b *Board) ContaminatedNeighbours(v int) int { return int(b.contamNbrs[v]) }
+
 // Position returns the node agent id stands on and whether it is still
 // active (false once terminated).
 func (b *Board) Position(id int) (int, bool) {

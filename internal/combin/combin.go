@@ -164,8 +164,9 @@ func VisibilityTime(d int) int64 { return int64(d) }
 // VisibilityGatherSum returns the total number of gather events in a
 // CLEAN WITH VISIBILITY run — the n/2 homebase placements plus one per
 // move: 2^(d-1) + (d+1)*2^(d-2) for d >= 2. The event-driven engine
-// does constant work per gather, so this is also its exact event
-// budget, the quantity the d=20 scale benchmarks are sized by.
+// does constant work per gather, so this is also its work budget, the
+// quantity the d=20 scale benchmarks are sized by; its DES events are
+// fewer, one per flight of agents landing together.
 func VisibilityGatherSum(d int) int64 {
 	return VisibilityAgents(d) + VisibilityMoves(d)
 }

@@ -256,7 +256,7 @@ func TestFitRatioMismatchPanics(t *testing.T) {
 	FitRatio([]float64{1}, []float64{1, 2})
 }
 
-// TestVisibilityGatherSum pins the event budget of the event-driven
+// TestVisibilityGatherSum pins the work budget of the event-driven
 // visibility engine: placements plus moves, with the closed form
 // 2^(d-1) + (d+1)*2^(d-2) holding from d = 2 on.
 func TestVisibilityGatherSum(t *testing.T) {

@@ -53,6 +53,12 @@ type Simulator struct {
 // must eventually stop deferring an event or Run never terminates. It
 // runs before the clock reaches the event's time and must not schedule
 // events itself.
+//
+// The interceptors strategies run under (the fault plans' kernel lag)
+// defer by virtual time alone, so events due at one time with
+// consecutive sequence numbers stay back to back. The visibility
+// engine relies on that: it schedules such a run of agent landings as
+// one event.
 type Interceptor func(at, seq int64) (delay int64)
 
 // event is one pending dispatch. Exactly one of fn and inl is set:

@@ -34,9 +34,9 @@ func Run(d int, opts strategy.Options) (metrics.Result, *strategy.Env) {
 
 // RunEnv executes the visibility strategy on an existing (fresh or
 // reset) environment; pooled sweeps use it to reuse environments. It
-// runs the event-driven counter engine (inline.go): no per-node
-// polling, O(moves) events, bounded memory — the path that takes the
-// algorithm to d=20 megannode boards.
+// runs the event-driven engine (inline.go): no per-node polling,
+// O(moves) work, bounded memory — the path that takes the algorithm to
+// d=20 megannode boards.
 func RunEnv(env *strategy.Env) metrics.Result {
 	d := env.H.Dim()
 	team := int(combin.VisibilityAgents(d))
