@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 
+	"hypersearch/internal/bits"
 	"hypersearch/internal/combin"
 )
 
@@ -10,24 +11,29 @@ import (
 const CleanName = "clean-netsim"
 
 // syncState is the synchronizer's complete knowledge; it travels with
-// the agent, so no host ever holds global state.
+// the agent, so no host ever holds global state. Its cursors run over
+// the level in bits.NextAtLevel (lexicographic) order and over a
+// stop's tree edges, as the DES synchronizer's do; a cursor at or past
+// n has run off the level's end.
 type syncState struct {
-	ID       int     // the synchronizer's agent id
-	Phase    int     // level currently being cleaned into
-	Dest     int     // travel destination (multi-hop), -1 when arrived
-	BounceTo int     // return leg of an escort, -1 none
-	Stop     int     // current stop, -1 between stops
-	Stops    []int   // remaining stops of the phase, lexicographic
-	Escorts  []int   // remaining children to escort at the stop
-	Extras   [][]int // courier routes still to dispatch from the root
-	Final    bool    // heading home to finish the search
+	ID       int  // the synchronizer's agent id
+	Phase    int  // level currently being cleaned into
+	Dest     int  // travel destination (multi-hop), -1 when arrived
+	BounceTo int  // return leg of an escort, -1 none
+	Stop     int  // current stop, -1 between stops
+	Edge     int  // next tree edge to escort down at the stop: the child is Stop | 1<<Edge
+	Next     int  // the phase's next stop
+	Extra    int  // the level node the root's next courier goes to
+	Extras   int  // couriers Extra still needs (a type-T(k) node needs k-1)
+	Final    bool // heading home to finish the search
 }
 
 // RunClean executes Algorithm CLEAN as a pure message-passing system:
-// hosts share no memory, cleaners are source-routed messages, the
-// synchronizer migrates with its program and rides the same message as
-// the cleaner it guides on every escort leg. Costs are identical to
-// the other two engines; only the realization differs.
+// hosts share no memory, cleaners are messages forwarded hop by hop
+// toward their destination, the synchronizer migrates with its program
+// and rides the same message as the cleaner it guides on every escort
+// leg. Costs are identical to the other two engines; only the
+// realization differs.
 func RunClean(d int, cfg Config) Stats { return RunCleanOn(NewFabric(d), cfg) }
 
 // RunCleanOn executes Algorithm CLEAN on a caller-owned fabric,
@@ -61,7 +67,7 @@ func (n *network) bootClean(ids []int) {
 		Kind: SyncHop, From: 0, Agent: ids[0],
 		Sync: &syncState{
 			ID: ids[0], Phase: 0, Dest: -1, BounceTo: -1,
-			Stop: 0, Escorts: n.bt.Children(0),
+			Stop: 0, Edge: 0, Next: n.h.Order(), Extra: n.h.Order(),
 		},
 	})
 }
@@ -104,16 +110,14 @@ func (n *network) cleanHost(v int, sc *hostScratch) {
 	}
 }
 
-// onCourier lands or forwards a source-routed cleaner; an escorting
-// synchronizer lands with it.
+// onCourier lands or forwards a cleaner bound for m.Dest along the
+// canonical shortest path (from the root, the tree path down); an
+// escorting synchronizer lands with it.
 func (n *network) onCourier(v int, sc *hostScratch, m Message) {
 	n.val.arrive(m.Agent, m.From, v)
-	if len(m.Route) > 0 {
-		next := m.Route[0]
+	if m.Dest != v {
 		n.val.depart(m.Agent, v)
-		n.send(&sc.rng, next, Message{
-			Kind: CourierHop, From: v, Agent: m.Agent, Route: m.Route[1:],
-		})
+		n.sendCourier(&sc.rng, v, m.Agent, m.Dest)
 		return
 	}
 	if v == 0 {
@@ -139,8 +143,7 @@ func (n *network) advance(v int, sc *hostScratch) {
 	}
 	// Travel leg: keep hopping toward Dest.
 	if s.Dest >= 0 && s.Dest != v {
-		path := n.h.ShortestPath(v, s.Dest)
-		n.hopSync(v, path[1], sc)
+		n.hopSync(v, n.h.NextHopToward(v, s.Dest), sc)
 		return
 	}
 	s.Dest = -1
@@ -153,18 +156,16 @@ func (n *network) advance(v int, sc *hostScratch) {
 		return
 	}
 	// Root duties: dispatch couriers while the pool lasts.
-	if v == 0 && len(s.Extras) > 0 {
-		for len(sc.pool) > 0 && len(s.Extras) > 0 {
+	if v == 0 && s.Extra < n.h.Order() {
+		for len(sc.pool) > 0 && s.Extra < n.h.Order() {
 			a := sc.pool[len(sc.pool)-1]
 			sc.pool = sc.pool[:len(sc.pool)-1]
-			route := s.Extras[0]
-			s.Extras = s.Extras[1:]
 			n.val.depart(a, v)
-			n.send(&sc.rng, route[0], Message{
-				Kind: CourierHop, From: v, Agent: a, Route: route[1:],
-			})
+			n.sendCourier(&sc.rng, v, a, s.Extra)
+			s.Extras--
+			n.skipServed(s)
 		}
-		if len(s.Extras) > 0 {
+		if s.Extra < n.h.Order() {
 			return // wait for returners to refill the pool
 		}
 	}
@@ -192,15 +193,12 @@ func (n *network) advance(v int, sc *hostScratch) {
 			}
 			a := sc.gathered[0]
 			sc.gathered = sc.gathered[:0]
-			route := n.h.ShortestPath(v, 0)
 			n.val.depart(a, v)
-			n.send(&sc.rng, route[1], Message{
-				Kind: CourierHop, From: v, Agent: a, Route: route[2:],
-			})
+			n.sendCourier(&sc.rng, v, a, 0)
 			n.nextStop(v, sc, s)
 			return
 		}
-		if len(s.Escorts) == 0 {
+		if s.Edge >= n.h.Dim() {
 			n.nextStop(v, sc, s)
 			return
 		}
@@ -210,11 +208,11 @@ func (n *network) advance(v int, sc *hostScratch) {
 		if v == 0 {
 			have = len(sc.pool)
 		}
-		if have < len(s.Escorts) {
+		if have < n.h.Dim()-s.Edge {
 			return // couriers still inbound
 		}
-		child := s.Escorts[0]
-		s.Escorts = s.Escorts[1:]
+		child := s.Stop | 1<<s.Edge
+		s.Edge++
 		var a int
 		if v == 0 {
 			a = sc.pool[len(sc.pool)-1]
@@ -232,7 +230,7 @@ func (n *network) advance(v int, sc *hostScratch) {
 		sc.sync = nil
 		n.val.depart(sync.ID, v)
 		n.send(&sc.rng, child, Message{
-			Kind: CourierHop, From: v, Agent: a, Sync: sync,
+			Kind: CourierHop, From: v, Agent: a, Dest: child, Sync: sync,
 		})
 		return
 	}
@@ -252,10 +250,10 @@ func (n *network) floodShutdown(rng *hostRNG, v int) {
 // nextStop advances the program once the current stop (if any) is
 // complete.
 func (n *network) nextStop(v int, sc *hostScratch, s *syncState) {
-	if len(s.Stops) > 0 {
-		s.Stop = s.Stops[0]
-		s.Stops = s.Stops[1:]
-		s.Escorts = n.bt.Children(s.Stop)
+	if s.Next < n.h.Order() {
+		s.Stop = s.Next
+		s.Next = int(bits.NextAtLevel(bits.Node(s.Stop)))
+		s.Edge = bits.Msb(bits.Node(s.Stop))
 		s.Dest = s.Stop
 		if s.Dest == v {
 			// Never happens on the hypercube (consecutive stops
@@ -264,8 +262,7 @@ func (n *network) nextStop(v int, sc *hostScratch, s *syncState) {
 			n.advance(v, sc)
 			return
 		}
-		path := n.h.ShortestPath(v, s.Dest)
-		n.hopSync(v, path[1], sc)
+		n.hopSync(v, n.h.NextHopToward(v, s.Dest), sc)
 		return
 	}
 	if s.Phase >= n.h.Dim()-1 {
@@ -276,36 +273,43 @@ func (n *network) nextStop(v int, sc *hostScratch, s *syncState) {
 			return
 		}
 		s.Dest = 0
-		path := n.h.ShortestPath(v, 0)
-		n.hopSync(v, path[1], sc)
+		n.hopSync(v, n.h.NextHopToward(v, 0), sc)
 		return
 	}
 	// Prepare the next phase and head home for couriers.
 	l := s.Phase + 1
 	s.Phase = l
 	s.Stop = -1
-	s.Stops = n.h.NodesAtLevel(l)
-	s.Extras = nil
-	for _, x := range s.Stops {
-		k := n.bt.Type(x)
-		for i := 0; i < k-1; i++ {
-			route := n.bt.PathFromRoot(x)
-			s.Extras = append(s.Extras, route[1:])
-		}
-	}
+	s.Next = 1<<l - 1
+	s.Extra, s.Extras = s.Next, n.bt.Type(s.Next)-1
+	n.skipServed(s)
 	if v == 0 {
 		n.advance(v, sc)
 		return
 	}
 	s.Dest = 0
-	path := n.h.ShortestPath(v, 0)
-	n.hopSync(v, path[1], sc)
+	n.hopSync(v, n.h.NextHopToward(v, 0), sc)
+}
+
+// skipServed moves the courier cursor on from level nodes that need no
+// further courier, past the level's end once none does.
+func (n *network) skipServed(s *syncState) {
+	for s.Extras <= 0 && s.Extra < n.h.Order() {
+		if s.Extra = int(bits.NextAtLevel(bits.Node(s.Extra))); s.Extra < n.h.Order() {
+			s.Extras = n.bt.Type(s.Extra) - 1
+		}
+	}
 }
 
 // expectedFinalPool is the pool size once every cleaner except the
 // level-d guard has walked home: team - synchronizer - 1.
 func (n *network) expectedFinalPool() int {
 	return int(combin.CleanTeamSize(n.h.Dim())) - 2
+}
+
+// sendCourier sends cleaner a, departed from v, one hop toward dest.
+func (n *network) sendCourier(rng *hostRNG, v, a, dest int) {
+	n.send(rng, n.h.NextHopToward(v, dest), Message{Kind: CourierHop, From: v, Agent: a, Dest: dest})
 }
 
 // hopSync migrates the synchronizer one hop; the state rides along.

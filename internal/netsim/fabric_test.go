@@ -163,3 +163,32 @@ func TestHostRNGStreamsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmRunAllocs: a fault-free, zero-latency run on a warm fabric
+// allocates only its n host goroutines' closures and its WaitGroup, and
+// CLEAN also the synchronizer state it boots — nothing per host from
+// the protocols themselves: no dispatch plan, path or route slice.
+func TestWarmRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs malloc accounting")
+	}
+	for _, p := range []struct {
+		name  string
+		on    func(*Fabric, Config) Stats
+		extra float64 // allocations beyond the n+1 of the run skeleton
+	}{
+		{"visibility", RunOn, 0},
+		{"cloning", RunCloningOn, 0},
+		{"clean", RunCleanOn, 1},
+	} {
+		for _, d := range []int{4, 6, 8} {
+			f := NewFabric(d)
+			cfg := Config{Seed: 3}
+			p.on(f, cfg) // warm the fabric
+			want := float64(int(1)<<d+1) + p.extra
+			if got := testing.AllocsPerRun(10, func() { p.on(f, cfg) }); got > want {
+				t.Errorf("%s d=%d: %.0f allocations per warm run, want <= %.0f", p.name, d, got, want)
+			}
+		}
+	}
+}

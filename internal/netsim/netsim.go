@@ -11,8 +11,9 @@
 //     neighbouring nodes");
 //   - the Section-5 cloning variant (RunCloning), which sends one agent
 //     down each broadcast-tree edge;
-//   - Algorithm CLEAN (RunClean), whose cleaners are source-routed
-//     messages and whose synchronizer migrates with its program.
+//   - Algorithm CLEAN (RunClean), whose cleaners are messages forwarded
+//     hop by hop toward their destination and whose synchronizer
+//     migrates with its program.
 //
 // There is no shared memory between hosts: coordination is purely
 // message-passing (the per-host whiteboard is host-local state). A
@@ -75,7 +76,7 @@ const (
 	// drops its soft protocol state and rebuilds it from the
 	// Replay-marked ledger redeliveries that follow immediately.
 	HostRestart
-	// CourierHop carries a source-routed cleaner one hop; on an escort
+	// CourierHop carries a cleaner one hop toward its Dest; on an escort
 	// leg the synchronizer rides in the same message ("the
 	// synchronizer guides one agent to level l+1"), which makes the
 	// pair's landing atomic exactly as in the other engines.
@@ -94,7 +95,7 @@ type Message struct {
 	Replay bool       // ledger redelivery after a crash: skip validator/accounting effects
 	From   int        // sending host
 	Agent  int        // AgentArrival, CourierHop, SyncHop: the migrating agent's id
-	Route  []int      // CourierHop: remaining hops, next first
+	Dest   int        // CourierHop: the cleaner's destination
 	Sync   *syncState // SyncHop payload, or the synchronizer riding an escort courier
 }
 
@@ -338,11 +339,11 @@ func (n *network) visibilityHost(v int, sc *hostScratch) {
 		}
 		// Dispatch the complement down the broadcast tree and retire
 		// this host: with the children notified, no further message
-		// can matter here.
-		plan := heapqueue.DispatchPlan(k)
+		// can matter here. Child i is of type T(k-1-i) and takes its
+		// complement.
 		for i := 0; i < k; i++ {
 			child := v | 1<<(msb+i)
-			for j := int64(0); j < plan[i]; j++ {
+			for j := heapqueue.AgentsRequired(k - 1 - i); j > 0; j-- {
 				a := sc.gathered[len(sc.gathered)-1]
 				sc.gathered = sc.gathered[:len(sc.gathered)-1]
 				n.val.depart(a, v)
