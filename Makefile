@@ -87,12 +87,16 @@ bench-scale-smoke:
 # (BenchmarkSweepShapes in internal/core) at GOMAXPROCS=1: 20
 # visibility runs at d=18 and 100 CLEAN runs at d=14 under adversary
 # 13, each profile written to /tmp and printed as pprof's top table.
-# A starting point for a board or engine change; not part of ci.
+# Then the visibility shape as perfbench runs it, two runs at once
+# (BenchmarkSweepPairs) at GOMAXPROCS=2: 10 pairs. A starting point for
+# a board or engine change; not part of ci.
 profile-sweeps:
 	GOMAXPROCS=1 $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweepShapes/visibility' -benchtime 20x -o /tmp/sweeps.test -cpuprofile /tmp/sweep-visibility.pprof
 	$(GO) tool pprof -top -nodecount 40 /tmp/sweeps.test /tmp/sweep-visibility.pprof
 	GOMAXPROCS=1 $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweepShapes/clean' -benchtime 100x -o /tmp/sweeps.test -cpuprofile /tmp/sweep-clean.pprof
 	$(GO) tool pprof -top -nodecount 40 /tmp/sweeps.test /tmp/sweep-clean.pprof
+	GOMAXPROCS=2 $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweepPairs/visibility' -benchtime 10x -o /tmp/sweeps.test -cpuprofile /tmp/sweep-visibility-pair.pprof
+	$(GO) tool pprof -top -nodecount 40 /tmp/sweeps.test /tmp/sweep-visibility-pair.pprof
 
 # Every hqbench family once, with its invariant and closed-form
 # self-checks but without the timing gate, so a self-check failure
@@ -126,12 +130,14 @@ perfbench-test:
 ci: fmt build vet staticcheck race faults faults-netsim serve-smoke bench-quick bench-smoke bench-scale-smoke bench-check perfbench-test
 
 # Short real fuzz runs of the fault-plan parser, the engine under
-# fuzzed fault application, the DES queue's dispatch order and trace
-# decoding plus replay (regression corpus always runs under `test`).
+# fuzzed fault application, the DES queue's dispatch order, the
+# visibility engine against its reference path and trace decoding plus
+# replay (regression corpus always runs under `test`).
 fuzz:
 	$(GO) test ./internal/faults -fuzz FuzzParse -fuzztime 15s
 	$(GO) test ./internal/runtime -fuzz FuzzFaultApplication -fuzztime 20s
 	$(GO) test ./internal/serve -fuzz FuzzParseRequest -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzReadEntries -fuzztime 10s
 	$(GO) test ./internal/des -fuzz FuzzEventOrder -fuzztime 10s
+	$(GO) test ./internal/strategy/visibility -fuzz FuzzInlineMatchesLegacy -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzReadJSON -fuzztime 10s
