@@ -44,12 +44,6 @@ func RunEnv(env *strategy.Env) metrics.Result {
 		}
 	}
 	env.Sim.Run()
-
-	for id := 0; id < env.B.Agents(); id++ {
-		if _, active := env.B.Position(id); active {
-			env.Terminate(id)
-		}
-	}
 	return env.Result(Name)
 }
 

@@ -79,9 +79,6 @@ func RunEnv(env *strategy.Env) metrics.Result {
 		env.Sim.SpawnInline(&c.Inline)
 	}
 	env.Sim.Run()
-
-	// Retire every agent in place so clean-order accounting settles.
-	c.terminateAll(team)
 	return env.Result(Name)
 }
 
@@ -269,13 +266,4 @@ func (c *cleaner) pop(x int) int {
 	a := agents[len(agents)-1]
 	c.at[x] = agents[:len(agents)-1]
 	return a
-}
-
-// terminateAll retires every agent after the simulation drains.
-func (c *cleaner) terminateAll(team int) {
-	for id := 0; id < team; id++ {
-		if _, active := c.env.B.Position(id); active {
-			c.env.Terminate(id)
-		}
-	}
 }

@@ -50,8 +50,8 @@ func RunConvoyEnv(env *strategy.Env, team int) metrics.Result {
 	return env.Result(ConvoyName)
 }
 
-// runConvoy places the team, marches it along the DFS walk, and
-// retires it in place.
+// runConvoy places the team and marches it along the DFS walk;
+// Env.Result retires it in place.
 func runConvoy(env *strategy.Env, team int) {
 	c := &convoy{env: env, agents: make([]int, team)}
 	for i := range c.agents {
@@ -63,9 +63,6 @@ func runConvoy(env *strategy.Env, team int) {
 		env.Sim.SpawnInline(&c.Inline)
 	}
 	env.Sim.Run()
-	for _, a := range c.agents {
-		env.Terminate(a)
-	}
 }
 
 // convoy is the marching team as one actor: at each walk position the

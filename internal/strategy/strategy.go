@@ -455,10 +455,17 @@ func (e *Env) RoleMoves(role string) int64 {
 	return e.B.Moves() - e.syncMoves
 }
 
-// Result assembles the run's cost and correctness summary. Call it
-// after Sim.Run has returned; it also marks the environment's run as
-// completed, which is what allows a pooled environment to be reused.
+// Result ends the run and assembles its cost and correctness summary.
+// Call it after Sim.Run has returned. It first retires every agent
+// still on the board, in id order, at the current time; then it marks
+// the environment's run as completed, which is what allows a pooled
+// environment to be reused.
 func (e *Env) Result(name string) metrics.Result {
+	for id := 0; id < e.B.Agents(); id++ {
+		if _, active := e.B.Position(id); active {
+			e.Terminate(id)
+		}
+	}
 	e.completed = true
 	r := e.B.Result(name)
 	r.Dim = e.H.Dim()

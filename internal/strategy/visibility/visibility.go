@@ -49,10 +49,5 @@ func RunEnv(env *strategy.Env) metrics.Result {
 		eng.ready(env.Sim, 0)
 	}
 	env.Sim.Run()
-	for id := 0; id < team; id++ {
-		if _, active := env.B.Position(id); active {
-			env.Terminate(id)
-		}
-	}
 	return env.Result(Name)
 }
