@@ -128,7 +128,10 @@ type row struct {
 // EngineStrategies lists them.
 var table = []row{
 	onDES(Clean, envOnly(coordinated.RunEnv), cleanTeam, cleanAgentMoves),
-	onDES(Visibility, envOnly(visibility.RunEnv), visibilityTeam, visibilityMoves, logTime),
+	// The visibility engine's flush sort keys hold node ids of at most
+	// visibility.MaxInlineDim bits; above that it panics.
+	{strategy: Visibility, engine: EngineDES, maxDim: visibility.MaxInlineDim, faults: desFaults, trace: true,
+		forms: []closedForm{visibilityTeam, visibilityMoves, logTime}, des: envOnly(visibility.RunEnv)},
 	onDES(Cloning, envOnly(cloning.RunEnv), visibilityTeam, cloningMoves, logTime),
 	// The synchronous variant is defined only for unit latency; its
 	// lockstep schedule panics when an injected delay fires.

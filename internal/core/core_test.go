@@ -208,6 +208,22 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestVisibilityDimLimit: DES visibility admits dimensions up to its
+// engine's limit and rejects the rest before building anything. It
+// calls only Check: a Run at d = 28 would first build a 2^28-node
+// environment.
+func TestVisibilityDimLimit(t *testing.T) {
+	if err := Check(Spec{Strategy: Visibility, Dim: 27}); err != nil {
+		t.Errorf("d=27 rejected: %v", err)
+	}
+	for _, d := range []int{28, 30} {
+		err := Check(Spec{Strategy: Visibility, Dim: d})
+		if err == nil || !strings.Contains(err.Error(), "[0,27]") {
+			t.Errorf("d=%d: err %v, want a rejection naming the limit 27", d, err)
+		}
+	}
+}
+
 func TestStrategiesList(t *testing.T) {
 	names := Strategies()
 	if len(names) != 6 {
