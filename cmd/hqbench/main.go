@@ -127,6 +127,17 @@ func strategyFamily(name string, d, iters int) family {
 	}
 }
 
+// adversarialFamily benchmarks one strategy at one dimension under the
+// DES adversary: move latencies uniform in [1, 13], seed 1.
+func adversarialFamily(name string, d, iters int) family {
+	spec := core.Spec{Strategy: name, Dim: d, AdversarialLatency: 13, Seed: 1}
+	return family{
+		name:  fmt.Sprintf("adversarial-%s/d=%d", name, d),
+		iters: iters,
+		run:   func() map[string]float64 { return strategyMetrics(mustRun(spec)) },
+	}
+}
+
 // families returns the full tier-1 suite. Iteration counts shrink with
 // dimension so the whole run stays in CLI territory while every family
 // still averages over several runs.
@@ -161,15 +172,11 @@ func families() []family {
 	fams = append(fams,
 		strategyFamily(core.Cloning, 8, 8),
 		strategyFamily(core.Synchronous, 8, 8),
-		family{
-			name:  "adversarial-clean/d=6",
-			iters: 10,
-			run: func() map[string]float64 {
-				return strategyMetrics(mustRun(core.Spec{
-					Strategy: core.Clean, Dim: 6, AdversarialLatency: 13, Seed: 1,
-				}))
-			},
-		},
+		adversarialFamily(core.Clean, 6, 10),
+		// Under the adversary few visibility landings share a flight
+		// (6 % at d=18, bound 13, against 79 % under unit latency), so
+		// the engine's adversarial path is timed apart from visibility/d=*.
+		adversarialFamily(core.Visibility, 12, iters(12)),
 		family{
 			name:  "des-throughput/events=100k",
 			iters: 10,

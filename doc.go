@@ -7,8 +7,7 @@
 // The implementation lives under internal/: the public entry point is
 // internal/core (single-call API over strategies and engines), with
 // the topology, search-state, simulation, strategy, runtime, and
-// experiment packages beneath it. The root package carries the
-// benchmark suite (bench_test.go) that regenerates every cost bound in
-// the paper's evaluation; see DESIGN.md for the system inventory and
-// EXPERIMENTS.md for measured-versus-claimed results.
+// experiment packages beneath it. cmd/hqbench times the paper's runs
+// and checks every cost bound; see DESIGN.md for the system inventory
+// and EXPERIMENTS.md for measured-versus-claimed results.
 package hypersearch

@@ -6,29 +6,14 @@ import (
 	"testing"
 )
 
-// BenchmarkEventThroughput measures raw event scheduling and dispatch.
-func BenchmarkEventThroughput(b *testing.B) {
-	s := New()
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < b.N {
-			s.After(1, tick)
-		}
-	}
-	s.After(1, tick)
-	b.ResetTimer()
-	s.Run()
-}
-
 // BenchmarkQueueDepth measures dispatch at the queue depths the
-// sweeps run, where BenchmarkEventThroughput keeps one event pending:
-// a steady population of depth events, every dispatch rescheduling
-// one, under unit latency and under latencies uniform in 1..13. 1,718
-// is CLEAN's peak at d=14 under the adversary, 131,072 the last step
-// of CLEAN WITH VISIBILITY at d=18. ns/event divides the timed run by
-// every dispatch, the final drain of the population included.
+// sweeps run, where hqbench's des-throughput family keeps one event
+// pending: a steady population of depth events, every dispatch
+// rescheduling one, under unit latency and under latencies uniform in
+// 1..13. 1,718 is CLEAN's peak at d=14 under the adversary, 131,072
+// the last step of CLEAN WITH VISIBILITY at d=18. ns/event divides the
+// timed run by every dispatch, the final drain of the population
+// included.
 func BenchmarkQueueDepth(b *testing.B) {
 	var lat [4096]int64
 	rng := rand.New(rand.NewSource(1))

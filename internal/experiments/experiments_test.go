@@ -3,12 +3,14 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"slices"
 	"strings"
 	"testing"
 
 	"hypersearch/internal/envpool"
+	"hypersearch/internal/sched"
 )
 
 func TestReportRender(t *testing.T) {
@@ -288,5 +290,28 @@ func TestSeedSweepsParallelMatchSerial(t *testing.T) {
 	}
 	if s, p := xIntruder(envpool.New(), 4, 3, 1).Render(), xIntruder(envpool.New(), 4, 3, 4).Render(); s != p {
 		t.Error("XIntruder parallel rendering diverged from serial")
+	}
+}
+
+// BenchmarkExperimentReports measures the full harness end to end (a
+// smaller sweep than the CLI default, to keep bench runs bounded),
+// once on the serial path and once fanned across the default worker
+// count — the wall-clock ratio between the two is the scheduler's
+// speedup on this machine.
+func BenchmarkExperimentReports(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{
+		{"serial", 1},
+		{fmt.Sprintf("workers=%d", sched.DefaultWorkers()), sched.DefaultWorkers()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got := len(All(6, 3, bc.workers)); got != 18 {
+					b.Fatalf("%d reports", got)
+				}
+			}
+		})
 	}
 }

@@ -151,3 +151,24 @@ func TestHammingBallBoundaries(t *testing.T) {
 		t.Errorf("peak %d", peak)
 	}
 }
+
+// BenchmarkIsoperimetricBound regenerates experiment X7: the Harper
+// lower bound (closed form, arbitrary d) and the exact exhaustive
+// bound (small d).
+func BenchmarkIsoperimetricBound(b *testing.B) {
+	b.Run("harper/d=20", func(b *testing.B) {
+		var bound int64
+		for i := 0; i < b.N; i++ {
+			bound = HypercubeLowerBound(20)
+		}
+		b.ReportMetric(float64(bound), "agents")
+	})
+	b.Run("exact/H_4", func(b *testing.B) {
+		h := hypercube.New(4)
+		var bound int
+		for i := 0; i < b.N; i++ {
+			bound = ExactMonotoneLowerBound(h)
+		}
+		b.ReportMetric(float64(bound), "agents")
+	})
+}

@@ -140,3 +140,29 @@ func TestNilPlanNeverFences(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGoroutineEngine regenerates the concurrent half of X3: the
+// real-goroutine runtime under scheduler preemption. Its allocations
+// vary from run to run with the schedule, so no exact allocs gate can
+// hold it.
+func BenchmarkGoroutineEngine(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		run  func(int, Config) (Report, error)
+	}{
+		{coordinated.Name, RunClean},
+		{visibility.Name, RunVisibility},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := bc.run(6, Config{Seed: int64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !rep.Result.Ok() {
+					b.Fatalf("invariants violated: %s", rep.Result)
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package greedy
 
 import (
+	"fmt"
 	"testing"
 
 	"hypersearch/internal/combin"
@@ -130,5 +131,24 @@ func TestGreedyTrivial(t *testing.T) {
 	r, _, _ := Run(g, 0)
 	if !r.Captured || r.TeamSize != 1 || r.TotalMoves != 0 {
 		t.Errorf("trivial graph: %s", r.String())
+	}
+}
+
+// BenchmarkGenericStrategies regenerates the greedy half of experiment
+// X8: the structure-generic strategy on the hypercube.
+func BenchmarkGenericStrategies(b *testing.B) {
+	for _, d := range []int{4, 6, 8} {
+		h := hypercube.New(d)
+		b.Run(fmt.Sprintf("greedy/d=%d", d), func(b *testing.B) {
+			var team float64
+			for i := 0; i < b.N; i++ {
+				r, _, _ := Run(h, 0)
+				if !r.Captured || !r.MonotoneOK {
+					b.Fatal("greedy failed")
+				}
+				team = float64(r.TeamSize)
+			}
+			b.ReportMetric(team, "agents")
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package levelsweep
 
 import (
+	"fmt"
 	"testing"
 
 	"hypersearch/internal/combin"
@@ -112,4 +113,46 @@ func TestSweepDisconnectedPanics(t *testing.T) {
 
 func TestSweepNonZeroHome(t *testing.T) {
 	assertOK(t, "mesh-center", topologies.Mesh(5, 5), 12)
+}
+
+// BenchmarkGenericStrategies regenerates the level-sweep half of
+// experiment X8: the structure-generic strategy on the hypercube.
+func BenchmarkGenericStrategies(b *testing.B) {
+	for _, d := range []int{4, 6, 8} {
+		h := hypercube.New(d)
+		b.Run(fmt.Sprintf("level-sweep/d=%d", d), func(b *testing.B) {
+			var team float64
+			for i := 0; i < b.N; i++ {
+				r, _, _ := Run(h, 0)
+				if !r.Captured || !r.MonotoneOK {
+					b.Fatal("level sweep failed")
+				}
+				team = float64(r.TeamSize)
+			}
+			b.ReportMetric(team, "agents")
+		})
+	}
+}
+
+// BenchmarkGenericTopologies measures the level sweep on the wider
+// topology catalog.
+func BenchmarkGenericTopologies(b *testing.B) {
+	cases := map[string]graph.Graph{
+		"mesh-16x16": topologies.Mesh(16, 16),
+		"torus-8x8":  topologies.Torus(8, 8),
+		"ring-256":   topologies.Ring(256),
+	}
+	for name, g := range cases {
+		b.Run(name, func(b *testing.B) {
+			var team float64
+			for i := 0; i < b.N; i++ {
+				r, _, _ := Run(g, 0)
+				if !r.Captured {
+					b.Fatal("sweep failed")
+				}
+				team = float64(r.TeamSize)
+			}
+			b.ReportMetric(team, "agents")
+		})
+	}
 }

@@ -1,8 +1,11 @@
 package naive
 
 import (
+	"fmt"
 	"testing"
 
+	"hypersearch/internal/envpool"
+	"hypersearch/internal/metrics"
 	"hypersearch/internal/strategy"
 )
 
@@ -64,5 +67,23 @@ func TestConvoyLargeTeamOnTinyCube(t *testing.T) {
 	r, _ := RunConvoy(2, 8, strategy.Options{})
 	if !r.Captured {
 		t.Errorf("full-window convoy on H_2 failed: %s", r.String())
+	}
+}
+
+// BenchmarkNaiveBaseline regenerates experiment X4's cost side: what
+// the oblivious sweep spends while failing. Runs reuse one pooled
+// environment per dimension, as the sweeps do.
+func BenchmarkNaiveBaseline(b *testing.B) {
+	pool := envpool.New()
+	for _, d := range []int{4, 6, 8} {
+		b.Run(fmt.Sprintf("dfs/d=%d", d), func(b *testing.B) {
+			var last metrics.Result
+			for i := 0; i < b.N; i++ {
+				env := pool.Acquire(d, strategy.Options{})
+				last = RunDFSEnv(env)
+				pool.Release(env)
+			}
+			b.ReportMetric(float64(last.Recontaminations), "recontaminations")
+		})
 	}
 }

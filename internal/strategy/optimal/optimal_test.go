@@ -1,6 +1,7 @@
 package optimal
 
 import (
+	"fmt"
 	"testing"
 
 	"hypersearch/internal/graph"
@@ -170,5 +171,24 @@ func TestMonotonePruningKeepsContiguity(t *testing.T) {
 	a := MinimalTeam(g, 0, 4, Limits{})
 	if !a.Feasible || a.Team != 2 {
 		t.Fatalf("star answer = %+v", a)
+	}
+}
+
+// BenchmarkOptimalSearch regenerates experiment X2: exhaustive minimal
+// teams on small hypercubes.
+func BenchmarkOptimalSearch(b *testing.B) {
+	for d := 2; d <= 4; d++ {
+		b.Run(fmt.Sprintf("H_%d", d), func(b *testing.B) {
+			h := hypercube.New(d)
+			var team float64
+			for i := 0; i < b.N; i++ {
+				a := MinimalTeam(h, 0, 10, Limits{})
+				if !a.Feasible {
+					b.Fatal("no feasible team found")
+				}
+				team = float64(a.Team)
+			}
+			b.ReportMetric(team, "agents")
+		})
 	}
 }

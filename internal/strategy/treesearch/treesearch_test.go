@@ -1,6 +1,7 @@
 package treesearch
 
 import (
+	"fmt"
 	"testing"
 
 	"hypersearch/internal/graph"
@@ -135,5 +136,24 @@ func TestTreeScheduleBreaksOnHypercube(t *testing.T) {
 	}
 	if b.MonotoneViolations() == 0 && b.AllClean() {
 		t.Error("tree schedule unexpectedly survives the hypercube chords")
+	}
+}
+
+// BenchmarkTreeSearch regenerates experiment X5: the tree-optimal
+// comparator on broadcast trees.
+func BenchmarkTreeSearch(b *testing.B) {
+	for _, d := range []int{4, 6, 8, 10} {
+		b.Run(fmt.Sprintf("T(%d)", d), func(b *testing.B) {
+			tr := heapqueue.New(d).Graph()
+			var team float64
+			for i := 0; i < b.N; i++ {
+				r, _, _ := Execute(tr)
+				if !r.Captured {
+					b.Fatal("tree search failed")
+				}
+				team = float64(r.TeamSize)
+			}
+			b.ReportMetric(team, "agents")
+		})
 	}
 }
