@@ -1,8 +1,8 @@
 // Package experiments regenerates every evaluation artefact of the
 // paper — its four figures and the cost bounds of Theorems 2-8 and
 // Section 5 — as measured-versus-claimed reports. cmd/hqexperiments
-// renders them; EXPERIMENTS.md records a snapshot; the root benchmark
-// suite exercises the same runs under testing.B.
+// renders them; EXPERIMENTS.md records a snapshot; cmd/hqbench times
+// the theorems' runs and checks their closed forms.
 package experiments
 
 import (
@@ -611,10 +611,11 @@ func X9(maxD, seeds, workers int) Report {
 		Notes: "Hosts are goroutines sharing no memory; agents migrate as messages over " +
 			"latency-bearing links. The visibility protocol realizes neighbour-state reads as " +
 			"exactly one bit per dependent neighbour (beacons <= 2x edges). The coordinated " +
-			"protocol source-routes couriers, rides the synchronizer on the cleaner it guides, " +
-			"and retires with a counted shutdown flood. The cloning variant is message-optimal: " +
-			"exactly n-1 agent migrations, one per broadcast-tree edge. All protocols' traffic " +
-			"is schedule-independent and matches the discrete-event engine exactly.",
+			"protocol forwards couriers hop by hop toward their destination, rides the " +
+			"synchronizer on the cleaner it guides, and retires with a counted shutdown flood. " +
+			"The cloning variant is message-optimal: exactly n-1 agent migrations, one per " +
+			"broadcast-tree edge. All protocols' traffic is schedule-independent and matches " +
+			"the discrete-event engine exactly.",
 		Verdict: "REPRODUCED",
 	}
 }
