@@ -40,11 +40,18 @@ func Binomial(n, k int) int64 {
 
 // Pow2 returns 2^e as an int64. It panics for e outside [0, 62].
 func Pow2(e int) int64 {
-	if e < 0 || e > 62 {
-		panic(fmt.Sprintf("combin: Pow2(%d) out of range", e))
+	if uint(e) > 62 {
+		panic(pow2Range(e))
 	}
 	return 1 << e
 }
+
+// pow2Range is Pow2's panic value. Formatting its message only when it
+// is read keeps Pow2 and its hot callers (heapqueue.AgentsRequired)
+// inlinable.
+type pow2Range int
+
+func (e pow2Range) Error() string { return fmt.Sprintf("combin: Pow2(%d) out of range", int(e)) }
 
 // NodesAtLevel returns the number of hypercube nodes at level l of H_d:
 // C(d, l).
