@@ -29,7 +29,6 @@ import (
 	"hypersearch/internal/netsim"
 	"hypersearch/internal/runtime"
 	"hypersearch/internal/strategy"
-	"hypersearch/internal/strategy/cloning"
 	"hypersearch/internal/strategy/coordinated"
 	"hypersearch/internal/strategy/naive"
 	"hypersearch/internal/strategy/synchronous"
@@ -39,12 +38,12 @@ import (
 
 // Strategy names accepted by Spec.Strategy.
 const (
-	Clean       = coordinated.Name // Algorithm 1: synchronizer-coordinated
-	Visibility  = visibility.Name  // Algorithm 2: local rule with neighbour visibility
-	Cloning     = cloning.Name     // Section 5 cloning variant
-	Synchronous = synchronous.Name // Section 5 synchronous variant
-	NaiveDFS    = naive.DFSName    // oblivious single-agent sweep (baseline)
-	NaiveConvoy = naive.ConvoyName // oblivious convoy sweep (baseline)
+	Clean       = coordinated.Name       // Algorithm 1: synchronizer-coordinated
+	Visibility  = visibility.Name        // Algorithm 2: local rule with neighbour visibility
+	Cloning     = visibility.CloningName // Section 5 cloning variant
+	Synchronous = synchronous.Name       // Section 5 synchronous variant
+	NaiveDFS    = naive.DFSName          // oblivious single-agent sweep (baseline)
+	NaiveConvoy = naive.ConvoyName       // oblivious convoy sweep (baseline)
 )
 
 // Engine names accepted by Spec.Engine.
@@ -128,11 +127,13 @@ type row struct {
 // EngineStrategies lists them.
 var table = []row{
 	onDES(Clean, envOnly(coordinated.RunEnv), cleanTeam, cleanAgentMoves),
-	// The visibility engine's flush sort keys hold node ids of at most
-	// visibility.MaxInlineDim bits; above that it panics.
+	// The visibility engine, which runs the cloning variant too, holds
+	// node ids of at most visibility.MaxInlineDim bits in its flush sort
+	// keys; above that it panics.
 	{strategy: Visibility, engine: EngineDES, maxDim: visibility.MaxInlineDim, faults: desFaults, trace: true,
 		forms: []closedForm{visibilityTeam, visibilityMoves, logTime}, des: envOnly(visibility.RunEnv)},
-	onDES(Cloning, envOnly(cloning.RunEnv), visibilityTeam, cloningMoves, logTime),
+	{strategy: Cloning, engine: EngineDES, maxDim: visibility.MaxInlineDim, faults: desFaults, trace: true,
+		forms: []closedForm{visibilityTeam, cloningMoves, logTime}, des: envOnly(visibility.RunCloningEnv)},
 	// The synchronous variant is defined only for unit latency; its
 	// lockstep schedule panics when an injected delay fires.
 	{strategy: Synchronous, engine: EngineDES, maxDim: bits.MaxDim, faults: desFaults, trace: true, unit: true,

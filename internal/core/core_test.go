@@ -208,18 +208,21 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestVisibilityDimLimit: DES visibility admits dimensions up to its
-// engine's limit and rejects the rest before building anything. It
+// TestVisibilityDimLimit: DES visibility and cloning admit dimensions
+// up to their engine's limit and reject the rest before building
+// anything. It
 // calls only Check: a Run at d = 28 would first build a 2^28-node
 // environment.
 func TestVisibilityDimLimit(t *testing.T) {
-	if err := Check(Spec{Strategy: Visibility, Dim: 27}); err != nil {
-		t.Errorf("d=27 rejected: %v", err)
-	}
-	for _, d := range []int{28, 30} {
-		err := Check(Spec{Strategy: Visibility, Dim: d})
-		if err == nil || !strings.Contains(err.Error(), "[0,27]") {
-			t.Errorf("d=%d: err %v, want a rejection naming the limit 27", d, err)
+	for _, name := range []string{Visibility, Cloning} {
+		if err := Check(Spec{Strategy: name, Dim: 27}); err != nil {
+			t.Errorf("%s: d=27 rejected: %v", name, err)
+		}
+		for _, d := range []int{28, 30} {
+			err := Check(Spec{Strategy: name, Dim: d})
+			if err == nil || !strings.Contains(err.Error(), "[0,27]") {
+				t.Errorf("%s: d=%d: err %v, want a rejection naming the limit 27", name, d, err)
+			}
 		}
 	}
 }

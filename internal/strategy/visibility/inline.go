@@ -1,7 +1,10 @@
-// inline.go is the event-driven visibility engine RunEnv runs: the
-// same local rule as the polling node-actor reference path (kept as
-// the identity oracle in inline_identity_test.go), executed without
-// 2^d actors re-checking their neighbourhoods on every wake.
+// inline.go is the event-driven engine RunEnv and RunCloningEnv run:
+// the same local rule as the polling node-actor reference paths (kept
+// as the identity oracles in inline_identity_test.go), executed without
+// 2^d actors re-checking their neighbourhoods on every wake. The two
+// strategies differ only in each node's complement, 2^(k-1) agents for
+// a visibility node of type T(k) and one for a cloning node, and in
+// where a dispatch's movers come from: gathered, or cloned on the spot.
 //
 // The dispatch condition of node v — "the agent complement is present
 // AND every smaller neighbour is clean or guarded" — is monotone, so
@@ -69,6 +72,15 @@
 // installs (kernel lag) defers by virtual time alone, so it would have
 // deferred them all alike. Under unit latency every child's
 // departures are one flight, and a run schedules n-1 of them.
+//
+// A cloning dispatch makes its k-1 clones (Env.Clone, trace Clone
+// events) and then draws. The reference path makes every clone of a
+// timestep before any of its walkers draws, but clones touch only the
+// board and the trace, and draws only the latency RNG and the fault
+// plan's counters, so the interleaving is unobservable. Like every
+// dispatch, a clone runs after every same-time arrival, so the wakes
+// it fires in the reference path are never a ready node's first wake
+// of the timestep and change no wake order.
 //
 // Agents gathered on a node are kept in a per-node intrusive stack
 // (head/next arrays) pushed on arrival and popped on dispatch — the
@@ -160,13 +172,17 @@ type engine struct {
 	// root's dispatch takes up to 2^(d-1) of them in a row.
 	free []*flight
 
+	// clone selects the cloning variant: every complement is one agent,
+	// and fire clones the incumbent for the children after the first.
+	clone bool
+
 	// Pooled environments run at once on different cores, and their
 	// engines can be heap neighbours. Padding the engine to a multiple
 	// of 64 bytes keeps each in cache lines of its own; otherwise one's
 	// free-slice length, written on every flight, shares a line with
 	// the next one's env and head, read on every landing.
 	// TestEngineSizeIsCacheLineMultiple holds the size.
-	_ [32]byte
+	_ [31]byte
 }
 
 // flight is a run of agents leaving one node for one child with the
@@ -183,8 +199,9 @@ type flight struct {
 }
 
 // engineFor returns the environment's parked engine, building it on
-// first use, and resets it for a fresh run.
-func engineFor(env *strategy.Env) *engine {
+// first use, and resets it for a fresh run of the visibility strategy
+// or, with clone, of its cloning variant.
+func engineFor(env *strategy.Env, clone bool) *engine {
 	d, n := env.H.Dim(), env.H.Order()
 	if d > MaxInlineDim {
 		panic(fmt.Sprintf("visibility: inline engine supports d <= %d (sort-key and stamp width); got d=%d", MaxInlineDim, d))
@@ -202,9 +219,19 @@ func engineFor(env *strategy.Env) *engine {
 		eng.flush.Step = eng.runFlush
 		env.SetAux(Name, eng)
 	}
-	eng.env, eng.b = env, env.B
+	eng.env, eng.b, eng.clone = env, env.B, clone
 	eng.reset()
 	return eng
+}
+
+// complement is the number of agents a node of type T(k) gathers
+// before it dispatches, and so the number its parent sends it: 2^(k-1)
+// (one for a leaf), or one in a cloning run.
+func (e *engine) complement(k int) int64 {
+	if e.clone {
+		return 1
+	}
+	return heapqueue.AgentsRequired(k)
 }
 
 // reset empties every node's stack, zeroes the stamps and restarts
@@ -304,7 +331,11 @@ func (e *engine) land(s *des.Simulator, a int32, to int) {
 
 	b := e.b
 	k, agents := e.d-m, b.AgentsOn(to)
+	// complement(k), spelled out so that the read inlines into land.
 	required := heapqueue.AgentsRequired(k)
+	if e.clone {
+		required = 1
+	}
 	if int64(agents) == required && b.ContaminatedNeighbours(to) == k {
 		e.ready(s, to)
 	}
@@ -443,20 +474,32 @@ func sortKeys(keys []int64) {
 
 // fire runs a ready node: a leaf terminates its guard in place; an
 // internal node draws each departing mover's latency in child order
-// (2^(i-1) agents to the T(i) child, one to the T(0) child — the
-// Theorem-5 dispatch plan) and schedules the landings, one flight per
-// run of equal draws to a child.
+// (each child's complement: 2^(i-1) agents to the T(i) child and one
+// to the T(0) child in the Theorem-5 dispatch plan, one to every child
+// in a cloning run) and schedules the landings, one flight per run of
+// equal draws to a child. A cloning node first clones its agent for
+// every child after the first, in child order, and links each clone
+// behind the previous one on v's stack, so that the incumbent goes to
+// the first child and each clone to its own.
 func (e *engine) fire(s *des.Simulator, v int) {
 	m := bits.Msb(bits.Node(v))
 	if e.d-m == 0 {
 		e.env.Terminate(int(e.pop(v)))
 		return
 	}
+	if e.clone {
+		a := e.head[v]
+		for i, last := m+1, a; i < e.d; i++ {
+			c := int32(e.env.Clone(int(a), v, strategy.RoleCleaner))
+			e.next[last], e.next[c] = c, -1
+			last = c
+		}
+	}
 	for i := m; i < e.d; i++ {
 		child := int32(v | 1<<i)
 		var f *flight
 		var lat int64
-		for j := heapqueue.AgentsRequired(e.d - i - 1); j > 0; j-- {
+		for j := e.complement(e.d - i - 1); j > 0; j-- {
 			a := e.pop(v)
 			l := e.env.MoveLatency(int(a), v, int(child), strategy.RoleCleaner)
 			if f != nil && l == lat {

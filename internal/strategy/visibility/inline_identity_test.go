@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"hypersearch/internal/bits"
 	"hypersearch/internal/board"
 	"hypersearch/internal/combin"
 	"hypersearch/internal/des"
@@ -19,18 +20,30 @@ import (
 )
 
 // The inline event-driven engine claims byte-identity with the
-// node-actor reference path: identical traces (every event, in order,
-// with times), identical metrics, identical clean orders and clean
-// times — under unit latency, adversarial latency, and seeded fault
-// plans alike. These tests state that claim as a property over
-// dimensions and seeds.
+// node-actor reference paths of both strategies it runs: identical
+// traces (every event, in order, with times), identical metrics,
+// identical clean orders and clean times — under unit latency,
+// adversarial latency, and seeded fault plans alike. These tests state
+// that claim as a property over strategies, dimensions and seeds.
 
-// runEnvLegacy executes the reference path: one DES actor per node
-// that re-checks the dispatch condition on every board change in the
-// node's closed neighbourhood (ParkNode), with no counters. It is the
-// executable statement of the algorithm, and the identity oracle
-// RunEnv's event-driven engine is tested against; its O(n·wakes) polling
-// bounds it to small dimensions.
+// pathPair is one strategy's engine entry point and its reference path.
+type pathPair struct {
+	name           string
+	engine, legacy func(*strategy.Env) metrics.Result
+}
+
+// strategies lists the strategies the engine runs.
+var strategies = []pathPair{
+	{Name, RunEnv, runEnvLegacy},
+	{CloningName, RunCloningEnv, runCloningLegacy},
+}
+
+// runEnvLegacy executes the visibility reference path: one DES actor
+// per node that re-checks the dispatch condition on every board change
+// in the node's closed neighbourhood (ParkNode), with no counters. It
+// is the executable statement of the algorithm, and the identity
+// oracle RunEnv's event-driven engine is tested against; its
+// O(n·wakes) polling bounds it to small dimensions.
 func runEnvLegacy(env *strategy.Env) metrics.Result {
 	d := env.H.Dim()
 	team := int(combin.VisibilityAgents(d))
@@ -121,6 +134,73 @@ func dispatch(env *strategy.Env, at [][]int, v int, landed func(a, v int)) {
 	}
 }
 
+// runCloningLegacy executes the cloning variant's reference path: one
+// DES actor per node that waits with ParkNode until an agent stands on
+// the node and no smaller neighbour is contaminated, then clones and
+// dispatches. It is the identity oracle RunCloningEnv is tested
+// against.
+func runCloningLegacy(env *strategy.Env) metrics.Result {
+	r := &cloningShared{env: env, at: env.NodeLists()}
+	r.landed = func(a, v int) { r.at[v] = append(r.at[v], a) }
+	r.at[0] = append(r.at[0], env.Place(strategy.RoleCleaner))
+
+	if env.H.Dim() > 0 {
+		nodes := make([]cloningNode, env.H.Order())
+		for v := range nodes {
+			nodes[v] = cloningNode{r: r, v: v}
+			nodes[v].Step = nodes[v].step
+			env.Sim.SpawnInline(&nodes[v].Inline)
+		}
+	}
+	env.Sim.Run()
+	return env.Result(CloningName)
+}
+
+// cloningShared is the state the cloning node actors share.
+type cloningShared struct {
+	env    *strategy.Env
+	at     [][]int // node -> the (single) agent standing there
+	movers []int   // dispatch scratch
+	landed func(a, v int)
+}
+
+// cloningNode is the local rule of node v: an actor that waits with
+// ParkNode until an agent stands on v and no smaller neighbour (label
+// <= m(v)) is contaminated, then clones and dispatches.
+type cloningNode struct {
+	des.Inline
+	r *cloningShared
+	v int
+}
+
+func (n *cloningNode) step(*des.Simulator) {
+	r, v := n.r, n.v
+	env := r.env
+	d, m := env.H.Dim(), bits.Msb(bits.Node(v))
+	ready := len(r.at[v]) > 0
+	for i := 0; ready && i < m; i++ {
+		ready = env.B.StateOf(v^1<<i) != board.Contaminated
+	}
+	if !ready {
+		env.ParkNode(&n.Inline, v)
+		return
+	}
+	a := r.at[v][0]
+	if m == d {
+		env.Terminate(a)
+		return
+	}
+	// The incumbent continues to the first child; clones take the
+	// rest. Cloning is local and instantaneous.
+	r.movers = append(r.movers[:0], a)
+	for i := m + 1; i < d; i++ {
+		r.movers = append(r.movers, env.Clone(a, v, strategy.RoleCleaner))
+	}
+	for i, mover := range r.movers {
+		env.Walk(mover, v|1<<(m+i), strategy.RoleCleaner, r.landed)
+	}
+}
+
 // capture is everything observable about one run.
 type capture struct {
 	res        metrics.Result
@@ -129,17 +209,17 @@ type capture struct {
 	cleanTime  []int64
 }
 
-// runPath executes one visibility run on a fresh environment through
-// the selected engine and captures its observables.
-func runPath(d int, opts strategy.Options, legacy bool) capture {
+// runPath executes one run of strategy s on a fresh environment
+// through the selected path and captures its observables.
+func runPath(s pathPair, d int, opts strategy.Options, legacy bool) capture {
 	opts.Record = true
 	opts.Contiguity = strategy.CheckEveryMove
 	env := strategy.NewEnv(d, opts)
 	var c capture
 	if legacy {
-		c.res = runEnvLegacy(env)
+		c.res = s.legacy(env)
 	} else {
-		c.res = RunEnv(env)
+		c.res = s.engine(env)
 	}
 	c.events = append(c.events, env.Log().Events()...)
 	n := env.H.Order()
@@ -175,16 +255,25 @@ func assertIdentical(t *testing.T, legacy, inline capture) {
 	}
 }
 
+// checkIdentity runs both paths of every strategy at dimension d, one
+// subtest per strategy, each path under fresh options from mk, and
+// compares what they capture.
+func checkIdentity(t *testing.T, d int, mk func() strategy.Options) {
+	for _, s := range strategies {
+		t.Run(s.name, func(t *testing.T) {
+			assertIdentical(t, runPath(s, d, mk(), true), runPath(s, d, mk(), false))
+		})
+	}
+}
+
 // TestInlineMatchesLegacyUnit: identity under the ideal-time model,
-// every dimension the reference path can reasonably run. Under unit
+// every dimension the reference paths can reasonably run. Under unit
 // latency the leaves dispatch in one final flush of 2^(d-1) ready
 // nodes, so d=12 orders a flush of 2,048.
 func TestInlineMatchesLegacyUnit(t *testing.T) {
 	for d := 0; d <= 12; d++ {
 		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
-			assertIdentical(t,
-				runPath(d, strategy.Options{}, true),
-				runPath(d, strategy.Options{}, false))
+			checkIdentity(t, d, func() strategy.Options { return strategy.Options{} })
 		})
 	}
 }
@@ -202,10 +291,9 @@ func TestInlineMatchesLegacyAdversarial(t *testing.T) {
 	bounds := []int64{1, 3, 16}
 	run := func(d int, seed, max int64) {
 		t.Run(fmt.Sprintf("d=%d/seed=%d/max=%d", d, seed, max), func(t *testing.T) {
-			mk := func() strategy.Options {
+			checkIdentity(t, d, func() strategy.Options {
 				return strategy.Options{Latency: strategy.NewAdversarial(seed, max)}
-			}
-			assertIdentical(t, runPath(d, mk(), true), runPath(d, mk(), false))
+			})
 		})
 	}
 	for d := 1; d <= 8; d++ {
@@ -247,13 +335,12 @@ func TestInlineMatchesLegacyFaults(t *testing.T) {
 	for _, plan := range plans {
 		for d := 1; d <= 6; d++ {
 			t.Run(fmt.Sprintf("%s/d=%d", plan.Name, d), func(t *testing.T) {
-				mk := func() strategy.Options {
+				checkIdentity(t, d, func() strategy.Options {
 					return strategy.Options{
 						Latency: strategy.NewAdversarial(plan.Seed, 4),
 						Faults:  faults.NewInjector(plan),
 					}
-				}
-				assertIdentical(t, runPath(d, mk(), true), runPath(d, mk(), false))
+				})
 			})
 		}
 	}
@@ -319,19 +406,27 @@ func TestSortKeysMatchesSlicesSort(t *testing.T) {
 // options: dimension 1+D%6; unit latency when Bound%17 is 0, else the
 // adversary at bound Bound%17 seeded by Seed; a kernel-lag window
 // [LagFrom%32, LagFrom%32+LagLen%32) when LagLen%32 > 0; a stall of
-// StallDelay%16 on move 1+StallAt%64 when StallDelay%16 > 0.
+// StallDelay%16 on move 1+StallAt%64 when StallDelay%16 > 0; the
+// cloning variant when Cloning, else visibility.
 type flightCase struct {
 	D                   uint8
 	Seed                int64
 	Bound               uint8
 	LagFrom, LagLen     uint8
 	StallAt, StallDelay uint8
+	Cloning             bool
 }
 
 func (c flightCase) dim() int     { return 1 + int(c.D%6) }
 func (c flightCase) bound() int64 { return int64(c.Bound % 17) }
 func (c flightCase) lag() [2]int64 {
 	return [2]int64{int64(c.LagFrom % 32), int64(c.LagFrom%32) + int64(c.LagLen%32)}
+}
+func (c flightCase) pair() pathPair {
+	if c.Cloning {
+		return strategies[1]
+	}
+	return strategies[0]
 }
 
 // options builds a fresh run's options: each call has its own RNG and
@@ -354,12 +449,13 @@ func (c flightCase) options() strategy.Options {
 	return opts
 }
 
-// FuzzInlineMatchesLegacy's seed corpus: unit latency, bound 1 (every
-// draw equal, so each child's departures are one flight), splitSeed
-// (mixed draws split a child's departures into several flights),
-// lagSeed (a kernel-lag window defers a multi-agent flight) and lag
-// plus a stall. TestFlightSeedsCoverShapes checks the two seeds whose
-// shape depends on the draws.
+// FuzzInlineMatchesLegacy's seed corpus, run for visibility and then
+// for cloning: unit latency, bound 1 (every draw equal, so each
+// child's departures are one flight), splitSeed (mixed draws split a
+// child's departures into several flights), lagSeed (a kernel-lag
+// window defers a multi-agent flight) and lag plus a stall.
+// TestFlightSeedsCoverShapes checks, for visibility, the two seeds
+// whose shape depends on the draws; a cloning flight carries one agent.
 var (
 	splitSeed   = flightCase{D: 5, Seed: 1, Bound: 2}
 	lagSeed     = flightCase{D: 5, Seed: 3, Bound: 2, LagFrom: 2, LagLen: 4}
@@ -373,15 +469,19 @@ var (
 )
 
 // FuzzInlineMatchesLegacy: the engine's batched flights, board-read
-// readiness and arrival stamps reproduce the reference path under
-// fuzzed dimensions, latency bounds, kernel-lag windows and stalls.
+// readiness, arrival stamps and dispatch-time clones reproduce the
+// reference paths under fuzzed strategies, dimensions, latency bounds,
+// kernel-lag windows and stalls.
 func FuzzInlineMatchesLegacy(f *testing.F) {
-	for _, c := range flightSeeds {
-		f.Add(c.D, c.Seed, c.Bound, c.LagFrom, c.LagLen, c.StallAt, c.StallDelay)
+	for _, cloning := range []bool{false, true} {
+		for _, c := range flightSeeds {
+			f.Add(c.D, c.Seed, c.Bound, c.LagFrom, c.LagLen, c.StallAt, c.StallDelay, cloning)
+		}
 	}
-	f.Fuzz(func(t *testing.T, d uint8, seed int64, bound, lagFrom, lagLen, stallAt, stallDelay uint8) {
-		c := flightCase{D: d, Seed: seed, Bound: bound, LagFrom: lagFrom, LagLen: lagLen, StallAt: stallAt, StallDelay: stallDelay}
-		assertIdentical(t, runPath(c.dim(), c.options(), true), runPath(c.dim(), c.options(), false))
+	f.Fuzz(func(t *testing.T, d uint8, seed int64, bound, lagFrom, lagLen, stallAt, stallDelay uint8, cloning bool) {
+		c := flightCase{D: d, Seed: seed, Bound: bound, LagFrom: lagFrom, LagLen: lagLen, StallAt: stallAt, StallDelay: stallDelay, Cloning: cloning}
+		s := c.pair()
+		assertIdentical(t, runPath(s, c.dim(), c.options(), true), runPath(s, c.dim(), c.options(), false))
 	})
 }
 
@@ -449,23 +549,28 @@ func TestFlightSeedsCoverShapes(t *testing.T) {
 }
 
 // TestUnitLatencySchedulesOneFlightPerTreeEdge: under unit latency
-// every child's departures are one flight, so a run schedules
-// combin.CloningMoves(d) flights — one per broadcast-tree edge — plus
-// one flush per timestep 0..d, and from d=4 on the flight pool peaks
-// at 2^(d-2) (below, the root's d flights at time 0 are the peak).
+// every child's departures are one flight, so a run of either strategy
+// schedules combin.CloningMoves(d) flights — one per broadcast-tree
+// edge — plus one flush per timestep 0..d, and from d=4 on the flight
+// pool peaks at 2^(d-2) (below, the root's d flights at time 0 are the
+// peak).
 func TestUnitLatencySchedulesOneFlightPerTreeEdge(t *testing.T) {
-	for d := 1; d <= 12; d++ {
-		env := strategy.NewEnv(d, strategy.Options{})
-		var events int64
-		env.Sim.Intercept(func(int64, int64) int64 { events++; return 0 })
-		RunEnv(env)
-		if want := combin.CloningMoves(d) + int64(d) + 1; events != want {
-			t.Errorf("d=%d: %d events, want %d flights + %d flushes", d, events, combin.CloningMoves(d), d+1)
-		}
-		pool := len(env.Aux(Name).(*engine).free)
-		if want := 1 << max(d-2, 0); d >= 4 && pool != want {
-			t.Errorf("d=%d: flight pool holds %d flights, want %d", d, pool, want)
-		}
+	for _, s := range strategies {
+		t.Run(s.name, func(t *testing.T) {
+			for d := 1; d <= 12; d++ {
+				env := strategy.NewEnv(d, strategy.Options{})
+				var events int64
+				env.Sim.Intercept(func(int64, int64) int64 { events++; return 0 })
+				s.engine(env)
+				if want := combin.CloningMoves(d) + int64(d) + 1; events != want {
+					t.Errorf("d=%d: %d events, want %d flights + %d flushes", d, events, combin.CloningMoves(d), d+1)
+				}
+				pool := len(env.Aux(Name).(*engine).free)
+				if want := 1 << max(d-2, 0); d >= 4 && pool != want {
+					t.Errorf("d=%d: flight pool holds %d flights, want %d", d, pool, want)
+				}
+			}
+		})
 	}
 }
 
@@ -480,26 +585,33 @@ func TestEngineSizeIsCacheLineMultiple(t *testing.T) {
 
 // TestInlinePooledResetIdentity: a pooled environment re-running the
 // inline engine after Reset reproduces the fresh-environment run
-// exactly — the engine's parked stacks, stamps and flight pool reset
-// cleanly.
+// exactly, whichever strategy ran on it before — the engine's parked
+// stacks, stamps, flight pool and strategy reset cleanly.
 func TestInlinePooledResetIdentity(t *testing.T) {
-	for d := 1; d <= 8; d++ {
-		fresh := runPath(d, strategy.Options{}, false)
-		env := strategy.NewEnv(d, strategy.Options{Record: true, Contiguity: strategy.CheckEveryMove})
-		RunEnv(env)
-		env.Reset(strategy.Options{Record: true, Contiguity: strategy.CheckEveryMove})
-		res := RunEnv(env)
-		if res != fresh.res {
-			t.Fatalf("d=%d: pooled re-run diverges:\nfresh:  %+v\nre-run: %+v", d, fresh.res, res)
-		}
-		events := env.Log().Events()
-		if len(events) != len(fresh.events) {
-			t.Fatalf("d=%d: pooled re-run trace has %d events, fresh %d", d, len(events), len(fresh.events))
-		}
-		for i := range events {
-			if events[i] != fresh.events[i] {
-				t.Fatalf("d=%d: pooled re-run trace diverges at event %d: %+v vs %+v", d, i, events[i], fresh.events[i])
-			}
+	opts := strategy.Options{Record: true, Contiguity: strategy.CheckEveryMove}
+	for _, s := range strategies {
+		for _, prev := range strategies {
+			t.Run(prev.name+"-then-"+s.name, func(t *testing.T) {
+				for d := 1; d <= 8; d++ {
+					fresh := runPath(s, d, strategy.Options{}, false)
+					env := strategy.NewEnv(d, opts)
+					prev.engine(env)
+					env.Reset(opts)
+					res := s.engine(env)
+					if res != fresh.res {
+						t.Fatalf("d=%d: pooled re-run diverges:\nfresh:  %+v\nre-run: %+v", d, fresh.res, res)
+					}
+					events := env.Log().Events()
+					if len(events) != len(fresh.events) {
+						t.Fatalf("d=%d: pooled re-run trace has %d events, fresh %d", d, len(events), len(fresh.events))
+					}
+					for i := range events {
+						if events[i] != fresh.events[i] {
+							t.Fatalf("d=%d: pooled re-run trace diverges at event %d: %+v vs %+v", d, i, events[i], fresh.events[i])
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -14,6 +14,13 @@
 // dispatch; smaller neighbours only progress toward clean/guarded), so
 // the strategy is deadlock-free under arbitrary asynchrony; the
 // robustness tests drive it with adversarial latencies.
+//
+// The package also runs the cloning variant (Section 5, "Observations
+// on Cloning"): a single agent starts at the homebase and every node's
+// complement is one agent. A ready node of type T(k) clones its agent
+// k-1 times and sends one agent down each broadcast-tree edge, so each
+// edge is traversed once, for n-1 moves by n/2 agents in all. Leaves
+// terminate.
 package visibility
 
 import (
@@ -22,8 +29,12 @@ import (
 	"hypersearch/internal/strategy"
 )
 
-// Name identifies the strategy in results and registries.
-const Name = "visibility"
+// Name and CloningName identify the strategy and its cloning variant
+// in results and registries.
+const (
+	Name        = "visibility"
+	CloningName = "cloning"
+)
 
 // Run executes the visibility strategy on H_d with the Theorem-5 team
 // of n/2 agents and returns the run summary and environment.
@@ -37,17 +48,26 @@ func Run(d int, opts strategy.Options) (metrics.Result, *strategy.Env) {
 // runs the event-driven engine (inline.go): no per-node polling,
 // O(moves) work, bounded memory — the path that takes the algorithm to
 // d=20 megannode boards.
-func RunEnv(env *strategy.Env) metrics.Result {
+func RunEnv(env *strategy.Env) metrics.Result { return run(env, false) }
+
+// RunCloningEnv executes the cloning variant on the same engine.
+func RunCloningEnv(env *strategy.Env) metrics.Result { return run(env, true) }
+
+// run places the root's complement — the whole team, or the one agent
+// a cloning run starts from — and runs the engine to completion.
+func run(env *strategy.Env, clone bool) metrics.Result {
 	d := env.H.Dim()
-	team := int(combin.VisibilityAgents(d))
-	env.B.Reserve(team)
-	eng := engineFor(env)
-	for i := 0; i < team; i++ {
+	env.B.Reserve(int(combin.VisibilityAgents(d)))
+	eng := engineFor(env, clone)
+	for i := eng.complement(d); i > 0; i-- {
 		eng.push(0, int32(env.Place(strategy.RoleCleaner)))
 	}
 	if d > 0 {
 		eng.ready(env.Sim, 0)
 	}
 	env.Sim.Run()
+	if clone {
+		return env.Result(CloningName)
+	}
 	return env.Result(Name)
 }
