@@ -13,7 +13,6 @@
 //
 //	hqbench                      # all families -> BENCH.json
 //	hqbench -out BENCH_pr2.json
-//	hqbench -filter 'clean/'     # subset by regexp
 //	hqbench -families clean/d=16,clean/d=20  # subset by exact name
 //	hqbench -quick               # 1 iteration per family (CI smoke)
 //	hqbench -list                # print family names and exit
@@ -27,9 +26,9 @@
 // rejected (no output file, exit 1) — a reading that noisy must not
 // become a baseline or gate one.
 //
-// Subset runs (-filter / -families) gate only the families they
-// measured: the baseline is cut down with benchgate.Subset first, so
-// deliberately skipped families are not reported missing.
+// Subset runs (-families) gate only the families they measured: the
+// baseline is cut down with benchgate.Subset first, so deliberately
+// skipped families are not reported missing.
 package main
 
 import (
@@ -38,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"regexp"
 	"runtime"
 	"strings"
 	"time"
@@ -171,6 +169,8 @@ func families() []family {
 	fams = append(fams, strategyFamily(core.Visibility, 16, 2), strategyFamily(core.Visibility, 20, 1))
 	fams = append(fams,
 		strategyFamily(core.Cloning, 8, 8),
+		// Cloning above the d <= 12 its identity tests reach.
+		strategyFamily(core.Cloning, 16, 2),
 		strategyFamily(core.Synchronous, 8, 8),
 		adversarialFamily(core.Clean, 6, 10),
 		// Under the adversary few visibility landings share a flight
@@ -361,7 +361,6 @@ func familyNames(fams []family) []string {
 func main() {
 	var (
 		out        = flag.String("out", "BENCH.json", "output file ('-' for stdout)")
-		filter     = flag.String("filter", "", "regexp selecting family names (default: all)")
 		famNames   = flag.String("families", "", "comma-separated exact family names to run (subset; see -list)")
 		quick      = flag.Bool("quick", false, "1 iteration per family (CI smoke run)")
 		list       = flag.Bool("list", false, "print family names and exit")
@@ -373,21 +372,6 @@ func main() {
 
 	fams := families()
 	subset := false
-	if *filter != "" {
-		re, err := regexp.Compile(*filter)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hqbench:", err)
-			os.Exit(2)
-		}
-		kept := fams[:0]
-		for _, f := range fams {
-			if re.MatchString(f.name) {
-				kept = append(kept, f)
-			}
-		}
-		fams = kept
-		subset = true
-	}
 	if *famNames != "" {
 		want := map[string]bool{}
 		for _, n := range strings.Split(*famNames, ",") {

@@ -105,10 +105,10 @@ func (v Violation) String() string {
 }
 
 // Subset returns a copy of base keeping only the named families, in
-// baseline order. Subset runs (hqbench -families / -filter) gate
-// against it so the families they deliberately skipped do not fail the
-// comparison as "missing"; a full run must still gate against the full
-// baseline to keep that protection.
+// baseline order. Subset runs (hqbench -families) gate against it so
+// the families they deliberately skipped do not fail the comparison as
+// "missing"; a full run must still gate against the full baseline to
+// keep that protection.
 func Subset(base Report, names []string) Report {
 	keep := make(map[string]bool, len(names))
 	for _, n := range names {

@@ -306,9 +306,6 @@ func (b *Board) RecordClean(on bool) {
 	}
 }
 
-// Recording reports whether clean-order accounting is enabled.
-func (b *Board) Recording() bool { return b.record }
-
 // Graph returns the underlying topology.
 func (b *Board) Graph() graph.Graph { return b.g }
 

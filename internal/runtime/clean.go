@@ -38,8 +38,10 @@ func RunClean(d int, cfg Config) (Report, error) {
 	}
 	w := newWorld(d, cfg, inj)
 	team := int(combin.CleanTeamSize(d))
-	spares := cfg.Spares
-	if spares <= 0 && inj != nil && inj.Crashes() > 0 {
+	// A plan with crashes provisions one spare per crash and one more;
+	// any other run, none.
+	spares := 0
+	if inj != nil && inj.Crashes() > 0 {
 		spares = inj.Crashes() + 1
 	}
 	total := team + spares

@@ -155,7 +155,7 @@ func (w *world) declareDead(id int) {
 		w.epoch++
 		w.needSync = true
 		if len(w.spares) == 0 {
-			panic("runtime: synchronizer crashed with no spares left to re-elect; raise Config.Spares")
+			panic("runtime: synchronizer crashed with no spares left to re-elect; the plan provisioned crashes+1 spares")
 		}
 	} else {
 		keys := make([]string, 0, 4)
@@ -178,7 +178,7 @@ func (w *world) declareDead(id int) {
 
 func (w *world) takeSpareLocked() int {
 	if len(w.spares) == 0 {
-		panic("runtime: spare pool exhausted during recovery; raise Config.Spares")
+		panic("runtime: spare pool exhausted during recovery; the plan provisioned crashes+1 spares")
 	}
 	s := w.spares[0]
 	w.spares = w.spares[1:]

@@ -32,7 +32,6 @@ type Config struct {
 	Record     bool          // keep a structured trace (logical-clock timestamps)
 
 	Faults *faults.Plan // deterministic fault plan (nil = fault-free)
-	Spares int          // extra agents provisioned for crash recovery (0 = crashes+1)
 
 	// Recovery timing. The heartbeats, the lease watchdog and the
 	// visibility re-broadcaster run only when Faults is set: a
