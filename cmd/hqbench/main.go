@@ -172,6 +172,8 @@ func families() []family {
 		// Cloning above the d <= 12 its identity tests reach.
 		strategyFamily(core.Cloning, 16, 2),
 		strategyFamily(core.Synchronous, 8, 8),
+		// Synchronous above the d <= 9 its own tests reach.
+		strategyFamily(core.Synchronous, 16, 2),
 		adversarialFamily(core.Clean, 6, 10),
 		// Under the adversary few visibility landings share a flight
 		// (6 % at d=18, bound 13, against 79 % under unit latency), so

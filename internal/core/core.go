@@ -135,7 +135,8 @@ var table = []row{
 	{strategy: Cloning, engine: EngineDES, maxDim: visibility.MaxInlineDim, faults: desFaults, trace: true,
 		forms: []closedForm{visibilityTeam, cloningMoves, logTime}, des: envOnly(visibility.RunCloningEnv)},
 	// The synchronous variant is defined only for unit latency; its
-	// lockstep schedule panics when an injected delay fires.
+	// lockstep schedule panics when an injected move delay fires, and a
+	// kernel-lag window pauses its round clock with every other event.
 	{strategy: Synchronous, engine: EngineDES, maxDim: bits.MaxDim, faults: desFaults, trace: true, unit: true,
 		forms: []closedForm{visibilityTeam, visibilityMoves, logTime}, des: envOnly(synchronous.RunEnv)},
 	onDES(NaiveDFS, envOnly(naive.RunDFSEnv)),

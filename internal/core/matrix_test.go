@@ -23,7 +23,7 @@ var matrixLinkPlan = &faults.Plan{Name: "link-drop+dup", Seed: 9, Faults: []faul
 // matrixPlans are the plans a row runs: the fault-free run, then every
 // golden DES plan and the link plan whose kinds the row injects. The
 // synchronous variant's lockstep schedule panics under any injected
-// delay, so rows that force unit latency run fault-free only.
+// move delay, so rows that force unit latency run fault-free only.
 func matrixPlans(r *row) []*faults.Plan {
 	plans := []*faults.Plan{nil}
 	if r.unit {

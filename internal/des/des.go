@@ -96,8 +96,8 @@ type Inline struct {
 }
 
 // Ring geometry. 64 slots fit one mask word. Unit latency, the
-// adversary's latencies and the synchronous variant's waits (at most
-// d <= 30 steps) all land inside the ring; only fault delays and
+// adversary's latencies and the synchronous variant's round clock (it
+// waits 0 or 1 steps) all land inside the ring; only fault delays and
 // kernel-lag deferrals reach the overflow heap.
 const (
 	ringSlots = 64 // FIFOs in the ring, one bit each in calendar.mask

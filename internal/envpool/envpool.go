@@ -8,13 +8,14 @@
 //   - hypercube.Hypercube and heapqueue.Tree hold only d and compute
 //     every query from the node's bits, so each environment builds its
 //     own pair in O(1) and nothing is shared.
-//   - board.Board, trace.Log, the per-node signals, role counters and
-//     scratch lists are mutable per-run state; Acquire resets them in
-//     O(n) before reuse.
+//   - board.Board, trace.Log, role counters and scratch lists are
+//     mutable per-run state; Acquire resets them in O(n) before reuse.
+//     The environment holds no signal: an actor that waits parks on a
+//     signal of its own.
 //   - An environment whose run did not complete (no Result taken —
 //     typically a panic mid-simulation) is poisoned: Release drops it
-//     instead of pooling it, because its queue and signals may still
-//     hold actors mid-program.
+//     instead of pooling it, because its simulator may still hold
+//     actors queued or parked mid-program.
 //
 // A Pool is NOT safe for concurrent use. Parallel sweeps give each
 // sched worker its own Pool (see experiments): workers then reuse

@@ -101,13 +101,13 @@ func TestAcquireReusesReleasedEnv(t *testing.T) {
 	}
 }
 
-// stuck is an actor that parks on a node nobody ever fires.
+// stuck is an actor that parks on a signal nobody ever fires.
 type stuck struct {
 	des.Inline
-	env *strategy.Env
+	never des.Signal
 }
 
-func (s *stuck) step(*des.Simulator) { s.env.ParkNode(&s.Inline, 5) }
+func (s *stuck) step(sim *des.Simulator) { sim.Park(&s.never, &s.Inline) }
 
 // TestPoisonedEnvNotReused: an environment abandoned mid-simulation
 // (here: the kernel's deadlock panic, recovered) is not re-pooled, and
@@ -116,7 +116,7 @@ func TestPoisonedEnvNotReused(t *testing.T) {
 	pool := New()
 	env := pool.Acquire(3, strategy.Options{})
 	env.Place(strategy.RoleCleaner)
-	a := &stuck{env: env}
+	a := &stuck{}
 	a.Step = a.step
 	env.Sim.SpawnInline(&a.Inline)
 	func() {

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"hypersearch/internal/core"
+	"hypersearch/internal/metrics"
 	"hypersearch/internal/strategy"
+	"hypersearch/internal/strategy/coordinated"
 	"hypersearch/internal/strategy/visibility"
 )
 
@@ -35,18 +37,18 @@ func TestPooledRunsLeaveNoGoroutines(t *testing.T) {
 }
 
 // pooledAllocBudget is the allocs/op ceiling of one warm pooled run
-// per strategy and dimension. clean is held to a flat 16; cloning,
-// which runs on the visibility engine, to visibility's budget; every
-// other strategy to 8 above what it cost when clean, synchronous and
-// the naive baselines still ran as goroutine processes (measured with
-// this test's method): clean 64/1,021/4,092, visibility 0/0/0,
-// synchronous 240/4,864/21,504, naive-dfs 2/2/2, naive-convoy 11/17/21
-// at d = 6/10/12.
+// per strategy and dimension. clean and synchronous, whose runs build
+// one actor and its callbacks, are held to a flat 16; cloning, which
+// runs on the visibility engine, to visibility's budget; every other
+// strategy to 8 above what it cost when clean and the naive baselines
+// still ran as goroutine processes (measured with this test's method):
+// visibility 0/0/0, naive-dfs 2/2/2, naive-convoy 11/17/21 at
+// d = 6/10/12.
 var pooledAllocBudget = map[string][3]float64{
 	core.Clean:       {16, 16, 16},
 	core.Visibility:  {0 + 8, 0 + 8, 0 + 8},
 	core.Cloning:     {0 + 8, 0 + 8, 0 + 8},
-	core.Synchronous: {240 + 8, 4864 + 8, 21504 + 8},
+	core.Synchronous: {16, 16, 16},
 	core.NaiveDFS:    {2 + 8, 2 + 8, 2 + 8},
 	core.NaiveConvoy: {11 + 8, 17 + 8, 21 + 8},
 }
@@ -106,27 +108,39 @@ func TestNewEnvFootprint(t *testing.T) {
 	}
 }
 
-// TestFirstRunFootprint: the first visibility run on a fresh
-// environment allocates at most 80 bytes per node — the engine's 12
-// B/node of stacks and arrival stamps, the 4 B/agent agent chain, the
-// board's agent position table, and the flights, their pool slice and
-// the event-queue chunks of the busiest timestep. Later runs reuse all
+// TestFirstRunFootprint: the first visibility or CLEAN run on a fresh
+// environment allocates at most 80 bytes per node. Visibility's are
+// the engine's 12 B/node of stacks and arrival stamps, the 4 B/agent
+// agent chain, the board's agent position table, and the flights,
+// their pool slice and the event-queue chunks of the busiest timestep;
+// CLEAN's are mostly its per-node agent lists (a 24-byte slice header
+// per node, plus the arrays of the nodes agents stand on), the pooled
+// walkers and the board's agent position table. Later runs reuse all
 // of it (TestPooledRunAllocs).
 func TestFirstRunFootprint(t *testing.T) {
-	for _, d := range []int{14, 16} {
-		env := strategy.NewEnv(d, strategy.Options{})
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		visibility.RunEnv(env)
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(env)
-		bytes := after.TotalAlloc - before.TotalAlloc
-		perNode := float64(bytes) / float64(int64(1)<<d)
-		if perNode > 80 {
-			t.Errorf("d=%d: first run allocated %d B (%.1f B/node), want <= 80 B/node", d, bytes, perNode)
-		} else {
-			t.Logf("d=%d: first run allocated %d B (%.1f B/node)", d, bytes, perNode)
+	runs := []struct {
+		name string
+		run  func(*strategy.Env) metrics.Result
+	}{
+		{core.Visibility, visibility.RunEnv},
+		{core.Clean, coordinated.RunEnv},
+	}
+	for _, r := range runs {
+		for _, d := range []int{14, 16} {
+			env := strategy.NewEnv(d, strategy.Options{})
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			r.run(env)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(env)
+			bytes := after.TotalAlloc - before.TotalAlloc
+			perNode := float64(bytes) / float64(int64(1)<<d)
+			if perNode > 80 {
+				t.Errorf("%s d=%d: first run allocated %d B (%.1f B/node), want <= 80 B/node", r.name, d, bytes, perNode)
+			} else {
+				t.Logf("%s d=%d: first run allocated %d B (%.1f B/node)", r.name, d, bytes, perNode)
+			}
 		}
 	}
 }

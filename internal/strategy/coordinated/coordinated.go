@@ -12,10 +12,9 @@
 //	           to every level-l node of type T(k), k >= 2 (couriers
 //	           travel concurrently down the all-clean broadcast tree);
 //	  step 2.2 it walks level l in increasing lexicographic order; at
-//	           each node it waits (via the whiteboard, here the board
-//	           state) for the node's full complement, then escorts one
-//	           agent down each broadcast-tree edge, returning between
-//	           escorts;
+//	           each node it waits for the node's full complement (its
+//	           couriers wake it as they land), then escorts one agent
+//	           down each broadcast-tree edge, returning between escorts;
 //	  step 2.3 when it passes a leaf (type T(0)), the leaf's agent
 //	           walks back to the root pool and becomes available again.
 //
@@ -103,9 +102,11 @@ type cleaner struct {
 	d, n int
 	sync int
 
-	pool    []int      // agent ids available at the root
-	poolSig des.Signal // fired when a returner reaches the root
-	at      [][]int    // node -> cleaner agent ids standing there
+	pool []int // agent ids available at the root
+	// wake fires when a returner reaches the root or a courier lands on
+	// x; the synchronizer waits on it for either and re-checks when woken.
+	wake des.Signal
+	at   [][]int // node -> cleaner agent ids standing there
 
 	pc       int
 	l        int // phase: 0 escorts the root's children; l >= 1 cleans level l
@@ -155,7 +156,7 @@ func (c *cleaner) step(s *des.Simulator) {
 				if c.l > 0 {
 					a = c.pop(c.x)
 				} else if a = c.take(); a < 0 {
-					s.Park(&c.poolSig, &c.Inline)
+					s.Park(&c.wake, &c.Inline)
 					return
 				}
 				c.escortee, c.target = a, c.x|1<<c.edge
@@ -180,7 +181,7 @@ func (c *cleaner) step(s *des.Simulator) {
 			}
 			a := c.take()
 			if a < 0 {
-				s.Park(&c.poolSig, &c.Inline)
+				s.Park(&c.wake, &c.Inline)
 				return
 			}
 			env.Walk(a, c.x, strategy.RoleCleaner, c.landCourier)
@@ -202,7 +203,7 @@ func (c *cleaner) step(s *des.Simulator) {
 			// each tree edge.
 			k := env.BT.Type(c.x)
 			if len(c.at[c.x]) < k {
-				env.ParkNode(&c.Inline, c.x)
+				s.Park(&c.wake, &c.Inline)
 				return
 			}
 			if len(c.at[c.x]) != k {
@@ -236,14 +237,21 @@ func (c *cleaner) nextNode() {
 	}
 }
 
-// courierLanded registers a courier on its destination x.
-func (c *cleaner) courierLanded(a, x int) { c.at[x] = append(c.at[x], a) }
+// courierLanded registers a courier on its destination x and, if x is
+// the node the synchronizer works on, wakes it: it may be waiting there
+// for the node's complement.
+func (c *cleaner) courierLanded(a, x int) {
+	c.at[x] = append(c.at[x], a)
+	if x == c.x {
+		c.env.Sim.Fire(&c.wake)
+	}
+}
 
 // returnerHome puts a returner back in the root pool and wakes the
 // synchronizer if it is waiting for one.
 func (c *cleaner) returnerHome(a, _ int) {
 	c.pool = append(c.pool, a)
-	c.env.Sim.Fire(&c.poolSig)
+	c.env.Sim.Fire(&c.wake)
 }
 
 // take pops an available agent from the root pool, or returns -1 when

@@ -2,8 +2,10 @@
 // cleaning strategies run on: a hypercube board driven by the
 // discrete-event simulator, with per-move latency models (unit latency
 // for ideal-time measurement, seeded random latency as the asynchronous
-// adversary), structured trace recording, per-node condition signals
-// for visibility-style waiting, and result assembly.
+// adversary), structured trace recording, pooled walks along shortest
+// paths, and result assembly. An actor that waits for a condition
+// parks on a signal of its own, fired by whatever makes the condition
+// true; the environment fires no signal.
 package strategy
 
 import (
@@ -93,24 +95,10 @@ type Env struct {
 	Sim *des.Simulator
 	B   *board.Board
 
-	opts     Options
-	log      *trace.Log
-	logStash *trace.Log // trace retired by a Record:false flip, kept for its capacity
-	sink     trace.Sink // optional streaming sink (Options.Stream)
-	// sigs and armed are allocated lazily, on the first ParkNode: only
-	// actors that wait on a node's neighbourhood use them, and at big
-	// dimensions that laziness matters — the sigs array alone is tens
-	// of megabytes at d=20, which an event-driven megannode run that
-	// never parks should not pay for.
-	sigs []des.Signal
-	// armed mirrors "sigs[v] has parked actors" as one bit per node.
-	// At big dimensions the sigs array is tens of megabytes, so
-	// fireAround consults this L2-resident bitset and only touches the
-	// Signal structs that actually have a sleeper. ParkNode sets a bit
-	// and fireAt clears it before firing; a woken actor that parks
-	// again re-arms its bit, so no wakeup is lost.
-	armed        []uint64
-	armedCount   int // number of set bits in armed; 0 short-circuits fireAround
+	opts         Options
+	log          *trace.Log
+	logStash     *trace.Log // trace retired by a Record:false flip, kept for its capacity
+	sink         trace.Sink // optional streaming sink (Options.Stream)
 	contiguousOK bool
 	completed    bool
 	// aux holds per-environment scratch owned by individual strategies
@@ -134,7 +122,7 @@ type Env struct {
 	// counter shares a line with its neighbour's topology pointer, and
 	// every move evicts the other core's copy.
 	// TestEnvSizeIsCacheLineMultiple holds the size.
-	_ [24]byte
+	_ [16]byte
 }
 
 // NewEnv builds an environment for dimension d with all nodes
@@ -192,8 +180,7 @@ func (e *Env) applyOptions(opts Options) {
 // log, move counters and scratch lists are cleared in O(n), and the
 // simulator keeps its warmed event heap. It panics — via Sim.Reset —
 // if the previous run was abandoned with parked actors; such poisoned
-// environments must be discarded, not reset. Otherwise no actor is
-// parked, so every node signal and armed bit is already clear.
+// environments must be discarded, not reset.
 func (e *Env) Reset(opts Options) {
 	e.Sim.Reset()
 	e.B.Reset()
@@ -271,71 +258,12 @@ func (e *Env) emit(ev trace.Event) {
 	}
 }
 
-// ensureSigs allocates the per-node signal array and armed bitset on
-// first use; environments whose actors never park never build them.
-func (e *Env) ensureSigs() {
-	if e.sigs == nil {
-		e.sigs = make([]des.Signal, e.H.Order())
-		e.armed = make([]uint64, (e.H.Order()+63)/64)
-	}
-}
-
-// ParkNode parks actor h until the board next changes at node v or at
-// one of its neighbours, arming v's bit in the armed bitset so
-// fireAround knows a sleeper exists without reading the (large, cold)
-// Signal array. An actor waiting for a condition on v's neighbourhood
-// re-checks it in the woken step and parks again while it fails.
-func (e *Env) ParkNode(h *des.Inline, v int) {
-	e.ensureSigs()
-	if w, bit := v>>6, uint64(1)<<(uint(v)&63); e.armed[w]&bit == 0 {
-		e.armed[w] |= bit
-		e.armedCount++
-	}
-	e.Sim.Park(&e.sigs[v], h)
-}
-
-// fireAt wakes the actors parked on node v's signal, if the armed
-// bitset says there are any. The bit is cleared before firing;
-// re-parking actors re-arm it through ParkNode.
-func (e *Env) fireAt(v int) {
-	w, bit := v>>6, uint64(1)<<(uint(v)&63)
-	if e.armed[w]&bit == 0 {
-		return
-	}
-	e.armed[w] &^= bit
-	e.armedCount--
-	e.Sim.Fire(&e.sigs[v])
-}
-
-// fireAround signals a board change at v: v's own waiters and those of
-// every neighbour (whose "all my neighbours are clean"-style conditions
-// may have just flipped) get woken. The armed count makes the dominant
-// case — no sleeper anywhere on the board, true for every transit move
-// of a courier convoy and every visibility landing — a single
-// comparison, inlined into the caller; otherwise fireAroundSlow's
-// neighbour loop is the XOR walk over the armed bitset, with no
-// topology lookup and no allocation.
-func (e *Env) fireAround(v int) {
-	if e.armedCount != 0 {
-		e.fireAroundSlow(v)
-	}
-}
-
-// fireAroundSlow wakes the parked actors at v and its neighbours.
-func (e *Env) fireAroundSlow(v int) {
-	e.fireAt(v)
-	for i := 0; i < e.H.Dim(); i++ {
-		e.fireAt(v ^ 1<<i)
-	}
-}
-
 // Place creates an agent on the homebase at the current time.
 func (e *Env) Place(role string) int {
 	id := e.B.Place(e.Sim.Now())
 	if e.log != nil || e.sink != nil {
 		e.emit(trace.Event{Time: e.Sim.Now(), Kind: trace.Place, Agent: id, To: e.B.Home(), Role: role})
 	}
-	e.fireAround(e.B.Home())
 	return id
 }
 
@@ -346,7 +274,6 @@ func (e *Env) Clone(parent, v int, role string) int {
 	if e.log != nil || e.sink != nil {
 		e.emit(trace.Event{Time: e.Sim.Now(), Kind: trace.Clone, Agent: id, From: parent, To: v, Role: role})
 	}
-	e.fireAround(v)
 	return id
 }
 
@@ -356,12 +283,11 @@ func (e *Env) Terminate(agent int) {
 	if e.log != nil || e.sink != nil {
 		e.emit(trace.Event{Time: e.Sim.Now(), Kind: trace.Terminate, Agent: agent, From: v, To: v})
 	}
-	e.fireAround(v)
 }
 
 // ApplyMove performs the instantaneous part of a move at the current
-// simulation time: board update, per-role accounting, trace, invariant
-// check, signals — the landing half of the split MoveLatency opens.
+// simulation time: board update, per-role accounting, trace and
+// invariant check — the landing half of the split MoveLatency opens.
 // An escort (the synchronizer carrying a cleaner across one edge) is
 // one draw and two ApplyMoves at the same instant.
 func (e *Env) ApplyMove(agent, to int, role string) {
@@ -375,8 +301,6 @@ func (e *Env) ApplyMove(agent, to int, role string) {
 	if e.opts.Contiguity == CheckEveryMove && e.contiguousOK {
 		e.contiguousOK = e.B.Contiguous()
 	}
-	e.fireAround(from)
-	e.fireAround(to)
 }
 
 // MoveLatency draws the duration of agent's next move from from to to

@@ -131,42 +131,6 @@ func TestMoveTogetherSimultaneous(t *testing.T) {
 	}
 }
 
-// watcher parks on a node until its condition holds.
-type watcher struct {
-	des.Inline
-	e     *Env
-	v     int
-	cond  func() bool
-	woke  bool
-	steps int
-}
-
-func (w *watcher) step(*des.Simulator) {
-	w.steps++
-	if !w.cond() {
-		w.e.ParkNode(&w.Inline, w.v)
-		return
-	}
-	w.woke = true
-}
-
-func TestSignalsFireOnNeighbourChange(t *testing.T) {
-	e := NewEnv(3, Options{})
-	a := e.Place(RoleCleaner)
-	// Node 3 is a neighbour of 1; moving the agent to 1 must wake it.
-	w := &watcher{e: e, v: 3, cond: func() bool { return e.B.AgentsOn(1) > 0 }}
-	w.Step = w.step
-	e.Sim.SpawnInline(&w.Inline)
-	e.Walk(a, 1, RoleCleaner, nil)
-	e.Sim.Run()
-	if !w.woke {
-		t.Error("signal did not propagate to neighbour")
-	}
-	if w.steps != 2 {
-		t.Errorf("watcher stepped %d times, want 2 (park, then the wake)", w.steps)
-	}
-}
-
 func TestResultAssembly(t *testing.T) {
 	e := NewEnv(1, Options{Record: true})
 	a := e.Place(RoleCleaner)

@@ -3,7 +3,8 @@
 // and start simultaneously, so no visibility is needed. The agents on
 // node x move exactly at global time t = m(x) (the position of x's
 // most significant bit); at that time all smaller neighbours of x are
-// implicitly known to be clean or guarded.
+// implicitly known to be clean or guarded. One actor, a global round
+// clock, drives the schedule.
 //
 // The implementation asserts, rather than assumes, the implicit-safety
 // claim: at dispatch time the node must hold its full complement, and
@@ -14,7 +15,6 @@ package synchronous
 import (
 	"fmt"
 
-	"hypersearch/internal/bits"
 	"hypersearch/internal/combin"
 	"hypersearch/internal/des"
 	"hypersearch/internal/heapqueue"
@@ -39,67 +39,70 @@ func Run(d int, opts strategy.Options) (metrics.Result, *strategy.Env) {
 // defined for synchronous systems; Run and core.Run arrange this).
 func RunEnv(env *strategy.Env) metrics.Result {
 	team := int(combin.VisibilityAgents(env.H.Dim()))
-	at := env.NodeLists()
+	c := &clock{env: env, at: env.NodeLists()}
 	for i := 0; i < team; i++ {
-		at[0] = append(at[0], env.Place(strategy.RoleCleaner))
+		c.at[0] = append(c.at[0], env.Place(strategy.RoleCleaner))
 	}
 
 	if env.H.Dim() > 0 {
-		landed := func(a, v int) { at[v] = append(at[v], a) }
-		nodes := make([]node, env.H.Order())
-		for v := range nodes {
-			nodes[v] = node{env: env, at: at, landed: landed, v: v}
-			nodes[v].Step = nodes[v].step
-			env.Sim.SpawnInline(&nodes[v].Inline)
-		}
+		c.landed = func(a, v int) { c.at[v] = append(c.at[v], a) }
+		c.Step = c.step
+		env.Sim.SpawnInline(&c.Inline)
 	}
 	env.Sim.Run()
 	return env.Result(Name)
 }
 
-// node is the schedule of node v: an actor that sleeps until round
-// m(x), dispatches its complement, and is done.
-type node struct {
+// clock is the global round clock: an actor that, at each time t = m,
+// dispatches the complements of the nodes x with m(x) = m, then
+// schedules itself one round later, until round d.
+type clock struct {
 	des.Inline
 	env    *strategy.Env
 	at     [][]int // node -> agent ids standing there
 	landed func(a, v int)
-	v      int
-	steps  int
+	m      int  // the round
+	waited bool // stepped once at t = m already, behind the round's arrivals
 }
 
-func (n *node) step(s *des.Simulator) {
-	env, at, v := n.env, n.at, n.v
-	d, m := env.H.Dim(), bits.Msb(bits.Node(v))
-	switch n.steps++; n.steps {
-	case 1:
-		s.AfterInline(int64(m), &n.Inline) // t = m(x)
-		return
-	case 2:
+func (c *clock) step(s *des.Simulator) {
+	if !c.waited {
 		// Step once more so that arrivals scheduled for this same
-		// round (from t = m(x)-1) apply first: in continuous time an
+		// round (from t = m-1) apply first: in continuous time an
 		// arrival "at t" precedes the dispatch "at t".
-		s.AfterInline(0, &n.Inline)
+		c.waited = true
+		s.AfterInline(0, &c.Inline)
 		return
 	}
-	// No visibility read: the schedule itself must guarantee the
-	// complement has arrived. Assert it.
-	if required := int(heapqueue.AgentsRequired(d - m)); len(at[v]) != required {
-		panic(fmt.Sprintf("synchronous: node %d holds %d agents at t=%d, want %d",
-			v, len(at[v]), s.Now(), required))
-	}
-	if m == d {
-		env.Terminate(at[v][0])
-		at[v] = at[v][:0]
-		return
-	}
-	// 2^(i-1) agents to the T(i) child and one to the T(0) child, in
-	// child order (heapqueue.DispatchPlan).
-	for i := m; i < d; i++ {
-		for j := heapqueue.AgentsRequired(d - i - 1); j > 0; j-- {
-			a := at[v][len(at[v])-1]
-			at[v] = at[v][:len(at[v])-1]
-			env.Walk(a, v|1<<i, strategy.RoleCleaner, n.landed)
+	c.waited = false
+	env, at, m := c.env, c.at, c.m
+	d := env.H.Dim()
+	required := int(heapqueue.AgentsRequired(d - m))
+	// The nodes x with m(x) = m: 2^(m-1) .. 2^m - 1, or node 0 at m = 0.
+	for v := 1 << m >> 1; v < 1<<m; v++ {
+		// No visibility read: the schedule itself must guarantee the
+		// complement has arrived. Assert it.
+		if len(at[v]) != required {
+			panic(fmt.Sprintf("synchronous: node %d holds %d agents at t=%d, want %d",
+				v, len(at[v]), s.Now(), required))
 		}
+		if m == d {
+			env.Terminate(at[v][0])
+			at[v] = at[v][:0]
+			continue
+		}
+		// 2^(i-1) agents to the T(i) child and one to the T(0) child, in
+		// child order (heapqueue.DispatchPlan).
+		for i := m; i < d; i++ {
+			for j := heapqueue.AgentsRequired(d - i - 1); j > 0; j-- {
+				a := at[v][len(at[v])-1]
+				at[v] = at[v][:len(at[v])-1]
+				env.Walk(a, v|1<<i, strategy.RoleCleaner, c.landed)
+			}
+		}
+	}
+	if m < d {
+		c.m++
+		s.AfterInline(1, &c.Inline)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"hypersearch/internal/combin"
+	"hypersearch/internal/faults"
 	"hypersearch/internal/strategy"
+	"hypersearch/internal/trace"
 )
 
 func TestSynchronousSmallDimensionsFullChecks(t *testing.T) {
@@ -44,5 +46,38 @@ func TestSynchronousForcesUnitLatency(t *testing.T) {
 	r, _ := Run(5, strategy.Options{Latency: strategy.NewAdversarial(3, 9)})
 	if !r.Ok() || r.Makespan != 5 {
 		t.Errorf("latency override failed: %s", r.String())
+	}
+}
+
+// TestSynchronousKernelLagPausesClock: a kernel-lag window [from, to)
+// defers every event due inside it to its end, the round clock's and
+// the landings' alike, so the whole schedule pauses with the kernel:
+// the run succeeds, and its trace is the fault-free one with every
+// event from time from on, bar the placements, delayed by to-from.
+func TestSynchronousKernelLagPausesClock(t *testing.T) {
+	for d := 1; d <= 6; d++ {
+		_, env := Run(d, strategy.Options{Record: true})
+		want := env.Log().Events()
+		for from := int64(0); from <= int64(d); from++ {
+			for to := from + 1; to <= from+3; to++ {
+				plan := &faults.Plan{Name: "lag", Faults: []faults.Fault{{Kind: faults.KernelLag, From: from, To: to}}}
+				r, env := Run(d, strategy.Options{Record: true, Faults: faults.NewInjector(plan)})
+				if !r.Ok() || r.Makespan != int64(d)+to-from {
+					t.Fatalf("d=%d lag [%d,%d): %s, want a clean run of makespan %d", d, from, to, r.String(), int64(d)+to-from)
+				}
+				got := env.Log().Events()
+				if len(got) != len(want) {
+					t.Fatalf("d=%d lag [%d,%d): %d events, want %d", d, from, to, len(got), len(want))
+				}
+				for i, ev := range want {
+					if ev.Kind != trace.Place && ev.Time >= from {
+						ev.Time += to - from
+					}
+					if got[i] != ev {
+						t.Fatalf("d=%d lag [%d,%d): event %d is %+v, want %+v", d, from, to, i, got[i], ev)
+					}
+				}
+			}
+		}
 	}
 }

@@ -28,8 +28,9 @@ import (
 
 // pathPair is one strategy's engine entry point and its reference path.
 type pathPair struct {
-	name           string
-	engine, legacy func(*strategy.Env) metrics.Result
+	name   string
+	engine func(*strategy.Env) metrics.Result
+	legacy func(*strategy.Env, *waker) metrics.Result
 }
 
 // strategies lists the strategies the engine runs.
@@ -38,13 +39,44 @@ var strategies = []pathPair{
 	{CloningName, RunCloningEnv, runCloningLegacy},
 }
 
+// waker is the reference paths' wakeup source: one signal per node, and
+// a trace sink that fires, for every event, the signals of the node the
+// event touches and of its neighbours — for a move the source's, then
+// the destination's. The environment emits each event as the board
+// changes, so an actor parked on node v re-checks its condition after
+// every board change in v's closed neighbourhood.
+type waker struct {
+	sim  *des.Simulator
+	d    int
+	sigs []des.Signal
+}
+
+// park parks actor h until the board next changes at node v or at one
+// of its neighbours.
+func (w *waker) park(h *des.Inline, v int) { w.sim.Park(&w.sigs[v], h) }
+
+// Append implements trace.Sink.
+func (w *waker) Append(ev trace.Event) {
+	if ev.Kind == trace.Move {
+		w.fireAround(ev.From)
+	}
+	w.fireAround(ev.To)
+}
+
+func (w *waker) fireAround(v int) {
+	w.sim.Fire(&w.sigs[v])
+	for i := 0; i < w.d; i++ {
+		w.sim.Fire(&w.sigs[v^1<<i])
+	}
+}
+
 // runEnvLegacy executes the visibility reference path: one DES actor
 // per node that re-checks the dispatch condition on every board change
-// in the node's closed neighbourhood (ParkNode), with no counters. It
+// in the node's closed neighbourhood (waker.park), with no counters. It
 // is the executable statement of the algorithm, and the identity
 // oracle RunEnv's event-driven engine is tested against; its
 // O(n·wakes) polling bounds it to small dimensions.
-func runEnvLegacy(env *strategy.Env) metrics.Result {
+func runEnvLegacy(env *strategy.Env, w *waker) metrics.Result {
 	d := env.H.Dim()
 	team := int(combin.VisibilityAgents(d))
 	at := env.NodeLists()
@@ -55,7 +87,7 @@ func runEnvLegacy(env *strategy.Env) metrics.Result {
 	if d > 0 {
 		landed := func(a, v int) { at[v] = append(at[v], a) }
 		for v := 0; v < env.H.Order(); v++ {
-			n := &legacyNode{env: env, at: at, v: v, landed: landed}
+			n := &legacyNode{env: env, w: w, at: at, v: v, landed: landed}
 			n.Step = n.step
 			env.Sim.SpawnInline(&n.Inline)
 		}
@@ -76,6 +108,7 @@ func runEnvLegacy(env *strategy.Env) metrics.Result {
 type legacyNode struct {
 	des.Inline
 	env    *strategy.Env
+	w      *waker
 	at     [][]int
 	v      int
 	landed func(a, v int)
@@ -86,7 +119,7 @@ func (n *legacyNode) step(*des.Simulator) {
 	k := env.BT.Type(v)
 	required := int(heapqueue.AgentsRequired(k))
 	if len(at[v]) < required || !smallerNeighboursReady(env, v) {
-		env.ParkNode(&n.Inline, v)
+		n.w.park(&n.Inline, v)
 		return
 	}
 	if len(at[v]) != required {
@@ -135,12 +168,12 @@ func dispatch(env *strategy.Env, at [][]int, v int, landed func(a, v int)) {
 }
 
 // runCloningLegacy executes the cloning variant's reference path: one
-// DES actor per node that waits with ParkNode until an agent stands on
+// DES actor per node that waits on the waker until an agent stands on
 // the node and no smaller neighbour is contaminated, then clones and
 // dispatches. It is the identity oracle RunCloningEnv is tested
 // against.
-func runCloningLegacy(env *strategy.Env) metrics.Result {
-	r := &cloningShared{env: env, at: env.NodeLists()}
+func runCloningLegacy(env *strategy.Env, w *waker) metrics.Result {
+	r := &cloningShared{env: env, w: w, at: env.NodeLists()}
 	r.landed = func(a, v int) { r.at[v] = append(r.at[v], a) }
 	r.at[0] = append(r.at[0], env.Place(strategy.RoleCleaner))
 
@@ -159,13 +192,14 @@ func runCloningLegacy(env *strategy.Env) metrics.Result {
 // cloningShared is the state the cloning node actors share.
 type cloningShared struct {
 	env    *strategy.Env
+	w      *waker
 	at     [][]int // node -> the (single) agent standing there
 	movers []int   // dispatch scratch
 	landed func(a, v int)
 }
 
-// cloningNode is the local rule of node v: an actor that waits with
-// ParkNode until an agent stands on v and no smaller neighbour (label
+// cloningNode is the local rule of node v: an actor that waits on the
+// waker until an agent stands on v and no smaller neighbour (label
 // <= m(v)) is contaminated, then clones and dispatches.
 type cloningNode struct {
 	des.Inline
@@ -182,7 +216,7 @@ func (n *cloningNode) step(*des.Simulator) {
 		ready = env.B.StateOf(v^1<<i) != board.Contaminated
 	}
 	if !ready {
-		env.ParkNode(&n.Inline, v)
+		r.w.park(&n.Inline, v)
 		return
 	}
 	a := r.at[v][0]
@@ -210,14 +244,20 @@ type capture struct {
 }
 
 // runPath executes one run of strategy s on a fresh environment
-// through the selected path and captures its observables.
+// through the selected path and captures its observables. The
+// reference path's waker receives the run's trace as its stream.
 func runPath(s pathPair, d int, opts strategy.Options, legacy bool) capture {
 	opts.Record = true
 	opts.Contiguity = strategy.CheckEveryMove
+	var w waker
+	if legacy {
+		opts.Stream = &w
+	}
 	env := strategy.NewEnv(d, opts)
 	var c capture
 	if legacy {
-		c.res = s.legacy(env)
+		w.sim, w.d, w.sigs = env.Sim, d, make([]des.Signal, env.H.Order())
+		c.res = s.legacy(env, &w)
 	} else {
 		c.res = s.engine(env)
 	}

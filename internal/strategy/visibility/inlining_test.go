@@ -18,14 +18,12 @@ import (
 
 // intendedInlining lists, per package, the functions the compiler must
 // be able to inline: the reads every visibility landing makes, and the
-// two rarely true tests every move makes (is the target contaminated,
-// is any actor parked). Each sits just under the inlining budget, with
-// its cold path (a panic message, the overflow table, the counter
-// update, the wake loop) kept out of line, so one added line can
-// silently turn it back into a call.
+// rarely true test every move makes (is the target contaminated). Each
+// sits just under the inlining budget, with its cold path (a panic
+// message, the overflow table, the counter update) kept out of line,
+// so one added line can silently turn it back into a call.
 var intendedInlining = map[string][]string{
 	"hypersearch/internal/board":     {"(*Board).AgentsOn", "(*Board).agentPos", "(*Board).ContaminatedNeighbours", "(*Board).decontaminate"},
-	"hypersearch/internal/strategy":  {"(*Env).fireAround"},
 	"hypersearch/internal/heapqueue": {"AgentsRequired"},
 	"hypersearch/internal/combin":    {"Pow2"},
 }
@@ -50,7 +48,7 @@ var canInline = regexp.MustCompile(`: can inline (\S+)`)
 // re-checking against -gcflags=-m=2, not that the code regressed.
 func TestIntendedInlining(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds five packages with -gcflags=-m")
+		t.Skip("builds four packages with -gcflags=-m")
 	}
 	goTool := filepath.Join(runtime.GOROOT(), "bin", "go")
 	if _, err := os.Stat(goTool); err != nil {
