@@ -129,10 +129,12 @@ perfbench-test:
 
 ci: fmt build vet staticcheck race faults faults-netsim serve-smoke bench-quick bench-smoke bench-scale-smoke bench-check perfbench-test
 
-# Short real fuzz runs of the fault-plan parser, the engine under
-# fuzzed fault application, the DES queue's dispatch order, the
-# visibility engine against its reference path and trace decoding plus
-# replay (regression corpus always runs under `test`).
+# Short real fuzz runs of every fuzz target: the fault-plan parser, the
+# engine under fuzzed fault application, the request and journal
+# decoders, the DES queue's dispatch order, the visibility engine
+# against its reference path, trace decoding plus replay, the worker
+# pool, the netsim wire layer under fuzzed plans and the topology spec
+# parser (regression corpus always runs under `test`).
 fuzz:
 	$(GO) test ./internal/faults -fuzz FuzzParse -fuzztime 15s
 	$(GO) test ./internal/runtime -fuzz FuzzFaultApplication -fuzztime 20s
@@ -141,3 +143,6 @@ fuzz:
 	$(GO) test ./internal/des -fuzz FuzzEventOrder -fuzztime 10s
 	$(GO) test ./internal/strategy/visibility -fuzz FuzzInlineMatchesLegacy -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzReadJSON -fuzztime 10s
+	$(GO) test ./internal/sched -fuzz FuzzMap -fuzztime 10s
+	$(GO) test ./internal/netsim/faultlink -fuzz FuzzWirePlan -fuzztime 10s
+	$(GO) test ./internal/topologies -fuzz FuzzParse -fuzztime 10s

@@ -8,8 +8,10 @@
 //   - hypercube.Hypercube and heapqueue.Tree hold only d and compute
 //     every query from the node's bits, so each environment builds its
 //     own pair in O(1) and nothing is shared.
-//   - board.Board, trace.Log, role counters and scratch lists are
+//   - board.Board, trace.Log and the synchronizer's move counter are
 //     mutable per-run state; Acquire resets them in O(n) before reuse.
+//     The per-node agent stacks are emptied by the run that takes them
+//     (Env.Stacks), and the visibility engine in Env.Aux resets itself.
 //     The environment holds no signal: an actor that waits parks on a
 //     signal of its own.
 //   - An environment whose run did not complete (no Result taken —

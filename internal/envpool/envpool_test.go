@@ -61,8 +61,12 @@ func TestPooledRunsMatchFresh(t *testing.T) {
 }
 
 // TestPooledRunsAcrossOptionChanges: one environment reused across
-// different latency models and record settings stays correct — Reset
-// fully installs the new options.
+// strategies, latency models and record settings stays correct —
+// Reset fully installs the new options, and the agent stacks the DES
+// strategies share are emptied and sized for each run. CLEAN's team
+// is the smallest, so visibility first grows the stacks' agent links
+// past CLEAN's, and each of visibility, synchronous and cloning runs
+// both after a CLEAN run and after a run of n/2 agents.
 func TestPooledRunsAcrossOptionChanges(t *testing.T) {
 	pool := New()
 	specs := []core.Spec{
@@ -70,6 +74,12 @@ func TestPooledRunsAcrossOptionChanges(t *testing.T) {
 		{Strategy: core.Clean, Dim: 5, AdversarialLatency: 7, Seed: 3, Record: true},
 		{Strategy: core.Visibility, Dim: 5, Record: true},
 		{Strategy: core.Clean, Dim: 5, Record: true},
+		{Strategy: core.Synchronous, Dim: 5, Record: true},
+		{Strategy: core.Clean, Dim: 5, AdversarialLatency: 7, Seed: 3, Record: true},
+		{Strategy: core.Cloning, Dim: 5, Record: true},
+		{Strategy: core.Synchronous, Dim: 5, Record: true},
+		{Strategy: core.Visibility, Dim: 5, AdversarialLatency: 5, Seed: 9, Record: true},
+		{Strategy: core.Cloning, Dim: 5, AdversarialLatency: 5, Seed: 9, Record: true},
 	}
 	for _, spec := range specs {
 		want, wantTrace := runSpec(t, spec, strategy.Fresh{})

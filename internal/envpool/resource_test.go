@@ -9,6 +9,7 @@ import (
 	"hypersearch/internal/metrics"
 	"hypersearch/internal/strategy"
 	"hypersearch/internal/strategy/coordinated"
+	"hypersearch/internal/strategy/synchronous"
 	"hypersearch/internal/strategy/visibility"
 )
 
@@ -108,22 +109,25 @@ func TestNewEnvFootprint(t *testing.T) {
 	}
 }
 
-// TestFirstRunFootprint: the first visibility or CLEAN run on a fresh
-// environment allocates at most 80 bytes per node. Visibility's are
-// the engine's 12 B/node of stacks and arrival stamps, the 4 B/agent
-// agent chain, the board's agent position table, and the flights,
-// their pool slice and the event-queue chunks of the busiest timestep;
-// CLEAN's are mostly its per-node agent lists (a 24-byte slice header
-// per node, plus the arrays of the nodes agents stand on), the pooled
-// walkers and the board's agent position table. Later runs reuse all
-// of it (TestPooledRunAllocs).
+// TestFirstRunFootprint: the first run of visibility, CLEAN or the
+// synchronous variant on a fresh environment stays within its budget
+// of bytes per node. Every one allocates the environment's agent
+// stacks (4 B per node and per agent of its team) and the board's
+// agent position table. Visibility adds the engine's 8 B/node of
+// arrival stamps and the flights, their pool slice and the event-queue
+// chunks of the busiest timestep; CLEAN, whose team is far below n/2,
+// adds little more than its pooled walkers; the synchronous variant
+// adds a pooled walker per agent of its last round, 2^(d-1) of them.
+// Later runs reuse all of it (TestPooledRunAllocs).
 func TestFirstRunFootprint(t *testing.T) {
 	runs := []struct {
-		name string
-		run  func(*strategy.Env) metrics.Result
+		name   string
+		run    func(*strategy.Env) metrics.Result
+		budget float64 // B/node
 	}{
-		{core.Visibility, visibility.RunEnv},
-		{core.Clean, coordinated.RunEnv},
+		{core.Visibility, visibility.RunEnv, 80},
+		{core.Clean, coordinated.RunEnv, 32},
+		{core.Synchronous, synchronous.RunEnv, 100},
 	}
 	for _, r := range runs {
 		for _, d := range []int{14, 16} {
@@ -136,8 +140,8 @@ func TestFirstRunFootprint(t *testing.T) {
 			runtime.KeepAlive(env)
 			bytes := after.TotalAlloc - before.TotalAlloc
 			perNode := float64(bytes) / float64(int64(1)<<d)
-			if perNode > 80 {
-				t.Errorf("%s d=%d: first run allocated %d B (%.1f B/node), want <= 80 B/node", r.name, d, bytes, perNode)
+			if perNode > r.budget {
+				t.Errorf("%s d=%d: first run allocated %d B (%.1f B/node), want <= %.0f B/node", r.name, d, bytes, perNode, r.budget)
 			} else {
 				t.Logf("%s d=%d: first run allocated %d B (%.1f B/node)", r.name, d, bytes, perNode)
 			}

@@ -58,8 +58,7 @@ func RunEnv(env *strategy.Env) metrics.Result {
 		env:      env,
 		d:        d,
 		n:        env.H.Order(),
-		at:       env.NodeLists(),
-		pool:     make([]int, 0, team),
+		at:       env.Stacks(team),
 		hop:      -1,
 		escortee: -1,
 	}
@@ -71,7 +70,7 @@ func RunEnv(env *strategy.Env) metrics.Result {
 	// rest of the team forms the available pool at the root.
 	c.sync = env.Place(strategy.RoleSynchronizer)
 	for i := 1; i < team; i++ {
-		c.pool = append(c.pool, env.Place(strategy.RoleCleaner))
+		c.at.Push(0, env.Place(strategy.RoleCleaner))
 	}
 
 	if d > 0 {
@@ -93,20 +92,22 @@ const (
 )
 
 // cleaner is the synchronizer actor — its program counter runs over
-// phase, level node and tree edge — plus the root pool and per-node
-// registries it shares with the couriers and returners, which are
-// Env.Walk actors.
+// phase, level node and tree edge — plus the agent stacks it shares
+// with the couriers and returners, which are Env.Walk actors.
 type cleaner struct {
 	des.Inline
 	env  *strategy.Env
 	d, n int
 	sync int
 
-	pool []int // agent ids available at the root
+	// at holds the cleaners gathered on each node. Node 0's stack is
+	// the root pool: escorts and couriers land below the root, so
+	// only the team's initial agents and returners are ever pushed
+	// there.
+	at strategy.Stacks
 	// wake fires when a returner reaches the root or a courier lands on
 	// x; the synchronizer waits on it for either and re-checks when woken.
 	wake des.Signal
-	at   [][]int // node -> cleaner agent ids standing there
 
 	pc       int
 	l        int // phase: 0 escorts the root's children; l >= 1 cleans level l
@@ -132,7 +133,7 @@ func (c *cleaner) step(s *des.Simulator) {
 		env.ApplyMove(c.sync, c.hop, strategy.RoleSynchronizer)
 		if c.escortee >= 0 {
 			env.ApplyMove(c.escortee, c.hop, strategy.RoleCleaner)
-			c.at[c.hop] = append(c.at[c.hop], c.escortee)
+			c.at.Push(c.hop, c.escortee)
 			c.escortee = -1
 		}
 		c.here, c.hop = c.hop, -1
@@ -150,16 +151,11 @@ func (c *cleaner) step(s *des.Simulator) {
 				c.target = c.x
 				c.edge++
 			case c.edge < c.d:
-				// Phase 0 draws from the root pool; later phases
-				// escort the agents gathered on x.
-				a := -1
-				if c.l > 0 {
-					a = c.pop(c.x)
-				} else if a = c.take(); a < 0 {
-					s.Park(&c.wake, &c.Inline)
-					return
-				}
-				c.escortee, c.target = a, c.x|1<<c.edge
+				// Escort an agent off x's stack: in phase 0 x is the
+				// root, whose stack is the pool (the team leaves it
+				// at least d agents, and no returner is out yet to
+				// wait for); later, the agents gathered on x.
+				c.escortee, c.target = c.pop(c.x), c.x|1<<c.edge
 			case c.l == 0:
 				c.beginPhase(1)
 			default:
@@ -179,7 +175,7 @@ func (c *cleaner) step(s *des.Simulator) {
 				}
 				continue
 			}
-			a := c.take()
+			a := c.at.Pop(0)
 			if a < 0 {
 				s.Park(&c.wake, &c.Inline)
 				return
@@ -201,13 +197,13 @@ func (c *cleaner) step(s *des.Simulator) {
 			// Step 2.2: wait for the full complement of k agents
 			// (extras may still be in flight), then escort one down
 			// each tree edge.
-			k := env.BT.Type(c.x)
-			if len(c.at[c.x]) < k {
+			k, got := env.BT.Type(c.x), c.at.Count(c.x)
+			if got < k {
 				s.Park(&c.wake, &c.Inline)
 				return
 			}
-			if len(c.at[c.x]) != k {
-				panic(fmt.Sprintf("coordinated: node %d holds %d agents, want %d", c.x, len(c.at[c.x]), k))
+			if got != k {
+				panic(fmt.Sprintf("coordinated: node %d holds %d agents, want %d", c.x, got, k))
 			}
 			c.pc, c.edge = pcEscort, bits.Msb(bits.Node(c.x))
 		case pcDone:
@@ -241,7 +237,7 @@ func (c *cleaner) nextNode() {
 // the node the synchronizer works on, wakes it: it may be waiting there
 // for the node's complement.
 func (c *cleaner) courierLanded(a, x int) {
-	c.at[x] = append(c.at[x], a)
+	c.at.Push(x, a)
 	if x == c.x {
 		c.env.Sim.Fire(&c.wake)
 	}
@@ -250,28 +246,15 @@ func (c *cleaner) courierLanded(a, x int) {
 // returnerHome puts a returner back in the root pool and wakes the
 // synchronizer if it is waiting for one.
 func (c *cleaner) returnerHome(a, _ int) {
-	c.pool = append(c.pool, a)
+	c.at.Push(0, a)
 	c.env.Sim.Fire(&c.wake)
 }
 
-// take pops an available agent from the root pool, or returns -1 when
-// the pool is empty.
-func (c *cleaner) take() int {
-	if len(c.pool) == 0 {
-		return -1
-	}
-	a := c.pool[len(c.pool)-1]
-	c.pool = c.pool[:len(c.pool)-1]
-	return a
-}
-
-// pop removes one agent from node x's registry.
+// pop takes the last-arrived agent off node x's stack.
 func (c *cleaner) pop(x int) int {
-	agents := c.at[x]
-	if len(agents) == 0 {
+	a := c.at.Pop(x)
+	if a < 0 {
 		panic(fmt.Sprintf("coordinated: no agent to take at node %d", x))
 	}
-	a := agents[len(agents)-1]
-	c.at[x] = agents[:len(agents)-1]
 	return a
 }

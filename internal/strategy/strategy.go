@@ -3,9 +3,9 @@
 // discrete-event simulator, with per-move latency models (unit latency
 // for ideal-time measurement, seeded random latency as the asynchronous
 // adversary), structured trace recording, pooled walks along shortest
-// paths, and result assembly. An actor that waits for a condition
-// parks on a signal of its own, fired by whatever makes the condition
-// true; the environment fires no signal.
+// paths, per-node agent stacks, and result assembly. An actor that
+// waits for a condition parks on a signal of its own, fired by whatever
+// makes the condition true; the environment fires no signal.
 package strategy
 
 import (
@@ -95,25 +95,25 @@ type Env struct {
 	Sim *des.Simulator
 	B   *board.Board
 
+	// Aux is strategy scratch kept across pooled runs: the visibility
+	// engine, which runs both visibility and its cloning variant,
+	// parks its arrays and flight pool here, so that a warm run
+	// allocates nothing. The environment only stores it; resetting it
+	// is the engine's job.
+	Aux any
+
 	opts         Options
 	log          *trace.Log
 	logStash     *trace.Log // trace retired by a Record:false flip, kept for its capacity
 	sink         trace.Sink // optional streaming sink (Options.Stream)
 	contiguousOK bool
 	completed    bool
-	// aux holds per-environment scratch owned by individual strategies
-	// (keyed by strategy name): the event-driven engines park their
-	// counter tables and event pools here so pooled environments reuse
-	// them across runs, keeping allocs/op flat. The environment only
-	// stores the values; resetting them is the owning strategy's job.
-	aux map[string]any
 	// syncMoves counts the synchronizer's moves; every other move on
 	// the board is an agent move.
 	syncMoves int64
-	// lists is per-run scratch for strategies that track agents per
-	// node (one []int per node, emptied by NodeLists); reusing it
-	// across pooled runs avoids rebuilding per-node maps.
-	lists [][]int
+	// stacks is the per-node agent registry Stacks hands out, kept
+	// across runs.
+	stacks Stacks
 	// walkers is the free list of Walk actors, kept across runs.
 	walkers *walker
 	// Pooled environments are allocated next to each other and run at
@@ -122,7 +122,7 @@ type Env struct {
 	// counter shares a line with its neighbour's topology pointer, and
 	// every move evicts the other core's copy.
 	// TestEnvSizeIsCacheLineMultiple holds the size.
-	_ [16]byte
+	_ [48]byte
 }
 
 // NewEnv builds an environment for dimension d with all nodes
@@ -176,11 +176,12 @@ func (e *Env) applyOptions(opts Options) {
 }
 
 // Reset prepares the environment for a fresh run under new options,
-// reusing every allocation from the previous run: the board, trace
-// log, move counters and scratch lists are cleared in O(n), and the
-// simulator keeps its warmed event heap. It panics — via Sim.Reset —
-// if the previous run was abandoned with parked actors; such poisoned
-// environments must be discarded, not reset.
+// reusing every allocation from the previous run: the board, trace log
+// and move counters are cleared in O(n) (the agent stacks are emptied
+// by the run's Stacks call), and the simulator keeps its warmed event
+// heap. It panics — via Sim.Reset — if the previous run was abandoned
+// with parked actors; such poisoned environments must be discarded,
+// not reset.
 func (e *Env) Reset(opts Options) {
 	e.Sim.Reset()
 	e.B.Reset()
@@ -196,35 +197,65 @@ func (e *Env) Reset(opts Options) {
 // reject environments whose run panicked mid-simulation.
 func (e *Env) Completed() bool { return e.completed }
 
-// NodeLists returns one empty []int per node, reusing backing arrays
-// across calls and runs. Strategies use it as per-node agent
-// registries instead of allocating map[int][]int every run. The
-// environment owns the storage; only one caller may use it at a time.
-// The table is allocated on first use — O(n) slice headers that the
-// event-driven strategies, which track agents in packed per-node
-// stacks instead, never pay for.
-func (e *Env) NodeLists() [][]int {
-	if e.lists == nil {
-		e.lists = make([][]int, e.H.Order())
-	}
-	for i := range e.lists {
-		e.lists[i] = e.lists[i][:0]
-	}
-	return e.lists
+// Stacks is the per-node agent registry of the DES strategies: every
+// node's gathered agents form a stack threaded through the agents, a
+// head per node and a link per agent, -1 ending a chain. Push and Pop
+// work at the top, so a node hands out its last-arrived agent first.
+type Stacks struct {
+	head []int32 // node -> its top agent
+	next []int32 // agent -> the agent below it
 }
 
-// Aux returns the per-environment scratch value stored under key, or
-// nil. Strategies key their reusable engine state by their own name;
-// a pooled environment then carries that state across runs, which is
-// what keeps an event-driven strategy's allocs/op flat under reuse.
-func (e *Env) Aux(key string) any { return e.aux[key] }
-
-// SetAux stores a per-environment scratch value under key; see Aux.
-func (e *Env) SetAux(key string, v any) {
-	if e.aux == nil {
-		e.aux = map[string]any{}
+// Stacks returns the environment's agent stacks with every node's
+// empty and room for agent ids below agents. The arrays are allocated
+// on first use (4 B per node and per agent) and kept across runs; only
+// one strategy may use them at a time.
+func (e *Env) Stacks(agents int) Stacks {
+	s := &e.stacks
+	if s.head == nil {
+		s.head = make([]int32, e.H.Order())
 	}
-	e.aux[key] = v
+	if len(s.next) < agents {
+		s.next = make([]int32, agents)
+	}
+	for v := range s.head {
+		s.head[v] = -1
+	}
+	return *s
+}
+
+// Push puts agent a on top of node v's stack.
+func (s *Stacks) Push(v, a int) {
+	s.next[a] = s.head[v]
+	s.head[v] = int32(a)
+}
+
+// Pop takes the top agent off node v's stack, or returns -1 if the
+// stack is empty.
+func (s *Stacks) Pop(v int) int {
+	a := s.head[v]
+	if a >= 0 {
+		s.head[v] = s.next[a]
+	}
+	return int(a)
+}
+
+// Top returns the top agent of node v's stack, or -1 if it is empty.
+func (s *Stacks) Top(v int) int { return int(s.head[v]) }
+
+// Next returns the agent below a on its node's stack, or -1 if a is
+// the bottom one. A pushed agent's link is overwritten, so read it
+// before pushing the agent elsewhere.
+func (s *Stacks) Next(a int) int { return int(s.next[a]) }
+
+// Count returns the number of agents on node v's stack, walking its
+// chain.
+func (s *Stacks) Count(v int) int {
+	n := 0
+	for a := s.head[v]; a >= 0; a = s.next[a] {
+		n++
+	}
+	return n
 }
 
 // faultDelay consults the injector for one move of agent in role and
@@ -373,15 +404,6 @@ func (w *walker) step(s *des.Simulator) {
 	if arrived != nil {
 		arrived(agent, dst)
 	}
-}
-
-// RoleMoves returns the number of moves recorded for a role: the
-// synchronizer's, or for any other role every agent move.
-func (e *Env) RoleMoves(role string) int64 {
-	if role == RoleSynchronizer {
-		return e.syncMoves
-	}
-	return e.B.Moves() - e.syncMoves
 }
 
 // Result ends the run and assembles its cost and correctness summary.

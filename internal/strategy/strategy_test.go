@@ -59,9 +59,6 @@ func TestEnvPlaceMoveWalk(t *testing.T) {
 	if len(landed) != 3 || landed[0] != a || landed[1] != 7 || landed[2] != 3 {
 		t.Errorf("arrival callback saw %v, want [agent 7 3]", landed)
 	}
-	if e.RoleMoves(RoleCleaner) != 3 {
-		t.Errorf("moves = %d", e.RoleMoves(RoleCleaner))
-	}
 	if e.Log().Len() != 4 { // 1 place + 3 moves
 		t.Errorf("log len = %d", e.Log().Len())
 	}
@@ -74,6 +71,9 @@ func TestEnvPlaceMoveWalk(t *testing.T) {
 		if ev.From != path[i] || ev.To != path[i+1] {
 			t.Fatalf("hop %d went %d->%d, want %d->%d", i, ev.From, ev.To, path[i], path[i+1])
 		}
+	}
+	if r := e.Result("walk"); r.AgentMoves != 3 || r.SyncMoves != 0 {
+		t.Errorf("role split = %d agent + %d sync moves, want 3 + 0", r.AgentMoves, r.SyncMoves)
 	}
 }
 
@@ -126,8 +126,8 @@ func TestMoveTogetherSimultaneous(t *testing.T) {
 	if last.Time != prev.Time {
 		t.Error("escorted moves not simultaneous")
 	}
-	if e.RoleMoves(RoleSynchronizer) != 1 || e.RoleMoves(RoleCleaner) != 1 {
-		t.Error("role accounting wrong")
+	if r := e.Result("escort"); r.SyncMoves != 1 || r.AgentMoves != 1 {
+		t.Errorf("role split = %d agent + %d sync moves, want 1 + 1", r.AgentMoves, r.SyncMoves)
 	}
 }
 
@@ -224,5 +224,33 @@ func TestResetReusesTraceCapacityAcrossRecordFlips(t *testing.T) {
 	env.Reset(Options{Record: true})
 	if got := env.Log().Cap(); got < warmed {
 		t.Errorf("plain reset regrew the trace: capacity %d, want %d", got, warmed)
+	}
+}
+
+// TestStacks: a node's stack hands out its last-pushed agent first and
+// reports -1 when empty; Env.Stacks empties every node and grows the
+// agent links when a run needs more agent ids.
+func TestStacks(t *testing.T) {
+	e := NewEnv(2, Options{})
+	s := e.Stacks(3)
+	s.Push(1, 0)
+	s.Push(1, 2)
+	s.Push(3, 1)
+	if s.Count(1) != 2 || s.Count(3) != 1 || s.Count(0) != 0 {
+		t.Errorf("counts %d, %d, %d, want 2, 1, 0", s.Count(1), s.Count(3), s.Count(0))
+	}
+	if s.Top(1) != 2 || s.Next(2) != 0 || s.Next(0) != -1 || s.Top(0) != -1 {
+		t.Errorf("chain of node 1 reads %d -> %d -> %d, want 2 -> 0 -> -1", s.Top(1), s.Next(2), s.Next(0))
+	}
+	if a, b, c := s.Pop(1), s.Pop(1), s.Pop(1); a != 2 || b != 0 || c != -1 {
+		t.Errorf("pops of node 1 gave %d, %d, %d, want 2, 0, -1", a, b, c)
+	}
+	s = e.Stacks(5)
+	if s.Top(3) != -1 {
+		t.Errorf("Stacks left agent %d on node 3", s.Top(3))
+	}
+	s.Push(2, 4)
+	if s.Pop(2) != 4 || s.Top(2) != -1 {
+		t.Error("grown stacks lost agent 4")
 	}
 }

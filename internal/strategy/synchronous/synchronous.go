@@ -39,13 +39,13 @@ func Run(d int, opts strategy.Options) (metrics.Result, *strategy.Env) {
 // defined for synchronous systems; Run and core.Run arrange this).
 func RunEnv(env *strategy.Env) metrics.Result {
 	team := int(combin.VisibilityAgents(env.H.Dim()))
-	c := &clock{env: env, at: env.NodeLists()}
+	c := &clock{env: env, at: env.Stacks(team)}
 	for i := 0; i < team; i++ {
-		c.at[0] = append(c.at[0], env.Place(strategy.RoleCleaner))
+		c.at.Push(0, env.Place(strategy.RoleCleaner))
 	}
 
 	if env.H.Dim() > 0 {
-		c.landed = func(a, v int) { c.at[v] = append(c.at[v], a) }
+		c.landed = func(a, v int) { c.at.Push(v, a) }
 		c.Step = c.step
 		env.Sim.SpawnInline(&c.Inline)
 	}
@@ -59,7 +59,7 @@ func RunEnv(env *strategy.Env) metrics.Result {
 type clock struct {
 	des.Inline
 	env    *strategy.Env
-	at     [][]int // node -> agent ids standing there
+	at     strategy.Stacks // the agents standing on each node
 	landed func(a, v int)
 	m      int  // the round
 	waited bool // stepped once at t = m already, behind the round's arrivals
@@ -75,29 +75,26 @@ func (c *clock) step(s *des.Simulator) {
 		return
 	}
 	c.waited = false
-	env, at, m := c.env, c.at, c.m
+	env, m := c.env, c.m
 	d := env.H.Dim()
 	required := int(heapqueue.AgentsRequired(d - m))
 	// The nodes x with m(x) = m: 2^(m-1) .. 2^m - 1, or node 0 at m = 0.
 	for v := 1 << m >> 1; v < 1<<m; v++ {
 		// No visibility read: the schedule itself must guarantee the
 		// complement has arrived. Assert it.
-		if len(at[v]) != required {
+		if got := c.at.Count(v); got != required {
 			panic(fmt.Sprintf("synchronous: node %d holds %d agents at t=%d, want %d",
-				v, len(at[v]), s.Now(), required))
+				v, got, s.Now(), required))
 		}
 		if m == d {
-			env.Terminate(at[v][0])
-			at[v] = at[v][:0]
+			env.Terminate(c.at.Pop(v))
 			continue
 		}
 		// 2^(i-1) agents to the T(i) child and one to the T(0) child, in
 		// child order (heapqueue.DispatchPlan).
 		for i := m; i < d; i++ {
 			for j := heapqueue.AgentsRequired(d - i - 1); j > 0; j-- {
-				a := at[v][len(at[v])-1]
-				at[v] = at[v][:len(at[v])-1]
-				env.Walk(a, v|1<<i, strategy.RoleCleaner, c.landed)
+				env.Walk(c.at.Pop(v), v|1<<i, strategy.RoleCleaner, c.landed)
 			}
 		}
 	}

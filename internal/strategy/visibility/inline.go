@@ -73,21 +73,22 @@
 // deferred them all alike. Under unit latency every child's
 // departures are one flight, and a run schedules n-1 of them.
 //
-// A cloning dispatch makes its k-1 clones (Env.Clone, trace Clone
-// events) and then draws. The reference path makes every clone of a
-// timestep before any of its walkers draws, but clones touch only the
-// board and the trace, and draws only the latency RNG and the fault
-// plan's counters, so the interleaving is unobservable. Like every
-// dispatch, a clone runs after every same-time arrival, so the wakes
-// it fires in the reference path are never a ready node's first wake
-// of the timestep and change no wake order.
+// A cloning dispatch sends its agent to the first child and, before
+// each later child's draw, makes a clone of it (Env.Clone, a trace
+// Clone event) to send there. The reference path makes every clone of
+// a timestep before any of its walkers draws, but clones touch only
+// the board and the trace, and draws only the latency RNG and the
+// fault plan's counters, so the interleaving is unobservable. Like
+// every dispatch, a clone runs after every same-time arrival, so the
+// wakes it fires in the reference path are never a ready node's first
+// wake of the timestep and change no wake order.
 //
-// Agents gathered on a node are kept in a per-node intrusive stack
-// (head/next arrays) pushed on arrival and popped on dispatch — the
-// same last-arrived-first selection as the reference path's
-// append/pop-from-tail lists, in O(4B) per node instead of a slice
-// header. A flight's agents are the popped run of the source's chain,
-// so a flight stores only its first agent and a count.
+// Agents gathered on a node are kept on the environment's per-node
+// agent stacks (strategy.Stacks), pushed on arrival and popped on
+// dispatch — the same last-arrived-first selection as the reference
+// path's append/pop-from-tail lists. A flight's agents are the popped
+// run of the source's chain, so a flight stores only its first agent
+// and a count.
 package visibility
 
 import (
@@ -133,9 +134,9 @@ const (
 )
 
 // engine is the per-environment state of the inline path. It parks
-// itself in the environment's aux slot under the strategy name, so a
-// pooled environment reuses the arrays and event objects across runs
-// and steady-state allocs/op stay flat.
+// itself in the environment's Aux slot, so a pooled environment reuses
+// the arrays and event objects across runs and steady-state allocs/op
+// stay flat.
 type engine struct {
 	env *strategy.Env
 	// b is env.B, held here so the engine imports board and the
@@ -144,10 +145,10 @@ type engine struct {
 	d int
 	n int
 
-	// head[v] / next[a] form per-node intrusive stacks of gathered
-	// agent ids; -1 terminates a chain.
-	head []int32
-	next []int32
+	// stacks holds the gathered agents: the environment's stacks,
+	// copied here so that a landing's push loads their arrays from the
+	// engine.
+	stacks strategy.Stacks
 
 	// Endpoint stamps for wake-key reconstruction: departed[u] is the
 	// arrival number of the earliest landing this timestep that came
@@ -180,7 +181,7 @@ type engine struct {
 	// engines can be heap neighbours. Padding the engine to a multiple
 	// of 64 bytes keeps each in cache lines of its own; otherwise one's
 	// free-slice length, written on every flight, shares a line with
-	// the next one's env and head, read on every landing.
+	// the next one's env and stacks, read on every landing.
 	// TestEngineSizeIsCacheLineMultiple holds the size.
 	_ [31]byte
 }
@@ -206,20 +207,19 @@ func engineFor(env *strategy.Env, clone bool) *engine {
 	if d > MaxInlineDim {
 		panic(fmt.Sprintf("visibility: inline engine supports d <= %d (sort-key and stamp width); got d=%d", MaxInlineDim, d))
 	}
-	eng, _ := env.Aux(Name).(*engine)
+	eng, _ := env.Aux.(*engine)
 	if eng == nil || eng.n != n {
 		eng = &engine{
 			d:        d,
 			n:        n,
-			head:     make([]int32, n),
-			next:     make([]int32, combin.VisibilityAgents(d)),
 			departed: make([]uint32, n),
 			landed:   make([]uint32, n),
 		}
 		eng.flush.Step = eng.runFlush
-		env.SetAux(Name, eng)
+		env.Aux = eng
 	}
 	eng.env, eng.b, eng.clone = env, env.B, clone
+	eng.stacks = env.Stacks(int(combin.VisibilityAgents(d)))
 	eng.reset()
 	return eng
 }
@@ -234,12 +234,8 @@ func (e *engine) complement(k int) int64 {
 	return heapqueue.AgentsRequired(k)
 }
 
-// reset empties every node's stack, zeroes the stamps and restarts
-// the arrival counter.
+// reset zeroes the stamps and restarts the arrival counter.
 func (e *engine) reset() {
-	for v := range e.head {
-		e.head[v] = -1
-	}
 	clear(e.departed)
 	clear(e.landed)
 	e.arrival, e.base = 0, 0
@@ -247,25 +243,18 @@ func (e *engine) reset() {
 	e.pending = e.pending[:0]
 }
 
-// push adds agent a to node v's gathered stack.
-func (e *engine) push(v int, a int32) {
-	e.next[a] = e.head[v]
-	e.head[v] = a
-}
-
-// pop removes and returns the most recently gathered agent on v.
-func (e *engine) pop(v int) int32 {
-	a := e.head[v]
+// pop takes the most recently gathered agent off v's stack.
+func (e *engine) pop(v int) int {
+	a := e.stacks.Pop(v)
 	if a < 0 {
 		panic(fmt.Sprintf("visibility: node %d dispatching without its complement", v))
 	}
-	e.head[v] = e.next[a]
 	return a
 }
 
 // newFlight takes a flight from the pool (or allocates the pool's
 // steady-state miss) and arms it with one agent.
-func (e *engine) newFlight(agent, to int32) *flight {
+func (e *engine) newFlight(agent, to int) *flight {
 	var f *flight
 	if n := len(e.free); n > 0 {
 		f = e.free[n-1]
@@ -275,7 +264,7 @@ func (e *engine) newFlight(agent, to int32) *flight {
 		nf.Step = func(s *des.Simulator) { e.arrive(s, nf) }
 		f = nf
 	}
-	f.agent, f.to, f.count = agent, to, 1
+	f.agent, f.to, f.count = int32(agent), int32(to), 1
 	return f
 }
 
@@ -294,7 +283,7 @@ func (e *engine) ready(s *des.Simulator, v int) {
 // arrive lands a flight's agents in chain order. Each agent's next
 // link is read before its landing pushes it onto the destination.
 func (e *engine) arrive(s *des.Simulator, f *flight) {
-	a, to, count := f.agent, int(f.to), f.count
+	a, to, count := int(f.agent), int(f.to), f.count
 	e.free = append(e.free, f)
 
 	if now := s.Now(); now != e.curTime {
@@ -302,7 +291,7 @@ func (e *engine) arrive(s *des.Simulator, f *flight) {
 		e.base = e.arrival
 	}
 	for ; count > 0; count-- {
-		next := e.next[a]
+		next := e.stacks.Next(a)
 		e.land(s, a, to)
 		a = next
 	}
@@ -315,9 +304,9 @@ func (e *engine) arrive(s *des.Simulator, f *flight) {
 // of, except its parent and its children: the parent received its
 // agents before the destination was reached, and the children receive
 // theirs only after it dispatches.
-func (e *engine) land(s *des.Simulator, a int32, to int) {
-	e.env.ApplyMove(int(a), to, strategy.RoleCleaner)
-	e.push(to, a)
+func (e *engine) land(s *des.Simulator, a, to int) {
+	e.env.ApplyMove(a, to, strategy.RoleCleaner)
+	e.stacks.Push(to, a)
 
 	m := bits.Msb(bits.Node(to))
 	parent := to &^ (1 << (m - 1))
@@ -477,31 +466,26 @@ func sortKeys(keys []int64) {
 // (each child's complement: 2^(i-1) agents to the T(i) child and one
 // to the T(0) child in the Theorem-5 dispatch plan, one to every child
 // in a cloning run) and schedules the landings, one flight per run of
-// equal draws to a child. A cloning node first clones its agent for
-// every child after the first, in child order, and links each clone
-// behind the previous one on v's stack, so that the incumbent goes to
-// the first child and each clone to its own.
+// equal draws to a child. A cloning node's agent goes to the first
+// child, and before each later child's draw it pushes a clone of that
+// agent onto v's stack, so that each clone goes to its own child.
 func (e *engine) fire(s *des.Simulator, v int) {
 	m := bits.Msb(bits.Node(v))
 	if e.d-m == 0 {
-		e.env.Terminate(int(e.pop(v)))
+		e.env.Terminate(e.pop(v))
 		return
 	}
-	if e.clone {
-		a := e.head[v]
-		for i, last := m+1, a; i < e.d; i++ {
-			c := int32(e.env.Clone(int(a), v, strategy.RoleCleaner))
-			e.next[last], e.next[c] = c, -1
-			last = c
-		}
-	}
+	incumbent := e.stacks.Top(v) // a cloning node's one agent
 	for i := m; i < e.d; i++ {
-		child := int32(v | 1<<i)
+		child := v | 1<<i
+		if e.clone && i > m {
+			e.stacks.Push(v, e.env.Clone(incumbent, v, strategy.RoleCleaner))
+		}
 		var f *flight
 		var lat int64
 		for j := e.complement(e.d - i - 1); j > 0; j-- {
 			a := e.pop(v)
-			l := e.env.MoveLatency(int(a), v, int(child), strategy.RoleCleaner)
+			l := e.env.MoveLatency(a, v, child, strategy.RoleCleaner)
 			if f != nil && l == lat {
 				f.count++
 				continue
@@ -510,7 +494,7 @@ func (e *engine) fire(s *des.Simulator, v int) {
 			s.AfterInline(l, &f.Inline)
 		}
 	}
-	if e.head[v] >= 0 {
+	if e.stacks.Top(v) >= 0 {
 		panic(fmt.Sprintf("visibility: node %d kept agents after dispatch", v))
 	}
 }

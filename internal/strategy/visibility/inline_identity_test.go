@@ -79,7 +79,7 @@ func (w *waker) fireAround(v int) {
 func runEnvLegacy(env *strategy.Env, w *waker) metrics.Result {
 	d := env.H.Dim()
 	team := int(combin.VisibilityAgents(d))
-	at := env.NodeLists()
+	at := make([][]int, env.H.Order())
 	for i := 0; i < team; i++ {
 		at[0] = append(at[0], env.Place(strategy.RoleCleaner))
 	}
@@ -173,7 +173,7 @@ func dispatch(env *strategy.Env, at [][]int, v int, landed func(a, v int)) {
 // dispatches. It is the identity oracle RunCloningEnv is tested
 // against.
 func runCloningLegacy(env *strategy.Env, w *waker) metrics.Result {
-	r := &cloningShared{env: env, w: w, at: env.NodeLists()}
+	r := &cloningShared{env: env, w: w, at: make([][]int, env.H.Order())}
 	r.landed = func(a, v int) { r.at[v] = append(r.at[v], a) }
 	r.at[0] = append(r.at[0], env.Place(strategy.RoleCleaner))
 
@@ -605,7 +605,7 @@ func TestUnitLatencySchedulesOneFlightPerTreeEdge(t *testing.T) {
 				if want := combin.CloningMoves(d) + int64(d) + 1; events != want {
 					t.Errorf("d=%d: %d events, want %d flights + %d flushes", d, events, combin.CloningMoves(d), d+1)
 				}
-				pool := len(env.Aux(Name).(*engine).free)
+				pool := len(env.Aux.(*engine).free)
 				if want := 1 << max(d-2, 0); d >= 4 && pool != want {
 					t.Errorf("d=%d: flight pool holds %d flights, want %d", d, pool, want)
 				}

@@ -17,19 +17,22 @@ import (
 )
 
 // intendedInlining lists, per package, the functions the compiler must
-// be able to inline: the reads every visibility landing makes, and the
-// rarely true test every move makes (is the target contaminated). Each
-// sits just under the inlining budget, with its cold path (a panic
-// message, the overflow table, the counter update) kept out of line,
-// so one added line can silently turn it back into a call.
+// be able to inline: the reads every visibility landing makes, the
+// agent stacks' push, pop and chain reads, and the rarely true test
+// every move makes (is the target contaminated). Most sit just under
+// the inlining budget, with their cold paths (a panic message, the
+// overflow table, the counter update) kept out of line, so one added
+// line can silently turn one back into a call.
 var intendedInlining = map[string][]string{
 	"hypersearch/internal/board":     {"(*Board).AgentsOn", "(*Board).agentPos", "(*Board).ContaminatedNeighbours", "(*Board).decontaminate"},
 	"hypersearch/internal/heapqueue": {"AgentsRequired"},
 	"hypersearch/internal/combin":    {"Pow2"},
+	"hypersearch/internal/strategy":  {"(*Stacks).Push", "(*Stacks).Pop", "(*Stacks).Top", "(*Stacks).Next"},
 }
 
-// landReads are the calls in engine.land that must be inlined there.
-var landReads = map[string]bool{"AgentsOn": true, "ContaminatedNeighbours": true, "AgentsRequired": true}
+// landReads are the calls in engine.land that must be inlined there:
+// the board reads and the push onto the destination's stack.
+var landReads = map[string]bool{"AgentsOn": true, "ContaminatedNeighbours": true, "AgentsRequired": true, "Push": true}
 
 var canInline = regexp.MustCompile(`: can inline (\S+)`)
 
@@ -48,7 +51,7 @@ var canInline = regexp.MustCompile(`: can inline (\S+)`)
 // re-checking against -gcflags=-m=2, not that the code regressed.
 func TestIntendedInlining(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds four packages with -gcflags=-m")
+		t.Skip("builds five packages with -gcflags=-m")
 	}
 	goTool := filepath.Join(runtime.GOROOT(), "bin", "go")
 	if _, err := os.Stat(goTool); err != nil {
@@ -93,8 +96,8 @@ func TestIntendedInlining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) != 5 {
-		t.Fatalf("found %d reads in engine.land, want 5 (two AgentsOn, two ContaminatedNeighbours, one AgentsRequired)", len(calls))
+	if len(calls) != 6 {
+		t.Fatalf("found %d calls in engine.land, want 6 (two AgentsOn, two ContaminatedNeighbours, one AgentsRequired, one Push)", len(calls))
 	}
 	for _, c := range calls {
 		at := fmt.Sprintf("inline.go:%d:%d: inlining call to ", c.line, c.col)

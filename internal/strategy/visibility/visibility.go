@@ -60,7 +60,7 @@ func run(env *strategy.Env, clone bool) metrics.Result {
 	env.B.Reserve(int(combin.VisibilityAgents(d)))
 	eng := engineFor(env, clone)
 	for i := eng.complement(d); i > 0; i-- {
-		eng.push(0, int32(env.Place(strategy.RoleCleaner)))
+		eng.stacks.Push(0, env.Place(strategy.RoleCleaner))
 	}
 	if d > 0 {
 		eng.ready(env.Sim, 0)
