@@ -131,16 +131,18 @@ ci: fmt build vet staticcheck race faults faults-netsim serve-smoke bench-quick 
 
 # Short real fuzz runs of every fuzz target: the fault-plan parser, the
 # engine under fuzzed fault application, the request and journal
-# decoders, the DES queue's dispatch order, the visibility engine
-# against its reference path, trace decoding plus replay, the worker
-# pool, the netsim wire layer under fuzzed plans and the topology spec
-# parser (regression corpus always runs under `test`).
+# decoders, the DES queue's dispatch order, the packed board against
+# its legacy reference, the visibility engine against its reference
+# path, trace decoding plus replay, the worker pool, the netsim wire
+# layer under fuzzed plans and the topology spec parser (regression
+# corpus always runs under `test`).
 fuzz:
 	$(GO) test ./internal/faults -fuzz FuzzParse -fuzztime 15s
 	$(GO) test ./internal/runtime -fuzz FuzzFaultApplication -fuzztime 20s
 	$(GO) test ./internal/serve -fuzz FuzzParseRequest -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzReadEntries -fuzztime 10s
 	$(GO) test ./internal/des -fuzz FuzzEventOrder -fuzztime 10s
+	$(GO) test ./internal/board -fuzz FuzzPackedMatchesLegacy -fuzztime 10s
 	$(GO) test ./internal/strategy/visibility -fuzz FuzzInlineMatchesLegacy -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzReadJSON -fuzztime 10s
 	$(GO) test ./internal/sched -fuzz FuzzMap -fuzztime 10s

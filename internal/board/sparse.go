@@ -48,8 +48,8 @@ func (s *sparseCount) get(v int) int {
 	}
 }
 
-// inc adds one agent on node v and returns the new count.
-func (s *sparseCount) inc(v int) int {
+// add puts k more agents on node v and returns its new count.
+func (s *sparseCount) add(v, k int) int {
 	s.init()
 	if 2*(s.n+1) > len(s.keys) {
 		s.grow()
@@ -58,27 +58,31 @@ func (s *sparseCount) inc(v int) int {
 	for i := s.slot(key); ; i = (i + 1) & uint32(len(s.keys)-1) {
 		switch s.keys[i] {
 		case key:
-			s.vals[i]++
+			s.vals[i] += int32(k)
 			return int(s.vals[i])
 		case 0:
 			s.keys[i] = key
-			s.vals[i] = 1
+			s.vals[i] = int32(k)
 			s.n++
-			return 1
+			return k
 		}
 	}
 }
 
-// dec removes one agent from node v and returns the new count, deleting
+// sub takes k agents off node v and returns its new count, deleting
 // the entry (backward-shift) when it reaches zero. It panics if v holds
-// no agents — the board only decrements nodes it incremented.
-func (s *sparseCount) dec(v int) int {
+// fewer than k agents — the board only takes off nodes what it put
+// there.
+func (s *sparseCount) sub(v, k int) int {
 	key := int32(v) + 1
 	mask := uint32(len(s.keys) - 1)
 	for i := s.slot(key); ; i = (i + 1) & mask {
 		switch s.keys[i] {
 		case key:
-			s.vals[i]--
+			if int(s.vals[i]) < k {
+				panic(fmt.Sprintf("board: %d agents leave node %d, which holds %d", k, v, s.vals[i]))
+			}
+			s.vals[i] -= int32(k)
 			if s.vals[i] > 0 {
 				return int(s.vals[i])
 			}

@@ -8,9 +8,10 @@ import (
 )
 
 // TestSparseCountMatchesMap drives the open-addressing count table
-// through random inc/dec/reset traffic mirrored into a plain map,
-// crossing several growth and deletion phases: backward-shift deletion
-// is the classic place for a probe-chain bug to hide.
+// through random add/sub/reset traffic of one to three agents at a
+// time, mirrored into a plain map, crossing several growth and
+// deletion phases: backward-shift deletion is the classic place for a
+// probe-chain bug to hide.
 func TestSparseCountMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -18,25 +19,26 @@ func TestSparseCountMatchesMap(t *testing.T) {
 		ref := map[int]int{}
 		const nodes = 300
 		for op := 0; op < 5000; op++ {
-			v := rng.Intn(nodes)
+			v, k := rng.Intn(nodes), 1+rng.Intn(3)
 			switch {
 			case rng.Intn(20) == 0:
 				s.reset()
 				ref = map[int]int{}
 			case ref[v] > 0 && rng.Intn(2) == 0:
-				got := s.dec(v)
-				ref[v]--
+				k = min(k, ref[v])
+				got := s.sub(v, k)
+				ref[v] -= k
 				if ref[v] == 0 {
 					delete(ref, v)
 				}
 				if got != ref[v] {
-					t.Fatalf("seed %d op %d: dec(%d) = %d, want %d", seed, op, v, got, ref[v])
+					t.Fatalf("seed %d op %d: sub(%d, %d) = %d, want %d", seed, op, v, k, got, ref[v])
 				}
 			default:
-				got := s.inc(v)
-				ref[v]++
+				got := s.add(v, k)
+				ref[v] += k
 				if got != ref[v] {
-					t.Fatalf("seed %d op %d: inc(%d) = %d, want %d", seed, op, v, got, ref[v])
+					t.Fatalf("seed %d op %d: add(%d, %d) = %d, want %d", seed, op, v, k, got, ref[v])
 				}
 			}
 			// Spot-check random lookups, including absent keys.
@@ -50,17 +52,25 @@ func TestSparseCountMatchesMap(t *testing.T) {
 	}
 }
 
-// TestSparseCountDecPanicsOnEmptyNode: decrementing a node with no
-// recorded agents must panic loudly, not corrupt the table.
+// TestSparseCountDecPanicsOnEmptyNode: taking agents off a node with
+// none recorded, or with fewer than are taken, must panic loudly, not
+// corrupt the table.
 func TestSparseCountDecPanicsOnEmptyNode(t *testing.T) {
-	var s sparseCount
-	s.inc(3)
-	defer func() {
-		if recover() == nil {
-			t.Error("dec on an empty node did not panic")
-		}
-	}()
-	s.dec(4)
+	for name, sub := range map[string]func(*sparseCount){
+		"empty node": func(s *sparseCount) { s.sub(4, 1) },
+		"too many":   func(s *sparseCount) { s.sub(3, 3) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var s sparseCount
+			s.add(3, 2)
+			defer func() {
+				if recover() == nil {
+					t.Error("sub did not panic")
+				}
+			}()
+			sub(&s)
+		})
+	}
 }
 
 // TestBoardReserve: Board.Reserve pre-sizes the position slice without

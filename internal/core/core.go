@@ -292,10 +292,10 @@ func RunWith(spec Spec, src strategy.Source) (metrics.Result, *strategy.Env, err
 		if spec.Faults != nil {
 			opts.Faults = faults.NewInjector(spec.Faults)
 		}
-		if spec.AdversarialLatency > 0 && !r.unit {
-			opts.Latency = strategy.NewAdversarial(spec.Seed, spec.AdversarialLatency)
-		}
 		env := src.Acquire(spec.Dim, opts)
+		if spec.AdversarialLatency > 0 && !r.unit {
+			env.Adversary(spec.Seed, spec.AdversarialLatency)
+		}
 		return r.des(env, spec), env, nil
 	case r.goroutines != nil:
 		rep, err := r.goroutines(spec.Dim, runtime.Config{

@@ -37,12 +37,30 @@ func sweepRun(pool *envpool.Pool, shape Spec, seed int64) error {
 	return nil
 }
 
+// oneAgentShapes are runs whose flights nearly all carry one agent:
+// every cloning flight does, and under the adversary at bound 13 only
+// about 6 % of visibility landings ride in an earlier draw's flight.
+// They time the landing path where landing a flight as one board
+// operation saves nothing.
+var oneAgentShapes = []Spec{
+	{Strategy: Cloning, Dim: 18},
+	{Strategy: Visibility, Dim: 16, AdversarialLatency: 13},
+}
+
 // BenchmarkSweepShapes times the sweep shapes one run at a time on an
 // envpool.Pool, one seed per iteration. One warm-up run per shape
 // builds the pooled environment outside the timed region. `make
 // profile-sweeps` runs it under a CPU profile.
-func BenchmarkSweepShapes(b *testing.B) {
-	for _, shape := range sweepShapes {
+func BenchmarkSweepShapes(b *testing.B) { benchShapes(b, sweepShapes) }
+
+// BenchmarkOneAgentFlights times oneAgentShapes as BenchmarkSweepShapes
+// times the sweep shapes.
+func BenchmarkOneAgentFlights(b *testing.B) { benchShapes(b, oneAgentShapes) }
+
+// benchShapes times each shape one run at a time on a pool of its own,
+// after one warm-up run.
+func benchShapes(b *testing.B, shapes []Spec) {
+	for _, shape := range shapes {
 		b.Run(fmt.Sprintf("%s/d=%d/adversary=%d", shape.Strategy, shape.Dim, shape.AdversarialLatency), func(b *testing.B) {
 			pool := envpool.New()
 			if err := sweepRun(pool, shape, 0); err != nil {

@@ -113,12 +113,13 @@ func TestNewEnvFootprint(t *testing.T) {
 // synchronous variant on a fresh environment stays within its budget
 // of bytes per node. Every one allocates the environment's agent
 // stacks (4 B per node and per agent of its team) and the board's
-// agent position table. Visibility adds the engine's 8 B/node of
-// arrival stamps and the flights, their pool slice and the event-queue
-// chunks of the busiest timestep; CLEAN, whose team is far below n/2,
-// adds little more than its pooled walkers; the synchronous variant
-// adds a pooled walker per agent of its last round, 2^(d-1) of them.
-// Later runs reuse all of it (TestPooledRunAllocs).
+// agent position table, reserved at the team's size before the first
+// placement. Visibility adds the engine's 8 B/node of arrival stamps
+// and the flights, their pool slice and the event-queue chunks of the
+// busiest timestep; CLEAN, whose team is far below n/2, adds little
+// more than its pooled walkers; the synchronous variant adds a pooled
+// walker per agent of its last round, 2^(d-1) of them. Later runs
+// reuse all of it (TestPooledRunAllocs).
 func TestFirstRunFootprint(t *testing.T) {
 	runs := []struct {
 		name   string
@@ -126,8 +127,8 @@ func TestFirstRunFootprint(t *testing.T) {
 		budget float64 // B/node
 	}{
 		{core.Visibility, visibility.RunEnv, 80},
-		{core.Clean, coordinated.RunEnv, 32},
-		{core.Synchronous, synchronous.RunEnv, 100},
+		{core.Clean, coordinated.RunEnv, 24},
+		{core.Synchronous, synchronous.RunEnv, 80},
 	}
 	for _, r := range runs {
 		for _, d := range []int{14, 16} {

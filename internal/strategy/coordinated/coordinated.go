@@ -68,6 +68,7 @@ func RunEnv(env *strategy.Env) metrics.Result {
 
 	// The synchronizer is elected first (whiteboard access order); the
 	// rest of the team forms the available pool at the root.
+	env.B.Reserve(team)
 	c.sync = env.Place(strategy.RoleSynchronizer)
 	for i := 1; i < team; i++ {
 		c.at.Push(0, env.Place(strategy.RoleCleaner))

@@ -38,6 +38,30 @@ func TestAdversarialLatencyRangeAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestEnvAdversaryReseeds: the environment's adversary draws exactly
+// the sequence of NewAdversarial with the same seed and bound, on its
+// first run and after a reseed that follows draws of another seed, and
+// a Reset reinstalls the options' latency.
+func TestEnvAdversaryReseeds(t *testing.T) {
+	e := NewEnv(2, Options{})
+	for _, c := range []struct{ seed, max int64 }{{5, 10}, {9, 3}, {5, 10}} {
+		e.Reset(Options{})
+		e.Adversary(c.seed, c.max)
+		want := NewAdversarial(c.seed, c.max)
+		for i := 0; i < 1000; i++ {
+			if got, w := e.MoveLatency(0, 0, 1, RoleCleaner), want.Draw(0, 1); got != w {
+				t.Fatalf("seed %d bound %d draw %d: %d, NewAdversarial drew %d", c.seed, c.max, i, got, w)
+			}
+		}
+	}
+	e.Reset(Options{})
+	for i := 0; i < 10; i++ {
+		if got := e.MoveLatency(0, 0, 1, RoleCleaner); got != 1 {
+			t.Fatalf("after Reset the latency drew %d, want unit latency", got)
+		}
+	}
+}
+
 func TestAdversarialRejectsBadMax(t *testing.T) {
 	defer func() {
 		if recover() == nil {

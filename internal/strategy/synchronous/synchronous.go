@@ -40,6 +40,7 @@ func Run(d int, opts strategy.Options) (metrics.Result, *strategy.Env) {
 func RunEnv(env *strategy.Env) metrics.Result {
 	team := int(combin.VisibilityAgents(env.H.Dim()))
 	c := &clock{env: env, at: env.Stacks(team)}
+	env.B.Reserve(team)
 	for i := 0; i < team; i++ {
 		c.at.Push(0, env.Place(strategy.RoleCleaner))
 	}
