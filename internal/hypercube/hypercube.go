@@ -83,9 +83,10 @@ func (h *Hypercube) VisitNeighbours(v int, yield func(w int) bool) {
 func (h *Hypercube) Neighbour(v, i int) int { return v ^ 1<<(i-1) }
 
 // HasEdge implements graph.EdgeChecker: whether (u, v) is a hypercube
-// edge, in O(1).
+// edge, in O(1). A label outside [0, 2^d) is no node of H_d, so it has
+// no edge, even where its bits differ from the other label's in one.
 func (h *Hypercube) HasEdge(u, v int) bool {
-	return bits.IsNeighbour(bits.Node(u), bits.Node(v))
+	return uint(u) < uint(h.n) && uint(v) < uint(h.n) && bits.IsNeighbour(bits.Node(u), bits.Node(v))
 }
 
 // Node converts a dense vertex index to its bitstring identifier.

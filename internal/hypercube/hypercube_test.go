@@ -47,6 +47,33 @@ func TestNeighbourStructure(t *testing.T) {
 	}
 }
 
+// TestHasEdgeRejectsLabelsOutsideCube: a label outside [0, 2^d) is no
+// node, so HasEdge denies it an edge, in either argument, though its
+// bits differ from a node's in one: a label across a bit at or above d,
+// a negative pair one bit apart, and labels that agree with a node in
+// their low 32 bits.
+func TestHasEdgeRejectsLabelsOutsideCube(t *testing.T) {
+	for d := 0; d <= 8; d++ {
+		h := New(d)
+		for v := 0; v < h.Order(); v++ {
+			for i := 0; i < 40; i++ {
+				w := v ^ 1<<i
+				if got := h.HasEdge(v, w); got != (i < d) {
+					t.Fatalf("d=%d: HasEdge(%d, %d) = %v", d, v, w, got)
+				}
+				if got := h.HasEdge(w, v); got != (i < d) {
+					t.Fatalf("d=%d: HasEdge(%d, %d) = %v", d, w, v, got)
+				}
+			}
+		}
+		for _, e := range [][2]int{{-1, -2}, {-2, -1}, {1<<32 | 1, 0}, {0, 1<<32 | 1}, {0, -1}} {
+			if h.HasEdge(e[0], e[1]) {
+				t.Errorf("d=%d: HasEdge(%d, %d) = true", d, e[0], e[1])
+			}
+		}
+	}
+}
+
 func TestConnectedAndBipartiteLevels(t *testing.T) {
 	h := New(7)
 	if !graph.Connected(h) {
