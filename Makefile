@@ -87,14 +87,19 @@ bench-scale-smoke:
 # (BenchmarkSweepShapes in internal/core) at GOMAXPROCS=1: 20
 # visibility runs at d=18 and 100 CLEAN runs at d=14 under adversary
 # 13, each profile written to /tmp and printed as pprof's top table.
-# Then the visibility shape as perfbench runs it, two runs at once
-# (BenchmarkSweepPairs) at GOMAXPROCS=2: 10 pairs. A starting point for
-# a board or engine change; not part of ci.
+# Then 40 visibility runs at d=16 under adversary 13
+# (BenchmarkOneAgentFlights/visibility), where flights seldom merge and
+# a flush replays several landings per ready node, a shape no perfbench
+# workload runs. Then the visibility shape as perfbench runs it, two
+# runs at once (BenchmarkSweepPairs) at GOMAXPROCS=2: 10 pairs. A
+# starting point for a board or engine change; not part of ci.
 profile-sweeps:
 	GOMAXPROCS=1 $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweepShapes/visibility' -benchtime 20x -o /tmp/sweeps.test -cpuprofile /tmp/sweep-visibility.pprof
 	$(GO) tool pprof -top -nodecount 40 /tmp/sweeps.test /tmp/sweep-visibility.pprof
 	GOMAXPROCS=1 $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweepShapes/clean' -benchtime 100x -o /tmp/sweeps.test -cpuprofile /tmp/sweep-clean.pprof
 	$(GO) tool pprof -top -nodecount 40 /tmp/sweeps.test /tmp/sweep-clean.pprof
+	GOMAXPROCS=1 $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkOneAgentFlights/visibility' -benchtime 40x -o /tmp/sweeps.test -cpuprofile /tmp/sweep-visibility-adversary.pprof
+	$(GO) tool pprof -top -nodecount 40 /tmp/sweeps.test /tmp/sweep-visibility-adversary.pprof
 	GOMAXPROCS=2 $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweepPairs/visibility' -benchtime 10x -o /tmp/sweeps.test -cpuprofile /tmp/sweep-visibility-pair.pprof
 	$(GO) tool pprof -top -nodecount 40 /tmp/sweeps.test /tmp/sweep-visibility-pair.pprof
 

@@ -7,21 +7,23 @@ import (
 	"hypersearch/internal/hypercube"
 )
 
-// BenchmarkMoveHotPath measures the incremental contamination
-// bookkeeping: a two-agent leapfrog along a long path (every move
-// triggers an exposure check, none floods).
+// BenchmarkMoveHotPath times the bookkeeping of one move between two
+// guarded nodes of H_10: one agent shuttles between nodes 0 and 1 while
+// another stays on each, so no move decontaminates, exposes or floods a
+// node, and none allocates.
 func BenchmarkMoveHotPath(b *testing.B) {
-	h := hypercube.New(10)
-	bd := New(h, 0)
+	bd := New(hypercube.New(10), 0)
 	a := bd.Place(0)
-	cur := 0
-	var t int64
+	bd.Place(0)
+	bd.Move(bd.Place(0), 1, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		next := h.Neighbours(cur)[i%10]
-		t++
-		bd.Move(a, next, t)
-		cur = next
+		bd.Move(a, (i+1)&1, int64(i+2))
+	}
+	b.StopTimer()
+	if r := bd.Recontaminations(); r != 0 {
+		b.Fatalf("%d recontaminations; the shuttle must not flood", r)
 	}
 }
 

@@ -127,9 +127,8 @@ type row struct {
 // EngineStrategies lists them.
 var table = []row{
 	onDES(Clean, envOnly(coordinated.RunEnv), cleanTeam, cleanAgentMoves),
-	// The visibility engine, which runs the cloning variant too, holds
-	// node ids of at most visibility.MaxInlineDim bits in its flush sort
-	// keys; above that it panics.
+	// The visibility engine, which runs the cloning variant too, panics
+	// above visibility.MaxInlineDim.
 	{strategy: Visibility, engine: EngineDES, maxDim: visibility.MaxInlineDim, faults: desFaults, trace: true,
 		forms: []closedForm{visibilityTeam, visibilityMoves, logTime}, des: envOnly(visibility.RunEnv)},
 	{strategy: Cloning, engine: EngineDES, maxDim: visibility.MaxInlineDim, faults: desFaults, trace: true,

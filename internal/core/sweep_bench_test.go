@@ -54,7 +54,8 @@ var oneAgentShapes = []Spec{
 func BenchmarkSweepShapes(b *testing.B) { benchShapes(b, sweepShapes) }
 
 // BenchmarkOneAgentFlights times oneAgentShapes as BenchmarkSweepShapes
-// times the sweep shapes.
+// times the sweep shapes. `make profile-sweeps` profiles its visibility
+// shape, whose flushes replay the most landings per ready node.
 func BenchmarkOneAgentFlights(b *testing.B) { benchShapes(b, oneAgentShapes) }
 
 // benchShapes times each shape one run at a time on a pool of its own,

@@ -114,19 +114,20 @@ func TestNewEnvFootprint(t *testing.T) {
 // of bytes per node. Every one allocates the environment's agent
 // stacks (4 B per node and per agent of its team) and the board's
 // agent position table, reserved at the team's size before the first
-// placement. Visibility adds the engine's 8 B/node of arrival stamps
-// and the flights, their pool slice and the event-queue chunks of the
-// busiest timestep; CLEAN, whose team is far below n/2, adds little
-// more than its pooled walkers; the synchronous variant adds a pooled
-// walker per agent of its last round, 2^(d-1) of them. Later runs
-// reuse all of it (TestPooledRunAllocs).
+// placement. Visibility adds the engine's waiting plane (a bit per
+// node), the busiest timestep's landings, and the flights, their pool
+// slice and the event-queue chunks of that timestep; CLEAN, whose team
+// is far below n/2, adds little more than its pooled walkers; the
+// synchronous variant adds a pooled walker per agent of its last
+// round, 2^(d-1) of them. Later runs reuse all of it
+// (TestPooledRunAllocs).
 func TestFirstRunFootprint(t *testing.T) {
 	runs := []struct {
 		name   string
 		run    func(*strategy.Env) metrics.Result
 		budget float64 // B/node
 	}{
-		{core.Visibility, visibility.RunEnv, 80},
+		{core.Visibility, visibility.RunEnv, 56},
 		{core.Clean, coordinated.RunEnv, 24},
 		{core.Synchronous, synchronous.RunEnv, 80},
 	}

@@ -42,22 +42,27 @@
 // departed from a shared neighbour. The engine reproduces this without
 // polling:
 //
-//   - every landing takes the run's next arrival number and stamps it
-//     on its two endpoints unless they already hold one from this
-//     timestep — a stamp is current while it is above the counter's
-//     value when the timestep began;
-//   - nodes found ready join a pending list, and the first one per
-//     timestep schedules a single flush event, which runs after every
-//     same-time arrival;
-//   - the flush sorts the pending nodes by their reference wake key —
-//     (earliest touching arrival, position within that arrival's
-//     fire sequence: source neighbourhood by label, then destination
-//     neighbourhood by label) — reconstructed in O(d) per ready node
-//     from the endpoint stamps, then dispatches them in key order.
-//     No two ready nodes share a wake key, so the order is one
-//     in-place radix pass over the keys' top bits plus a sort of each
-//     small bucket (sortKeys), not a comparison sort of the whole
-//     flush.
+//   - every flight appends its destination to the timestep's landings,
+//     which are emptied when the virtual time moves on;
+//   - a node found ready sets its bit in the waiting plane, and the
+//     first one per timestep schedules a single flush event, which runs
+//     after every same-time arrival;
+//   - the flush replays the landings in order. For each it fires, by
+//     label, the waiting neighbours of the flight's source (the
+//     destination's tree parent), then those of the destination, and
+//     clears their bits. That is the reference fire sequence of the
+//     flight's first agent without its two endpoints: the source has
+//     dispatched and never waits, and the destination is the source's
+//     neighbour of label m-1, reached before its own head. The two
+//     neighbourhoods share no other node, so a landing touches a node
+//     once, and a node fires at its first touch of the timestep, which
+//     is its reference wake. A flight's later agents repeat its first
+//     one's sequence, and a later landing from the same source or to the
+//     same destination repeats half of an earlier one's, so neither
+//     touches a node first; the flush skips a source that repeats its
+//     predecessor's. It stops once every waiting node has fired, after
+//     at most 2d bit tests per landing; the landing that made a node
+//     ready touches it, so a node left waiting is a bug.
 //
 // Dispatch draws each departing mover's latency at dispatch time, in
 // (child, plan-slot) order. The reference path draws in walker
@@ -77,7 +82,7 @@
 // Env.ApplyRun (Board.MoveRun), which writes each agent's position and
 // trace event but updates the two nodes' counts, the move and away
 // counters, the destination's contamination and the source's exposure
-// once, and arrive stamps the endpoints and runs the readiness checks
+// once, and arrive records the landing and runs the readiness checks
 // once per flight, not per agent (arrive says why that is exact). A
 // one-agent flight is a run of one, as Board.Move is. Under unit
 // latency a d=18 run's 1,245,184 moves are 262,143 flights, so most of
@@ -105,8 +110,6 @@ package visibility
 
 import (
 	"fmt"
-	mathbits "math/bits"
-	"slices"
 
 	"hypersearch/internal/bits"
 	"hypersearch/internal/board"
@@ -116,34 +119,12 @@ import (
 	"hypersearch/internal/strategy"
 )
 
-const (
-	// MaxInlineDim is the largest dimension the engine supports: node
-	// ids fill the low 27 bits of a flush sort key, and a run's
-	// (d+1)·2^(d-2) arrival numbers stay below 2^30. Far beyond it,
-	// memory is the binding constraint anyway: d=27 is a 134M-node
-	// board with a 67M-agent team.
-	MaxInlineDim = 27
-
-	// posBits and nodeBits lay out a flush sort key: the wake key
-	// arrival<<posBits|pos (the reference wake position, at most 36
-	// bits) in the high bits, the node id in the low bits, so sorting
-	// the keys (sortKeys) orders ready nodes and carries their
-	// identity.
-	posBits  = 6
-	nodeBits = MaxInlineDim
-	nodeMask = 1<<nodeBits - 1
-	// noTouchKey sorts above every real wake key; it can only occur
-	// for the root's initial dispatch, which flushes alone.
-	noTouchKey = int64(1) << 40
-
-	// radixMin is the smallest flush sortKeys deals into buckets
-	// (smaller ones go to slices.Sort whole), radixBits the widest
-	// bucket index, and insertionMax the largest bucket it orders by
-	// insertion.
-	radixMin     = 64
-	radixBits    = 12
-	insertionMax = 128
-)
+// MaxInlineDim is the largest dimension the engine supports: no larger
+// limit has committed evidence behind it (ROADMAP item 9 raises a limit
+// only with a run at the new one), and memory binds beyond it. d=27 is
+// a 134M-node board with a 67M-agent team, whose first run allocates
+// about 6 GB. TestVisibilityDimLimit pins the limit.
+const MaxInlineDim = 27
 
 // engine is the per-environment state of the inline path. It parks
 // itself in the environment's Aux slot, so a pooled environment reuses
@@ -155,29 +136,26 @@ type engine struct {
 	// compiler inlines the board reads in arrive.
 	b *board.Board
 	d int
-	n int
 
 	// stacks holds the gathered agents: the environment's stacks,
 	// copied here so that a landing's push loads their arrays from the
 	// engine.
 	stacks strategy.Stacks
 
-	// Endpoint stamps for wake-key reconstruction: departed[u] is the
-	// arrival number of the earliest landing this timestep that came
-	// from u, landed[u] of the earliest that landed on u. A stamp at or
-	// below base is from an earlier timestep; reset zeroes both.
-	departed []uint32
-	landed   []uint32
+	// landings holds the destination of every flight that landed at
+	// curTime, in landing order; the flush replays them.
+	landings []int32
+	curTime  int64
 
-	arrival uint32 // arrival number of the run's latest landing
-	base    uint32 // arrival when the current timestep began
-	curTime int64  // the current timestep
-
-	pending []int32 // nodes gone ready this timestep, enabling order
-	keys    []int64 // flush scratch: packed sort keys
+	// waiting has a bit per node gone ready this timestep and not yet
+	// fired; pending counts those bits, and first is the timestep's
+	// first ready node, the one a flush of one fires.
+	waiting []uint64
+	pending int
+	first   int
 
 	// flush is the engine's once-per-timestep dispatch event header; it
-	// runs after every same-time arrival and fires the pending nodes in
+	// runs after every same-time arrival and fires the waiting nodes in
 	// reference wake order.
 	flush des.Inline
 	// free pools landed flights. A slice rather than a list threaded
@@ -199,7 +177,7 @@ type engine struct {
 	// free-slice length, written on every flight, shares a line with
 	// the next one's env and stacks, read on every flight.
 	// TestEngineSizeIsCacheLineMultiple holds the size.
-	_ [23]byte
+	_ [7]byte
 }
 
 // flight is a run of agents leaving one node for one child with the
@@ -221,16 +199,11 @@ type flight struct {
 func engineFor(env *strategy.Env, clone bool) *engine {
 	d, n := env.H.Dim(), env.H.Order()
 	if d > MaxInlineDim {
-		panic(fmt.Sprintf("visibility: inline engine supports d <= %d (sort-key and stamp width); got d=%d", MaxInlineDim, d))
+		panic(fmt.Sprintf("visibility: inline engine supports d <= %d (the largest checked dimension; memory binds beyond it); got d=%d", MaxInlineDim, d))
 	}
 	eng, _ := env.Aux.(*engine)
-	if eng == nil || eng.n != n {
-		eng = &engine{
-			d:        d,
-			n:        n,
-			departed: make([]uint32, n),
-			landed:   make([]uint32, n),
-		}
+	if eng == nil || eng.d != d {
+		eng = &engine{d: d, waiting: make([]uint64, (n+63)/64)}
 		eng.flush.Step = eng.runFlush
 		env.Aux = eng
 	}
@@ -250,13 +223,12 @@ func (e *engine) complement(k int) int64 {
 	return heapqueue.AgentsRequired(k)
 }
 
-// reset zeroes the stamps and restarts the arrival counter.
+// reset forgets the landings and clears the waiting plane.
 func (e *engine) reset() {
-	clear(e.departed)
-	clear(e.landed)
-	e.arrival, e.base = 0, 0
+	e.landings = e.landings[:0]
 	e.curTime = 0
-	e.pending = e.pending[:0]
+	clear(e.waiting)
+	e.pending = 0
 }
 
 // pop takes the most recently gathered agent off v's stack.
@@ -284,33 +256,34 @@ func (e *engine) newFlight(agent, to int) *flight {
 	return f
 }
 
-// ready queues node v for this timestep's flush, scheduling the flush
-// event itself on the first ready node of the timestep. The flush
-// drains the list, and nothing goes ready in a timestep after its
-// flush (every landing is at least one step after its dispatch), so an
-// empty list means no flush is scheduled.
+// ready marks node v waiting for this timestep's flush, scheduling the
+// flush event itself on the first ready node of the timestep. The flush
+// fires every waiting node, and nothing goes ready in a timestep after
+// its flush (every landing is at least one step after its dispatch), so
+// no pending node means no flush is scheduled.
 func (e *engine) ready(s *des.Simulator, v int) {
-	if len(e.pending) == 0 {
+	if e.pending == 0 {
 		s.SpawnInline(&e.flush)
+		e.first = v
 	}
-	e.pending = append(e.pending, int32(v))
+	e.pending++
+	e.waiting[v>>6] |= 1 << (v & 63)
 }
 
-// arrive stamps a flight's endpoints, lands it as one board operation,
-// then runs the readiness checks the flight implies: the destination's
-// own, and, if the flight finds it empty, those of the neighbours it is
-// a smaller neighbour of, except its parent and its children — the
-// parent received its agents before the destination was reached, and
-// the children receive theirs only after it dispatches. The result is
-// that of landing the agents one by one, each with its own checks:
+// arrive lands a flight as one board operation, records the landing
+// for the flush, then runs the readiness checks the flight implies: the
+// destination's own, and, if the flight finds it empty, those of the
+// neighbours it is a smaller neighbour of, except its parent and its
+// children — the parent received its agents before the destination was
+// reached, and the children receive theirs only after it dispatches.
+// The result is that of landing the agents one by one, each with its
+// own checks:
 //
 //   - Each agent's chain link is read before the agent is pushed onto
 //     the destination's stack.
-//   - Arrival numbers still advance by one per agent. Only the first
-//     agent could stamp departed[parent] and landed[to]: later agents
-//     find both stamps current. So the flight stamps with the first
-//     agent's number, then adds the rest. Stamps are read only by the
-//     flush, so setting them before the landing changes nothing.
+//   - The flight is one landing for the flush: its later agents'
+//     reference fire sequences repeat its first one's, so they touch no
+//     node first.
 //   - A child receives exactly its complement, so its own readiness can
 //     only become true at a flight's last agent: it is checked once,
 //     with the final count.
@@ -331,18 +304,9 @@ func (e *engine) arrive(s *des.Simulator, f *flight) {
 
 	if now := s.Now(); now != e.curTime {
 		e.curTime = now
-		e.base = e.arrival
+		e.landings = e.landings[:0]
 	}
-	m := bits.Msb(bits.Node(to))
-	parent := to &^ (1 << (m - 1))
-	e.arrival++
-	if e.departed[parent] <= e.base {
-		e.departed[parent] = e.arrival
-	}
-	if e.landed[to] <= e.base {
-		e.landed[to] = e.arrival
-	}
-	e.arrival += uint32(count - 1)
+	e.landings = append(e.landings, int32(to))
 
 	for left := count; left > 0; {
 		run := e.run[:min(left, len(e.run))]
@@ -357,6 +321,7 @@ func (e *engine) arrive(s *des.Simulator, f *flight) {
 	}
 
 	b := e.b
+	m := bits.Msb(bits.Node(to))
 	k, agents := e.d-m, b.AgentsOn(to)
 	// complement(k), spelled out so that the read inlines into arrive.
 	required := heapqueue.AgentsRequired(k)
@@ -380,123 +345,46 @@ func (e *engine) arrive(s *des.Simulator, f *flight) {
 	}
 }
 
-// wakeKey reconstructs the queue position at which the reference path
-// would wake ready node v this timestep: the earliest same-time
-// arrival whose fire sequence touches v, and the position within that
-// sequence (source's neighbours by label first, then the
-// destination's). Every enabling event is an arrival adjacent to v,
-// so a ready node always has at least one touch — except the root's
-// initial dispatch, which happens before any arrival and flushes
-// alone under noTouchKey.
-func (e *engine) wakeKey(v int) int64 {
-	best := noTouchKey
-	if t := e.landed[v]; t > e.base {
-		// v's own arrivals touch it from the source side: the source
-		// is v's tree parent, whose neighbour loop reaches v at the
-		// position of v's most significant bit.
-		if k := int64(t-e.base)<<posBits | int64(bits.Msb(bits.Node(v))-1); k < best {
-			best = k
-		}
-	}
-	for i := 0; i < e.d; i++ {
-		x := v ^ 1<<i
-		if t := e.departed[x]; t > e.base {
-			if k := int64(t-e.base)<<posBits | int64(i); k < best {
-				best = k
-			}
-		}
-		if t := e.landed[x]; t > e.base {
-			if k := int64(t-e.base)<<posBits | int64(e.d+i); k < best {
-				best = k
-			}
-		}
-	}
-	return best
-}
-
 // runFlush fires every node that went ready this timestep, in the
-// reference path's wake order.
+// reference path's wake order: a lone one directly, more by replaying
+// the timestep's landings (the package comment says why that order is
+// the reference's).
 func (e *engine) runFlush(s *des.Simulator) {
-	if len(e.pending) == 1 {
-		v := int(e.pending[0])
-		e.pending = e.pending[:0]
+	left := e.pending
+	e.pending = 0
+	if left == 1 {
+		v := e.first
+		e.waiting[v>>6] &^= 1 << (v & 63)
 		e.fire(s, v)
 		return
 	}
-	e.keys = e.keys[:0]
-	for _, v := range e.pending {
-		e.keys = append(e.keys, e.wakeKey(int(v))<<nodeBits|int64(v))
+	from := -1
+	for _, to := range e.landings {
+		to := int(to)
+		if parent := int(bits.Parent(bits.Node(to))); parent != from {
+			from = parent
+			left -= e.fireWaiting(s, from)
+		}
+		if left -= e.fireWaiting(s, to); left == 0 {
+			return
+		}
 	}
-	e.pending = e.pending[:0]
-	sortKeys(e.keys)
-	for _, k := range e.keys {
-		e.fire(s, int(k&nodeMask))
-	}
+	panic(fmt.Sprintf("visibility: %d ready nodes untouched by the %d landings at time %d", left, len(e.landings), s.Now()))
 }
 
-// sortKeys orders a flush's packed keys ascending, in place. Wake keys
-// are distinct, so the bits above nodeBits decide the order alone and
-// the node bits need no pass. A flush of radixMin keys or more is
-// dealt into buckets by the top bits of its wake keys — one
-// American-flag pass, which swaps each key into its bucket's next free
-// slot — and each bucket is then sorted by itself. The bucket offsets
-// live on the stack, and the keys need no second buffer. A bucket
-// holds about four keys, or len/2^radixBits in flushes too large for
-// that; insertion sort orders it, or slices.Sort past insertionMax.
-func sortKeys(keys []int64) {
-	if len(keys) < radixMin {
-		slices.Sort(keys)
-		return
-	}
-	var top int64
-	for _, k := range keys {
-		top |= k
-	}
-	width := mathbits.Len64(uint64(top) >> nodeBits)
-	w := min(radixBits, width, mathbits.Len(uint(len(keys)))-2)
-	shift := uint(nodeBits + width - w)
-	buckets := 1 << w
-
-	// end[b] counts bucket b's keys, then becomes its end offset;
-	// next[b] is its next unfilled slot.
-	var next, end [1 << radixBits]int32
-	for _, k := range keys {
-		end[k>>shift]++
-	}
-	var sum int32
-	for b := range buckets {
-		next[b] = sum
-		sum += end[b]
-		end[b] = sum
-	}
-	for b := range buckets {
-		for i := next[b]; i < end[b]; i = next[b] {
-			k := keys[i]
-			for c := k >> shift; c != int64(b); c = k >> shift {
-				j := next[c]
-				next[c]++
-				keys[j], k = k, keys[j]
-			}
-			keys[i] = k
-			next[b]++
+// fireWaiting fires u's waiting neighbours in label order, clearing
+// their bits, and returns how many it fired.
+func (e *engine) fireWaiting(s *des.Simulator, u int) int {
+	fired, waiting := 0, e.waiting
+	for i := range e.d {
+		w := u ^ 1<<i
+		if word, bit := &waiting[w>>6], uint64(1)<<(w&63); *word&bit != 0 {
+			*word &^= bit
+			e.fire(s, w)
+			fired++
 		}
 	}
-	var lo int32
-	for b := range buckets {
-		bucket := keys[lo:end[b]]
-		lo = end[b]
-		if len(bucket) > insertionMax {
-			slices.Sort(bucket)
-			continue
-		}
-		for i := 1; i < len(bucket); i++ {
-			k, j := bucket[i], i
-			for ; j > 0 && bucket[j-1] > k; j-- {
-				bucket[j] = bucket[j-1]
-			}
-			bucket[j] = k
-		}
-	}
+	return fired
 }
 
 // fire runs a ready node: a leaf terminates its guard in place; an

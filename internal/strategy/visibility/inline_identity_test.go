@@ -2,9 +2,6 @@ package visibility
 
 import (
 	"fmt"
-	mathbits "math/bits"
-	"math/rand"
-	"slices"
 	"testing"
 	"unsafe"
 
@@ -386,62 +383,6 @@ func TestInlineMatchesLegacyFaults(t *testing.T) {
 	}
 }
 
-// wakeKeys returns n flush keys with distinct wake keys below 2^width
-// and random node ids. clustered puts all but the largest wake key in
-// one narrow range, so one bucket takes nearly every key.
-func wakeKeys(r *rand.Rand, n, width int, clustered bool) []int64 {
-	seen := make(map[int64]bool, n)
-	keys := make([]int64, 0, n)
-	add := func(w int64) {
-		if !seen[w] {
-			seen[w] = true
-			keys = append(keys, w<<nodeBits|r.Int63n(1<<nodeBits))
-		}
-	}
-	if clustered && n > 0 {
-		add(1<<width - 1)
-	}
-	span := int64(1) << width
-	if clustered {
-		span = min(span, int64(2*n))
-	}
-	for len(keys) < n {
-		add(r.Int63n(span))
-	}
-	return keys
-}
-
-// TestSortKeysMatchesSlicesSort: the flush order equals slices.Sort
-// over flushes of 0 to 5,000 keys whose wake keys have any width a run
-// can produce — arrival numbers below 2^30 and a 6-bit position, 36
-// bits — spread out or clustered into one bucket.
-func TestSortKeysMatchesSlicesSort(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	check := func(n, width int, clustered bool) {
-		t.Helper()
-		keys := wakeKeys(r, n, width, clustered)
-		got, want := slices.Clone(keys), slices.Clone(keys)
-		sortKeys(got)
-		slices.Sort(want)
-		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d width=%d clustered=%v: sortKeys order differs from slices.Sort", n, width, clustered)
-		}
-	}
-	const maxWidth = 30 + posBits
-	for n := 0; n <= 5000; n++ {
-		if n > 4*radixMin && n%97 != 0 && n != 5000 {
-			continue
-		}
-		low := mathbits.Len(uint(n)) + 1
-		width := low + r.Intn(maxWidth-low+1)
-		check(n, width, false)
-		check(n, width, true)
-	}
-	for width := 1; width <= maxWidth; width++ {
-		check(min(5000, 1<<width), width, false)
-	}
-}
-
 // flightCase is one FuzzInlineMatchesLegacy input, decoded by
 // options: dimension 1+D%6; unit latency when Bound%17 is 0, else the
 // adversary at bound Bound%17 seeded by Seed; a kernel-lag window
@@ -509,7 +450,7 @@ var (
 )
 
 // FuzzInlineMatchesLegacy: the engine's batched flights, board-read
-// readiness, arrival stamps and dispatch-time clones reproduce the
+// readiness, replayed flush order and dispatch-time clones reproduce the
 // reference paths under fuzzed strategies, dimensions, latency bounds,
 // kernel-lag windows and stalls.
 func FuzzInlineMatchesLegacy(f *testing.F) {
@@ -626,7 +567,8 @@ func TestEngineSizeIsCacheLineMultiple(t *testing.T) {
 // TestInlinePooledResetIdentity: a pooled environment re-running the
 // inline engine after Reset reproduces the fresh-environment run
 // exactly, whichever strategy ran on it before — the engine's parked
-// stacks, stamps, flight pool and strategy reset cleanly.
+// stacks, landings, waiting plane, flight pool and strategy reset
+// cleanly.
 func TestInlinePooledResetIdentity(t *testing.T) {
 	opts := strategy.Options{Record: true, Contiguity: strategy.CheckEveryMove}
 	for _, s := range strategies {
