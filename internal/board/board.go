@@ -46,6 +46,7 @@ package board
 
 import (
 	"fmt"
+	"math"
 	mathbits "math/bits"
 
 	"hypersearch/internal/graph"
@@ -83,7 +84,7 @@ type Board struct {
 	g    graph.Graph
 	n    int
 	home int
-	pos  []int // agent id -> node; encoded negative once terminated
+	pos  []int32 // agent id -> node; encoded negative once terminated
 
 	agents     []uint8     // node -> agents standing on it, saturating at 255
 	over       sparseCount // node -> agents beyond the 255 agents[v] holds
@@ -147,6 +148,9 @@ func New(g graph.Graph, home int) *Board {
 	n := g.Order()
 	if home < 0 || home >= n {
 		panic(fmt.Sprintf("board: homebase %d out of range [0,%d)", home, n))
+	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("board: %d nodes do not fit the 32-bit position table", n))
 	}
 	b := &Board{
 		g:         g,
@@ -329,7 +333,7 @@ func (b *Board) Agents() int { return len(b.pos) }
 // survives Reset, so pooled environments pay it once.
 func (b *Board) Reserve(agents int) {
 	if cap(b.pos) < agents {
-		pos := make([]int, len(b.pos), agents)
+		pos := make([]int32, len(b.pos), agents)
 		copy(pos, b.pos)
 		b.pos = pos
 	}
@@ -382,7 +386,7 @@ func (b *Board) removeAgents(v, k int) (empty bool) {
 func (b *Board) Place(at int64) int {
 	b.advance(at)
 	id := len(b.pos)
-	b.pos = append(b.pos, b.home)
+	b.pos = append(b.pos, int32(b.home))
 	b.addAgents(b.home, 1)
 	b.decontaminate(b.home)
 	return id
@@ -397,7 +401,7 @@ func (b *Board) Clone(v int, at int64) int {
 		panic(fmt.Sprintf("board: cannot clone on unguarded node %d", v))
 	}
 	id := len(b.pos)
-	b.pos = append(b.pos, v)
+	b.pos = append(b.pos, int32(v))
 	b.addAgents(v, 1)
 	if v != b.home {
 		b.away++
@@ -450,12 +454,12 @@ func (b *Board) move(first int, rest []int32, to int, at int64) (from int) {
 	if b.cube != nil && !b.cube.HasEdge(from, to) || b.cube == nil && !b.adjacent(from, to) {
 		panic(fmt.Sprintf("board: agent %d move %d->%d is not an edge", first, from, to))
 	}
-	b.pos[first] = to
+	b.pos[first] = int32(to)
 	for i, id := range rest {
-		if uint(id) >= uint(len(b.pos)) || b.pos[id] != from {
+		if uint(id) >= uint(len(b.pos)) || b.pos[id] != int32(from) {
 			b.strayRun(first, rest[:i], from, int(id))
 		}
-		b.pos[id] = to
+		b.pos[id] = int32(to)
 	}
 	// The counts: both bytes in place while neither is or becomes
 	// saturated, the overflow table out of line.
@@ -499,9 +503,9 @@ func (b *Board) strayRun(first int, moved []int32, from, id int) {
 	default:
 		stray = fmt.Sprintf("board: agent %d of a run from node %d is not on that node", id, from)
 	}
-	b.pos[first] = from
+	b.pos[first] = int32(from)
 	for _, a := range moved {
-		b.pos[a] = from
+		b.pos[a] = int32(from)
 	}
 	panic(stray)
 }
@@ -514,7 +518,7 @@ func (b *Board) strayRun(first int, moved []int32, from, id int) {
 func (b *Board) Terminate(id int, at int64) (v int) {
 	b.advance(at)
 	v = b.agentPos(id)
-	b.pos[id] = -1 - v // encode terminated-at-v as negative
+	b.pos[id] = int32(-1 - v) // encode terminated-at-v as negative
 	b.settle(v)
 	return v
 }
@@ -546,7 +550,7 @@ func (b *Board) agentPos(id int) int {
 	if uint(id) >= uint(len(b.pos)) {
 		panic(agentError{id: id})
 	}
-	p := b.pos[id]
+	p := int(b.pos[id])
 	if p < 0 {
 		panic(agentError{id: id, terminated: true})
 	}
@@ -695,15 +699,17 @@ func (b *Board) crowded(v int) int { return 255 + b.over.get(v) }
 func (b *Board) ContaminatedNeighbours(v int) int { return int(b.contamNbrs[v]) }
 
 // Position returns the node agent id stands on and whether it is still
-// active (false once terminated).
+// active (false once terminated). It stays inlinable, as agentPos
+// does: the visibility engine reads each flight's source with it.
 func (b *Board) Position(id int) (int, bool) {
-	if id < 0 || id >= len(b.pos) {
-		panic(fmt.Sprintf("board: unknown agent %d", id))
+	if uint(id) >= uint(len(b.pos)) {
+		panic(agentError{id: id})
 	}
-	if b.pos[id] < 0 {
-		return -1 - b.pos[id], false
+	p := int(b.pos[id])
+	if p < 0 {
+		return -1 - p, false
 	}
-	return b.pos[id], true
+	return p, true
 }
 
 // ContaminatedCount returns the number of contaminated nodes.

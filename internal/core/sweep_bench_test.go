@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -82,7 +83,10 @@ func benchShapes(b *testing.B, shapes []Spec) {
 // goroutine and envpool.Pool, so the two runs contend for the memory
 // system as the sweep's two workers do. It reports the median of the
 // per-run times as run_ms.p50; ns/op is the time of a pair. A change
-// that speeds up a lone run can leave this flat, so compare both.
+// that speeds up a lone run can leave this flat, so compare both. It
+// also reports heap_mb, the heap in use after a GC that follows the
+// timed pairs: the two warm pools' footprint, which, unlike a
+// window's peak RSS, does not grow with the number of runs.
 func BenchmarkSweepPairs(b *testing.B) {
 	for _, shape := range sweepShapes {
 		b.Run(fmt.Sprintf("%s/d=%d/adversary=%d", shape.Strategy, shape.Dim, shape.AdversarialLatency), func(b *testing.B) {
@@ -120,6 +124,11 @@ func BenchmarkSweepPairs(b *testing.B) {
 			b.StopTimer()
 			slices.Sort(runMS)
 			b.ReportMetric(runMS[len(runMS)/2], "run_ms.p50")
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			runtime.KeepAlive(pools)
+			b.ReportMetric(float64(ms.HeapInuse)/(1<<20), "heap_mb")
 		})
 	}
 }

@@ -24,9 +24,12 @@ import (
 //
 // and then, for every dispatch in order, one byte c and c%3 op bytes
 // for the events it schedules. An op byte schedules with Schedule at
-// now+delay, After or AfterInline (op%3), delay = orderDelays[op/3]
-// (indices wrap); input past the end reads as zero, so every run ends. The windows
-// defer an event due in [from, to) to to, like a kernel-lag fault.
+// now+delay, After, or AfterWith with the event's id as its payload
+// (op%3), delay = orderDelays[op/3] (indices wrap); input past the end
+// reads as zero, so every run ends. An AfterWith event's step checks
+// its payload against Arg, so a payload lost or swapped on any queue
+// path fails the run. The windows defer an event due in [from, to) to
+// to, like a kernel-lag fault.
 func FuzzEventOrder(f *testing.F) {
 	for _, seed := range orderSeeds() {
 		f.Add(seed)
@@ -47,7 +50,7 @@ var orderDelays = [...]int64{
 const (
 	opSchedule = iota
 	opAfter
-	opAfterInline
+	opAfterWith
 	opKinds
 
 	orderBudget = 400 // events one run may schedule
@@ -88,10 +91,10 @@ func orderSeeds() [][]byte {
 		// The event due at 100 migrates into its FIFO when the clock
 		// reaches 37; the event dispatched at 37 then pushes two more
 		// due at 100, which must fire after it.
-		{header(0, false, 2), op(opAfter, 100), op(opAfterInline, 12),
+		{header(0, false, 2), op(opAfter, 100), op(opAfterWith, 12),
 			1, op(opSchedule, 12), // t=12 schedules t=24
 			1, op(opAfter, 13), // t=24 schedules t=37
-			2, op(opAfter, 63), op(opAfterInline, 63), // t=37 schedules two at t=100
+			2, op(opAfter, 63), op(opAfterWith, 63), // t=37 schedules two at t=100
 			0, 0, 0},
 		// A kernel-lag window [13, 77) defers the event due at 13 by
 		// 64 steps, past the ring's window, behind the event the one
@@ -106,7 +109,7 @@ func orderSeeds() [][]byte {
 		{header(0, true, 3), 1, op(opAfter, 1<<10), op(opAfter, 1), op(opAfter, 65),
 			2, op(opAfter, 200), op(opSchedule, 64), // t=1 schedules t=201 and t=65
 			header(1, false, 2), 5, delayByte(64), op(opAfter, 5), op(opAfter, 64),
-			2, op(opAfter, 1), op(opAfterInline, 63), // t=69 schedules t=70 and t=132
+			2, op(opAfter, 1), op(opAfterWith, 63), // t=69 schedules t=70 and t=132
 			1, op(opAfter, 65), // t=69 schedules t=134
 			0, 0, 0},
 	}
@@ -156,7 +159,7 @@ type orderProgram struct {
 	dispatched int
 	abortAfter int // 0: run to completion
 	now        func() int64
-	schedule   func(kind byte, delay int64, fn func())
+	schedule   func(kind byte, delay, id int64, fn func())
 }
 
 type abortRun struct{}
@@ -178,7 +181,7 @@ func (p *orderProgram) spawn() {
 	}
 	id := p.ids
 	p.ids++
-	p.schedule(b%opKinds, orderDelays[int(b/opKinds)%len(orderDelays)], func() { p.dispatch(id) })
+	p.schedule(b%opKinds, orderDelays[int(b/opKinds)%len(orderDelays)], id, func() { p.dispatch(id) })
 }
 
 func (p *orderProgram) dispatch(id int64) {
@@ -243,7 +246,7 @@ func checkEventOrder(t *testing.T, in []byte, r *reached) {
 	for run := 0; pos < len(in); run++ {
 		got := &orderProgram{in: in, pos: pos, now: s.Now}
 		farAt := map[int64]int{} // pending events pushed to the overflow heap, by time
-		got.schedule = func(kind byte, delay int64, fn func()) {
+		got.schedule = func(kind byte, delay, id int64, fn func()) {
 			at := s.Now() + delay
 			if r != nil {
 				far := at-s.queue.base >= ringSlots
@@ -269,9 +272,9 @@ func checkEventOrder(t *testing.T, in []byte, r *reached) {
 			case opAfter:
 				s.After(delay, fn)
 			default:
-				a := &fnActor{fn: fn}
+				a := &fnActor{fn: fn, arg: uint64(id)}
 				a.Step = a.step
-				s.AfterInline(delay, &a.Inline)
+				s.AfterWith(delay, &a.Inline, a.arg)
 			}
 		}
 		simRun := func() int64 {
@@ -296,7 +299,7 @@ func checkEventOrder(t *testing.T, in []byte, r *reached) {
 
 		ref := &refSim{}
 		want := &orderProgram{in: in, pos: pos, now: func() int64 { return ref.now }}
-		want.schedule = func(_ byte, delay int64, fn func()) { ref.schedule(ref.now+delay, fn) }
+		want.schedule = func(_ byte, delay, _ int64, fn func()) { ref.schedule(ref.now+delay, fn) }
 		refEnd, refAborted := runOrder(want, ref.run, func(icept Interceptor) { ref.icept = icept })
 
 		if !slices.Equal(got.log, want.log) || aborted != refAborted || (!aborted && end != refEnd) {
@@ -315,13 +318,20 @@ func checkEventOrder(t *testing.T, in []byte, r *reached) {
 	}
 }
 
-// fnActor is an inline actor whose one step runs fn.
+// fnActor is an inline actor whose one step, scheduled with payload
+// arg, runs fn.
 type fnActor struct {
 	Inline
-	fn func()
+	fn  func()
+	arg uint64
 }
 
-func (a *fnActor) step(*Simulator) { a.fn() }
+func (a *fnActor) step(s *Simulator) {
+	if s.Arg() != a.arg {
+		panic(fmt.Sprintf("the step scheduled with payload %d dispatched with payload %d", a.arg, s.Arg()))
+	}
+	a.fn()
+}
 
 // refSim is the reference FuzzEventOrder checks against: a list
 // scanned for the least (at, seq), with Run's deferral rule.

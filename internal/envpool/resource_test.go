@@ -109,14 +109,15 @@ func TestNewEnvFootprint(t *testing.T) {
 	}
 }
 
-// TestFirstRunFootprint: the first run of visibility, CLEAN or the
-// synchronous variant on a fresh environment stays within its budget
-// of bytes per node. Every one allocates the environment's agent
-// stacks (4 B per node and per agent of its team) and the board's
-// agent position table, reserved at the team's size before the first
-// placement. Visibility adds the engine's waiting plane (a bit per
-// node), the busiest timestep's landings, and the flights, their pool
-// slice and the event-queue chunks of that timestep; CLEAN, whose team
+// TestFirstRunFootprint: the first run of visibility, its cloning
+// variant, CLEAN or the synchronous variant on a fresh environment
+// stays within its budget of bytes per node. Every one allocates the
+// environment's agent stacks (4 B per node and per agent of its team)
+// and the board's agent position table (4 B per agent), reserved at
+// the team's size before the first placement. Visibility and cloning
+// add the engine's waiting plane (a bit per node), the busiest
+// timestep's landings and the event-queue chunks of that timestep's
+// flights, which ride in their events (32 B each); CLEAN, whose team
 // is far below n/2, adds little more than its pooled walkers; the
 // synchronous variant adds a pooled walker per agent of its last
 // round, 2^(d-1) of them. Later runs reuse all of it
@@ -127,7 +128,8 @@ func TestFirstRunFootprint(t *testing.T) {
 		run    func(*strategy.Env) metrics.Result
 		budget float64 // B/node
 	}{
-		{core.Visibility, visibility.RunEnv, 56},
+		{core.Visibility, visibility.RunEnv, 32},
+		{core.Cloning, visibility.RunCloningEnv, 32},
 		{core.Clean, coordinated.RunEnv, 24},
 		{core.Synchronous, synchronous.RunEnv, 80},
 	}

@@ -111,7 +111,7 @@ type Env struct {
 
 	// Aux is strategy scratch kept across pooled runs: the visibility
 	// engine, which runs both visibility and its cloning variant,
-	// parks its arrays and flight pool here, so that a warm run
+	// parks its arrays and event headers here, so that a warm run
 	// allocates nothing. The environment only stores it; resetting it
 	// is the engine's job.
 	Aux any

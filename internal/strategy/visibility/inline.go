@@ -102,10 +102,14 @@
 // agent stacks (strategy.Stacks), pushed on arrival and popped on
 // dispatch — the same last-arrived-first selection as the reference
 // path's append/pop-from-tail lists. A flight's agents are the popped
-// run of the source's chain, so a flight stores only its first agent
-// and a count; arrive walks the chain, pushing each agent onto the
-// destination after reading its link, and hands the board at most 64
-// agents at a time.
+// run of the source's chain, so a flight is its first agent, its
+// child's label and a count, and it rides in its DES event as the
+// payload (packFlight): there is no flight object. Its first agent
+// stands on the source until the flight lands, so arrive reads the
+// source from the board and the destination is the source's
+// neighbour across the label. arrive walks the chain, pushing each
+// agent onto the destination after reading its link, and hands the
+// board at most 64 agents at a time.
 package visibility
 
 import (
@@ -122,13 +126,38 @@ import (
 // MaxInlineDim is the largest dimension the engine supports: no larger
 // limit has committed evidence behind it (ROADMAP item 9 raises a limit
 // only with a run at the new one), and memory binds beyond it. d=27 is
-// a 134M-node board with a 67M-agent team, whose first run allocates
-// about 6 GB. TestVisibilityDimLimit pins the limit.
+// a 134M-node board with a 67M-agent team; at the 3 B/node of a fresh
+// environment and the 21.7 B/node its first run allocates at d=16
+// (TestNewEnvFootprint, TestFirstRunFootprint), a first run at d=27
+// holds about 3.3 GB. TestVisibilityDimLimit pins the limit.
 const MaxInlineDim = 27
+
+// A flight's payload packs its first agent in the low flightAgentBits
+// bits (ids below 2^(d-1)), its child's label in the next
+// flightLabelBits (labels below d), and its count, at most 2^(d-2), in
+// the rest: 57 bits at d = MaxInlineDim = 27. The fields fit 64 bits up
+// to d = 30; TestFlightPackingAtDimLimit round-trips the extreme flight
+// at every d up to the limit.
+const (
+	flightAgentBits = MaxInlineDim - 1
+	flightLabelBits = 5
+	flightCountAt   = flightAgentBits + flightLabelBits
+)
+
+// packFlight returns the payload of a flight of count agents, agent
+// and the next count-1 links of its chain, to the child across label.
+func packFlight(agent, label, count int) uint64 {
+	return uint64(agent) | uint64(label)<<flightAgentBits | uint64(count)<<flightCountAt
+}
+
+// unpackFlight inverts packFlight.
+func unpackFlight(p uint64) (agent, label, count int) {
+	return int(p & (1<<flightAgentBits - 1)), int(p >> flightAgentBits & (1<<flightLabelBits - 1)), int(p >> flightCountAt)
+}
 
 // engine is the per-environment state of the inline path. It parks
 // itself in the environment's Aux slot, so a pooled environment reuses
-// the arrays and event objects across runs and steady-state allocs/op
+// the arrays and event headers across runs and steady-state allocs/op
 // stay flat.
 type engine struct {
 	env *strategy.Env
@@ -158,10 +187,9 @@ type engine struct {
 	// runs after every same-time arrival and fires the waiting nodes in
 	// reference wake order.
 	flush des.Inline
-	// free pools landed flights. A slice rather than a list threaded
-	// through the flights, so taking one loads no cold flight: the
-	// root's dispatch takes up to 2^(d-1) of them in a row.
-	free []*flight
+	// land is the header of every flight's event, whose payload is the
+	// flight; its step is arrive.
+	land des.Inline
 
 	// clone selects the cloning variant: every complement is one agent,
 	// and fire clones the incumbent for the children after the first.
@@ -174,23 +202,10 @@ type engine struct {
 	// Pooled environments run at once on different cores, and their
 	// engines can be heap neighbours. Padding the engine to a multiple
 	// of 64 bytes keeps each in cache lines of its own; otherwise one's
-	// free-slice length, written on every flight, shares a line with
+	// landings length, written on every flight, can share a line with
 	// the next one's env and stacks, read on every flight.
 	// TestEngineSizeIsCacheLineMultiple holds the size.
-	_ [7]byte
-}
-
-// flight is a run of agents leaving one node for one child with the
-// same latency: scheduled when the first is drawn, it lands them all
-// when it fires. Its agents are agent and the next count-1 links of
-// its chain. Pooled in the engine's free slice; its header's step
-// closure, which holds the engine, is wired once, when the pool
-// allocates it, so a flight is 24 bytes.
-type flight struct {
-	des.Inline
-	agent int32
-	to    int32
-	count int32
+	_ [28]byte
 }
 
 // engineFor returns the environment's parked engine, building it on
@@ -205,6 +220,7 @@ func engineFor(env *strategy.Env, clone bool) *engine {
 	if eng == nil || eng.d != d {
 		eng = &engine{d: d, waiting: make([]uint64, (n+63)/64)}
 		eng.flush.Step = eng.runFlush
+		eng.land.Step = eng.arrive
 		env.Aux = eng
 	}
 	eng.env, eng.b, eng.clone = env, env.B, clone
@@ -240,22 +256,6 @@ func (e *engine) pop(v int) int {
 	return a
 }
 
-// newFlight takes a flight from the pool (or allocates the pool's
-// steady-state miss) and arms it with one agent.
-func (e *engine) newFlight(agent, to int) *flight {
-	var f *flight
-	if n := len(e.free); n > 0 {
-		f = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		nf := &flight{}
-		nf.Step = func(s *des.Simulator) { e.arrive(s, nf) }
-		f = nf
-	}
-	f.agent, f.to, f.count = int32(agent), int32(to), 1
-	return f
-}
-
 // ready marks node v waiting for this timestep's flush, scheduling the
 // flush event itself on the first ready node of the timestep. The flush
 // fires every waiting node, and nothing goes ready in a timestep after
@@ -270,12 +270,13 @@ func (e *engine) ready(s *des.Simulator, v int) {
 	e.waiting[v>>6] |= 1 << (v & 63)
 }
 
-// arrive lands a flight as one board operation, records the landing
-// for the flush, then runs the readiness checks the flight implies: the
-// destination's own, and, if the flight finds it empty, those of the
-// neighbours it is a smaller neighbour of, except its parent and its
-// children — the parent received its agents before the destination was
-// reached, and the children receive theirs only after it dispatches.
+// arrive lands the flight its event carries as one board operation,
+// records the landing for the flush, then runs the readiness checks
+// the flight implies: the destination's own, and, if the flight finds
+// it empty, those of the neighbours it is a smaller neighbour of,
+// except its parent and its children — the parent received its agents
+// before the destination was reached, and the children receive theirs
+// only after it dispatches.
 // The result is that of landing the agents one by one, each with its
 // own checks:
 //
@@ -297,10 +298,12 @@ func (e *engine) ready(s *des.Simulator, v int) {
 // The agents go to the board in chunks of at most len(e.run), so no
 // scratch grows with a flight; consecutive runs compose. A one-agent
 // flight (every cloning flight, most flights under the adversary) is a
-// chunk of one.
-func (e *engine) arrive(s *des.Simulator, f *flight) {
-	a, to, count := int(f.agent), int(f.to), int(f.count)
-	e.free = append(e.free, f)
+// chunk of one. The flight's first agent still stands on its source,
+// so the source is read before the first chunk moves it.
+func (e *engine) arrive(s *des.Simulator) {
+	a, label, count := unpackFlight(s.Arg())
+	from, _ := e.b.Position(a)
+	to := from | 1<<label
 
 	if now := s.Now(); now != e.curTime {
 		e.curTime = now
@@ -392,9 +395,13 @@ func (e *engine) fireWaiting(s *des.Simulator, u int) int {
 // (each child's complement: 2^(i-1) agents to the T(i) child and one
 // to the T(0) child in the Theorem-5 dispatch plan, one to every child
 // in a cloning run) and schedules the landings, one flight per run of
-// equal draws to a child. A cloning node's agent goes to the first
-// child, and before each later child's draw it pushes a clone of that
-// agent onto v's stack, so that each clone goes to its own child.
+// equal draws to a child. A flight is scheduled when its run ends,
+// because its payload carries the final count; nothing else is
+// scheduled during the draws, so the flights take the sequence numbers
+// they would take if each were scheduled at its first draw. A cloning
+// node's agent goes to the first child, and before each later child's
+// draw it pushes a clone of that agent onto v's stack, so that each
+// clone goes to its own child.
 func (e *engine) fire(s *des.Simulator, v int) {
 	m := bits.Msb(bits.Node(v))
 	if e.d-m == 0 {
@@ -407,18 +414,20 @@ func (e *engine) fire(s *des.Simulator, v int) {
 		if e.clone && i > m {
 			e.stacks.Push(v, e.env.Clone(incumbent, v, strategy.RoleCleaner))
 		}
-		var f *flight
-		var lat int64
+		first, count, lat := -1, 0, int64(0) // the flight whose run is open
 		for j := e.complement(e.d - i - 1); j > 0; j-- {
 			a := e.pop(v)
 			l := e.env.MoveLatency(a, v, child, strategy.RoleCleaner)
-			if f != nil && l == lat {
-				f.count++
+			if count > 0 && l == lat {
+				count++
 				continue
 			}
-			f, lat = e.newFlight(a, child), l
-			s.AfterInline(l, &f.Inline)
+			if count > 0 {
+				s.AfterWith(lat, &e.land, packFlight(first, i, count))
+			}
+			first, count, lat = a, 1, l
 		}
+		s.AfterWith(lat, &e.land, packFlight(first, i, count))
 	}
 	if e.stacks.Top(v) >= 0 {
 		panic(fmt.Sprintf("visibility: node %d kept agents after dispatch", v))

@@ -532,9 +532,7 @@ func TestFlightSeedsCoverShapes(t *testing.T) {
 // TestUnitLatencySchedulesOneFlightPerTreeEdge: under unit latency
 // every child's departures are one flight, so a run of either strategy
 // schedules combin.CloningMoves(d) flights — one per broadcast-tree
-// edge — plus one flush per timestep 0..d, and from d=4 on the flight
-// pool peaks at 2^(d-2) (below, the root's d flights at time 0 are the
-// peak).
+// edge — plus one flush per timestep 0..d.
 func TestUnitLatencySchedulesOneFlightPerTreeEdge(t *testing.T) {
 	for _, s := range strategies {
 		t.Run(s.name, func(t *testing.T) {
@@ -545,10 +543,6 @@ func TestUnitLatencySchedulesOneFlightPerTreeEdge(t *testing.T) {
 				s.engine(env)
 				if want := combin.CloningMoves(d) + int64(d) + 1; events != want {
 					t.Errorf("d=%d: %d events, want %d flights + %d flushes", d, events, combin.CloningMoves(d), d+1)
-				}
-				pool := len(env.Aux.(*engine).free)
-				if want := 1 << max(d-2, 0); d >= 4 && pool != want {
-					t.Errorf("d=%d: flight pool holds %d flights, want %d", d, pool, want)
 				}
 			}
 		})
@@ -564,11 +558,24 @@ func TestEngineSizeIsCacheLineMultiple(t *testing.T) {
 	}
 }
 
+// TestFlightPackingAtDimLimit: at every d the engine supports, the
+// extreme flight — the last agent id of a visibility team, 2^(d-1)-1,
+// to the child across label d-1, with the root's first child's
+// complement 2^(d-2) — survives packFlight and unpackFlight. Raising
+// MaxInlineDim past what the payload holds fails here.
+func TestFlightPackingAtDimLimit(t *testing.T) {
+	for d := 1; d <= MaxInlineDim; d++ {
+		agent, label, count := int(combin.VisibilityAgents(d))-1, d-1, int(heapqueue.AgentsRequired(d-1))
+		if a, l, c := unpackFlight(packFlight(agent, label, count)); a != agent || l != label || c != count {
+			t.Errorf("d=%d: flight (agent %d, label %d, count %d) unpacks as (%d, %d, %d)", d, agent, label, count, a, l, c)
+		}
+	}
+}
+
 // TestInlinePooledResetIdentity: a pooled environment re-running the
 // inline engine after Reset reproduces the fresh-environment run
 // exactly, whichever strategy ran on it before — the engine's parked
-// stacks, landings, waiting plane, flight pool and strategy reset
-// cleanly.
+// stacks, landings, waiting plane and strategy reset cleanly.
 func TestInlinePooledResetIdentity(t *testing.T) {
 	opts := strategy.Options{Record: true, Contiguity: strategy.CheckEveryMove}
 	for _, s := range strategies {
