@@ -52,6 +52,9 @@ func TestAfterAndNow(t *testing.T) {
 	}
 }
 
+// TestPastSchedulingPanics: Schedule panics on a time in the past
+// before it takes a callback header, so the recovered panic leaves the
+// one header the run used idle and holding nothing.
 func TestPastSchedulingPanics(t *testing.T) {
 	s := New()
 	s.Schedule(10, func() {
@@ -63,6 +66,23 @@ func TestPastSchedulingPanics(t *testing.T) {
 		s.Schedule(5, func() {})
 	})
 	s.Run()
+	if n := idleCallbacks(t, s); n != 1 {
+		t.Errorf("%d idle callback header(s) after the run, want 1", n)
+	}
+}
+
+// idleCallbacks counts s's idle callback headers, failing t if one
+// still holds a callback.
+func idleCallbacks(t *testing.T, s *Simulator) int {
+	t.Helper()
+	n := 0
+	for c := s.idle; c != nil; c = c.next {
+		if c.fn != nil {
+			t.Error("an idle callback header holds a callback")
+		}
+		n++
+	}
+	return n
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
