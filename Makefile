@@ -137,8 +137,9 @@ ci: fmt build vet staticcheck race faults faults-netsim serve-smoke bench-quick 
 # Short real fuzz runs of every fuzz target: the fault-plan parser, the
 # engine under fuzzed fault application, the request and journal
 # decoders, the DES queue's dispatch order, the packed board against
-# its legacy reference, the visibility engine against its reference
-# path, trace decoding plus replay, the worker pool, the netsim wire
+# its legacy reference, the visibility engine's three strategies
+# (visibility, cloning, synchronous) against their reference paths,
+# trace decoding plus replay, the worker pool, the netsim wire
 # layer under fuzzed plans and the topology spec parser (regression
 # corpus always runs under `test`).
 fuzz:

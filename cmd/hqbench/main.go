@@ -172,7 +172,7 @@ func families() []family {
 		// Cloning above the d <= 12 its identity tests reach.
 		strategyFamily(core.Cloning, 16, 2),
 		strategyFamily(core.Synchronous, 8, 8),
-		// Synchronous above the d <= 9 its own tests reach.
+		// Synchronous above the d <= 12 its identity tests reach.
 		strategyFamily(core.Synchronous, 16, 2),
 		adversarialFamily(core.Clean, 6, 10),
 		// Under the adversary few visibility landings share a flight

@@ -31,19 +31,18 @@ import (
 	"hypersearch/internal/strategy"
 	"hypersearch/internal/strategy/coordinated"
 	"hypersearch/internal/strategy/naive"
-	"hypersearch/internal/strategy/synchronous"
 	"hypersearch/internal/strategy/visibility"
 	"hypersearch/internal/trace"
 )
 
 // Strategy names accepted by Spec.Strategy.
 const (
-	Clean       = coordinated.Name       // Algorithm 1: synchronizer-coordinated
-	Visibility  = visibility.Name        // Algorithm 2: local rule with neighbour visibility
-	Cloning     = visibility.CloningName // Section 5 cloning variant
-	Synchronous = synchronous.Name       // Section 5 synchronous variant
-	NaiveDFS    = naive.DFSName          // oblivious single-agent sweep (baseline)
-	NaiveConvoy = naive.ConvoyName       // oblivious convoy sweep (baseline)
+	Clean       = coordinated.Name           // Algorithm 1: synchronizer-coordinated
+	Visibility  = visibility.Name            // Algorithm 2: local rule with neighbour visibility
+	Cloning     = visibility.CloningName     // Section 5 cloning variant
+	Synchronous = visibility.SynchronousName // Section 5 synchronous variant
+	NaiveDFS    = naive.DFSName              // oblivious single-agent sweep (baseline)
+	NaiveConvoy = naive.ConvoyName           // oblivious convoy sweep (baseline)
 )
 
 // Engine names accepted by Spec.Engine.
@@ -127,17 +126,19 @@ type row struct {
 // EngineStrategies lists them.
 var table = []row{
 	onDES(Clean, envOnly(coordinated.RunEnv), cleanTeam, cleanAgentMoves),
-	// The visibility engine, which runs the cloning variant too, panics
-	// above visibility.MaxInlineDim.
+	// The visibility engine, which runs the cloning and synchronous
+	// variants too, panics above visibility.MaxInlineDim.
 	{strategy: Visibility, engine: EngineDES, maxDim: visibility.MaxInlineDim, faults: desFaults, trace: true,
 		forms: []closedForm{visibilityTeam, visibilityMoves, logTime}, des: envOnly(visibility.RunEnv)},
 	{strategy: Cloning, engine: EngineDES, maxDim: visibility.MaxInlineDim, faults: desFaults, trace: true,
 		forms: []closedForm{visibilityTeam, cloningMoves, logTime}, des: envOnly(visibility.RunCloningEnv)},
-	// The synchronous variant is defined only for unit latency; its
-	// lockstep schedule panics when an injected move delay fires, and a
-	// kernel-lag window pauses its round clock with every other event.
-	{strategy: Synchronous, engine: EngineDES, maxDim: bits.MaxDim, faults: desFaults, trace: true, unit: true,
-		forms: []closedForm{visibilityTeam, visibilityMoves, logTime}, des: envOnly(synchronous.RunEnv)},
+	// The synchronous variant is defined only for unit latency. Its
+	// lockstep assertion panics when a hop that an injected move delay
+	// holds back has not landed by its destination's round (a delayed
+	// hop that still lands in time changes nothing), and a kernel-lag
+	// window pauses its round clock with every other event.
+	{strategy: Synchronous, engine: EngineDES, maxDim: visibility.MaxInlineDim, faults: desFaults, trace: true, unit: true,
+		forms: []closedForm{visibilityTeam, visibilityMoves, logTime}, des: envOnly(visibility.RunSynchronousEnv)},
 	onDES(NaiveDFS, envOnly(naive.RunDFSEnv)),
 	onDES(NaiveConvoy, func(env *strategy.Env, spec Spec) metrics.Result {
 		return naive.RunConvoyEnv(env, max(spec.ConvoyTeam, 1))

@@ -208,13 +208,12 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestVisibilityDimLimit: DES visibility and cloning admit dimensions
-// up to their engine's limit and reject the rest before building
-// anything. It
-// calls only Check: a Run at d = 28 would first build a 2^28-node
-// environment.
+// TestVisibilityDimLimit: DES visibility and its cloning and
+// synchronous variants admit dimensions up to their engine's limit and
+// reject the rest before building anything. It calls only Check: a Run
+// at d = 28 would first build a 2^28-node environment.
 func TestVisibilityDimLimit(t *testing.T) {
-	for _, name := range []string{Visibility, Cloning} {
+	for _, name := range []string{Visibility, Cloning, Synchronous} {
 		if err := Check(Spec{Strategy: name, Dim: 27}); err != nil {
 			t.Errorf("%s: d=27 rejected: %v", name, err)
 		}

@@ -40,7 +40,8 @@ var goldenStrategies = []goldenStrategy{
 	{label: Clean, strategy: Clean, faulted: true},
 	{label: Cloning, strategy: Cloning, faulted: true},
 	// The synchronous variant's lockstep schedule asserts unit timing
-	// and panics under any injected delay, so it runs fault-free only.
+	// and panics when an injected delay holds a hop back past its
+	// destination's round, so it runs fault-free only.
 	{label: Synchronous, strategy: Synchronous},
 	{label: NaiveDFS, strategy: NaiveDFS, faulted: true},
 	{label: NaiveConvoy + "/1", strategy: NaiveConvoy, team: 1, faulted: true},

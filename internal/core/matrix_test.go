@@ -22,8 +22,10 @@ var matrixLinkPlan = &faults.Plan{Name: "link-drop+dup", Seed: 9, Faults: []faul
 
 // matrixPlans are the plans a row runs: the fault-free run, then every
 // golden DES plan and the link plan whose kinds the row injects. The
-// synchronous variant's lockstep schedule panics under any injected
-// move delay, so rows that force unit latency run fault-free only.
+// synchronous variant's lockstep assertion panics when an injected move
+// delay holds a hop back past its destination's round, which most of
+// the golden plans' delays do, so rows that force unit latency run
+// fault-free only.
 func matrixPlans(r *row) []*faults.Plan {
 	plans := []*faults.Plan{nil}
 	if r.unit {

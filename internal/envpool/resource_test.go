@@ -9,7 +9,6 @@ import (
 	"hypersearch/internal/metrics"
 	"hypersearch/internal/strategy"
 	"hypersearch/internal/strategy/coordinated"
-	"hypersearch/internal/strategy/synchronous"
 	"hypersearch/internal/strategy/visibility"
 )
 
@@ -38,9 +37,9 @@ func TestPooledRunsLeaveNoGoroutines(t *testing.T) {
 }
 
 // pooledAllocBudget is the allocs/op ceiling of one warm pooled run
-// per strategy and dimension. clean and synchronous, whose runs build
-// one actor and its callbacks, are held to a flat 16; cloning, which
-// runs on the visibility engine, to visibility's budget; every other
+// per strategy and dimension. clean, whose run builds one actor and its
+// callbacks, is held to a flat 16; cloning and synchronous, which run
+// on the visibility engine, to visibility's budget; every other
 // strategy to 8 above what it cost when clean and the naive baselines
 // still ran as goroutine processes (measured with this test's method):
 // visibility 0/0/0, naive-dfs 2/2/2, naive-convoy 11/17/21 at
@@ -49,7 +48,7 @@ var pooledAllocBudget = map[string][3]float64{
 	core.Clean:       {16, 16, 16},
 	core.Visibility:  {0 + 8, 0 + 8, 0 + 8},
 	core.Cloning:     {0 + 8, 0 + 8, 0 + 8},
-	core.Synchronous: {16, 16, 16},
+	core.Synchronous: {0 + 8, 0 + 8, 0 + 8},
 	core.NaiveDFS:    {2 + 8, 2 + 8, 2 + 8},
 	core.NaiveConvoy: {11 + 8, 17 + 8, 21 + 8},
 }
@@ -114,13 +113,12 @@ func TestNewEnvFootprint(t *testing.T) {
 // stays within its budget of bytes per node. Every one allocates the
 // environment's agent stacks (4 B per node and per agent of its team)
 // and the board's agent position table (4 B per agent), reserved at
-// the team's size before the first placement. Visibility and cloning
-// add the engine's waiting plane (a bit per node), the busiest
-// timestep's landings and the event-queue chunks of that timestep's
-// flights, which ride in their events (32 B each); CLEAN, whose team
-// is far below n/2, adds little more than its pooled walkers; the
-// synchronous variant adds a pooled walker per agent of its last
-// round, 2^(d-1) of them. Later runs reuse all of it
+// the team's size before the first placement. Visibility and its two
+// variants add the engine's waiting plane (a bit per node) and the
+// event-queue chunks of the busiest timestep's flights, which ride in
+// their events (32 B each); visibility and cloning add that timestep's
+// landings too. CLEAN, whose team is far below n/2, adds little more
+// than its pooled walkers. Later runs reuse all of it
 // (TestPooledRunAllocs).
 func TestFirstRunFootprint(t *testing.T) {
 	runs := []struct {
@@ -131,7 +129,7 @@ func TestFirstRunFootprint(t *testing.T) {
 		{core.Visibility, visibility.RunEnv, 32},
 		{core.Cloning, visibility.RunCloningEnv, 32},
 		{core.Clean, coordinated.RunEnv, 24},
-		{core.Synchronous, synchronous.RunEnv, 80},
+		{core.Synchronous, visibility.RunSynchronousEnv, 24},
 	}
 	for _, r := range runs {
 		for _, d := range []int{14, 16} {

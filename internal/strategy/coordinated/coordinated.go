@@ -181,7 +181,7 @@ func (c *cleaner) step(s *des.Simulator) {
 				s.Park(&c.wake, &c.Inline)
 				return
 			}
-			env.Walk(a, c.x, strategy.RoleCleaner, c.landCourier)
+			env.Walk(a, c.x, c.landCourier)
 			c.extras--
 		case pcArrive:
 			switch {
@@ -189,7 +189,7 @@ func (c *cleaner) step(s *des.Simulator) {
 				c.beginPhase(c.l + 1)
 			case env.BT.Type(c.x) == 0:
 				// Step 2.3: the leaf agent returns to the pool.
-				env.Walk(c.pop(c.x), 0, strategy.RoleCleaner, c.returnHome)
+				env.Walk(c.pop(c.x), 0, c.returnHome)
 				c.nextNode()
 			default:
 				c.pc = pcAwait

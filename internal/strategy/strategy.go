@@ -407,19 +407,18 @@ type walker struct {
 	agent   int
 	hop     int // the node the hop in flight lands on, or -1 before the first
 	dst     int
-	role    string
 	arrived func(agent, dst int)
 }
 
-// Walk moves agent from its current node to dst along the canonical
-// shortest hypercube path (the vertices H.ShortestPath returns; from
-// an ancestor in the broadcast tree that is the tree path down), as a
-// pooled actor spawned at the current time. Each hop draws its latency
-// when it starts and lands one event later. arrived (if non-nil) runs
-// in the step that lands the agent on dst — the start step if it is
-// already there — before any other event. The agent must be on the
-// board.
-func (e *Env) Walk(agent, dst int, role string, arrived func(agent, dst int)) {
+// Walk moves cleaner agent from its current node to dst along the
+// canonical shortest hypercube path (the vertices H.ShortestPath
+// returns; from an ancestor in the broadcast tree that is the tree path
+// down), as a pooled actor spawned at the current time. Each hop draws
+// its latency when it starts and lands one event later. arrived (if
+// non-nil) runs in the step that lands the agent on dst — the start
+// step if it is already there — before any other event. The agent must
+// be on the board.
+func (e *Env) Walk(agent, dst int, arrived func(agent, dst int)) {
 	if _, active := e.B.Position(agent); !active {
 		panic(fmt.Sprintf("strategy: Walk of agent %d, which is not on the board", agent))
 	}
@@ -430,7 +429,7 @@ func (e *Env) Walk(agent, dst int, role string, arrived func(agent, dst int)) {
 	} else {
 		e.walkers = w.next
 	}
-	w.agent, w.hop, w.dst, w.role, w.arrived = agent, -1, dst, role, arrived
+	w.agent, w.hop, w.dst, w.arrived = agent, -1, dst, arrived
 	e.Sim.SpawnInline(&w.Inline)
 }
 
@@ -442,13 +441,13 @@ func (w *walker) step(s *des.Simulator) {
 	e := w.env
 	at := w.hop
 	if at >= 0 {
-		e.ApplyMove(w.agent, at, w.role)
+		e.ApplyMove(w.agent, at, RoleCleaner)
 	} else {
 		at, _ = e.B.Position(w.agent)
 	}
 	if at != w.dst {
 		w.hop = e.H.NextHopToward(at, w.dst)
-		s.AfterInline(e.MoveLatency(w.agent, at, w.hop, w.role), &w.Inline)
+		s.AfterInline(e.MoveLatency(w.agent, at, w.hop, RoleCleaner), &w.Inline)
 		return
 	}
 	agent, dst, arrived := w.agent, w.dst, w.arrived

@@ -75,7 +75,7 @@ func TestEnvPlaceMoveWalk(t *testing.T) {
 	e := NewEnv(3, Options{Record: true, Contiguity: CheckEveryMove})
 	a := e.Place(RoleCleaner)
 	var landed []int
-	e.Walk(a, 7, RoleCleaner, func(agent, dst int) { landed = append(landed, agent, dst, int(e.Sim.Now())) })
+	e.Walk(a, 7, func(agent, dst int) { landed = append(landed, agent, dst, int(e.Sim.Now())) })
 	e.Sim.Run()
 	if got, _ := e.B.Position(a); got != 7 {
 		t.Errorf("agent at %d", got)
@@ -112,7 +112,7 @@ func TestEnvWalkValidatesStart(t *testing.T) {
 			t.Error("walk of a retired agent accepted")
 		}
 	}()
-	e.Walk(a, 3, RoleCleaner, nil)
+	e.Walk(a, 3, nil)
 }
 
 // escort is the synchronizer carrying a cleaner across one edge: one
@@ -158,7 +158,7 @@ func TestMoveTogetherSimultaneous(t *testing.T) {
 func TestResultAssembly(t *testing.T) {
 	e := NewEnv(1, Options{Record: true})
 	a := e.Place(RoleCleaner)
-	e.Walk(a, 1, RoleCleaner, nil)
+	e.Walk(a, 1, nil)
 	e.Sim.Run()
 	e.Terminate(a)
 	r := e.Result("test")
@@ -181,7 +181,7 @@ func TestContiguityViolationDetected(t *testing.T) {
 	e := NewEnv(3, Options{Contiguity: CheckEveryMove})
 	e.Place(RoleCleaner) // rear guard stays home
 	a := e.Place(RoleCleaner)
-	e.Walk(a, 3, RoleCleaner, nil)
+	e.Walk(a, 3, nil)
 	e.Sim.Run()
 	r := e.Result("bad")
 	if r.ContiguousOK {
@@ -206,7 +206,7 @@ func TestWalkersArePooled(t *testing.T) {
 		}
 	}
 	walk := func() {
-		e.Walk(a, dst, RoleCleaner, arrived)
+		e.Walk(a, dst, arrived)
 		e.Sim.Run()
 	}
 	walk() // warm the walker pool and the event heap

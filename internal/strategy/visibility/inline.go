@@ -1,10 +1,14 @@
-// inline.go is the event-driven engine RunEnv and RunCloningEnv run:
-// the same local rule as the polling node-actor reference paths (kept
-// as the identity oracles in inline_identity_test.go), executed without
-// 2^d actors re-checking their neighbourhoods on every wake. The two
-// strategies differ only in each node's complement, 2^(k-1) agents for
-// a visibility node of type T(k) and one for a cloning node, and in
-// where a dispatch's movers come from: gathered, or cloned on the spot.
+// inline.go is the event-driven engine RunEnv, RunCloningEnv and
+// RunSynchronousEnv run: the same local rule as the polling node-actor
+// reference paths of visibility and cloning (kept as identity oracles
+// in inline_identity_test.go), executed without 2^d actors re-checking
+// their neighbourhoods on every wake. Visibility and cloning differ
+// only in each node's complement, 2^(k-1) agents for a visibility node
+// of type T(k) and one for a cloning node, and in where a dispatch's
+// movers come from: gathered, or cloned on the spot. The synchronous
+// variant gathers as visibility does but fires on a round clock
+// instead of on readiness (see below); its reference path, also kept
+// as an oracle, walks every agent as an actor of its own.
 //
 // The dispatch condition of node v — "the agent complement is present
 // AND every smaller neighbour is clean or guarded" — is monotone, so
@@ -97,6 +101,20 @@
 // every dispatch, a clone runs after every same-time arrival, so the
 // wakes it fires in the reference path are never a ready node's first
 // wake of the timestep and change no wake order.
+//
+// The synchronous variant reads no visibility: a round clock (tick)
+// fires the nodes x with m(x) = m at t = m, in increasing order,
+// through the same fire, after asserting that each holds its
+// complement. Its hops are flights like any other, and arrive lands
+// them but records no landing and runs no readiness checks. The clock
+// steps twice at each t, the first time only to queue its second step
+// behind every event already due at t, so every hop landing at t —
+// kernel-lag deferred ones included — applies before the nodes fire.
+// The reference path (a clock that walks each agent as its own actor)
+// draws in its walkers' first steps, which run right after the clock's
+// step in dispatch order, so the draw sequence is the same; its hops
+// land in the order fire schedules the flights, and a flight's agents
+// in the order their walkers would.
 //
 // Agents gathered on a node are kept on the environment's per-node
 // agent stacks (strategy.Stacks), pushed on arrival and popped on
@@ -191,13 +209,20 @@ type engine struct {
 	// flight; its step is arrive.
 	land des.Inline
 
-	// clone selects the cloning variant: every complement is one agent,
-	// and fire clones the incumbent for the children after the first.
-	clone bool
+	// kind is the strategy the engine runs.
+	kind kind
 
 	// run holds the chunk of a flight's agents arrive hands to the board
 	// at once.
 	run [64]int32
+
+	// The synchronous variant's round clock: its header, the round m it
+	// fires next, and whether it has stepped once at t = m already.
+	// They follow every field a visibility run touches, so those keep
+	// their offsets and cache lines.
+	clock  des.Inline
+	round  int
+	waited bool
 
 	// Pooled environments run at once on different cores, and their
 	// engines can be heap neighbours. Padding the engine to a multiple
@@ -205,13 +230,29 @@ type engine struct {
 	// landings length, written on every flight, can share a line with
 	// the next one's env and stacks, read on every flight.
 	// TestEngineSizeIsCacheLineMultiple holds the size.
-	_ [28]byte
+	_ [7]byte
 }
 
+// kind is a strategy the engine runs.
+type kind uint8
+
+const (
+	// kindVisibility is CLEAN WITH VISIBILITY.
+	kindVisibility kind = iota
+	// kindCloning is the cloning variant: every complement is one agent,
+	// and fire clones the incumbent for the children after the first.
+	kindCloning
+	// kindSynchronous is the synchronous variant: the round clock fires
+	// the nodes, and a landing runs no readiness checks.
+	kindSynchronous
+)
+
+// names are the kinds' strategy names, as results carry them.
+var names = [...]string{kindVisibility: Name, kindCloning: CloningName, kindSynchronous: SynchronousName}
+
 // engineFor returns the environment's parked engine, building it on
-// first use, and resets it for a fresh run of the visibility strategy
-// or, with clone, of its cloning variant.
-func engineFor(env *strategy.Env, clone bool) *engine {
+// first use, and resets it for a fresh run of strategy k.
+func engineFor(env *strategy.Env, k kind) *engine {
 	d, n := env.H.Dim(), env.H.Order()
 	if d > MaxInlineDim {
 		panic(fmt.Sprintf("visibility: inline engine supports d <= %d (the largest checked dimension; memory binds beyond it); got d=%d", MaxInlineDim, d))
@@ -221,9 +262,10 @@ func engineFor(env *strategy.Env, clone bool) *engine {
 		eng = &engine{d: d, waiting: make([]uint64, (n+63)/64)}
 		eng.flush.Step = eng.runFlush
 		eng.land.Step = eng.arrive
+		eng.clock.Step = eng.tick
 		env.Aux = eng
 	}
-	eng.env, eng.b, eng.clone = env, env.B, clone
+	eng.env, eng.b, eng.kind = env, env.B, k
 	eng.stacks = env.Stacks(int(combin.VisibilityAgents(d)))
 	eng.reset()
 	return eng
@@ -233,18 +275,20 @@ func engineFor(env *strategy.Env, clone bool) *engine {
 // before it dispatches, and so the number its parent sends it: 2^(k-1)
 // (one for a leaf), or one in a cloning run.
 func (e *engine) complement(k int) int64 {
-	if e.clone {
+	if e.kind == kindCloning {
 		return 1
 	}
 	return heapqueue.AgentsRequired(k)
 }
 
-// reset forgets the landings and clears the waiting plane.
+// reset forgets the landings, clears the waiting plane and sets the
+// round clock back to round 0.
 func (e *engine) reset() {
 	e.landings = e.landings[:0]
 	e.curTime = 0
 	clear(e.waiting)
 	e.pending = 0
+	e.round, e.waited = 0, false
 }
 
 // pop takes the most recently gathered agent off v's stack.
@@ -276,7 +320,8 @@ func (e *engine) ready(s *des.Simulator, v int) {
 // it empty, those of the neighbours it is a smaller neighbour of,
 // except its parent and its children — the parent received its agents
 // before the destination was reached, and the children receive theirs
-// only after it dispatches.
+// only after it dispatches. In a synchronous run, which the round clock
+// fires, it only lands the flight.
 // The result is that of landing the agents one by one, each with its
 // own checks:
 //
@@ -305,12 +350,6 @@ func (e *engine) arrive(s *des.Simulator) {
 	from, _ := e.b.Position(a)
 	to := from | 1<<label
 
-	if now := s.Now(); now != e.curTime {
-		e.curTime = now
-		e.landings = e.landings[:0]
-	}
-	e.landings = append(e.landings, int32(to))
-
 	for left := count; left > 0; {
 		run := e.run[:min(left, len(e.run))]
 		for i := range run {
@@ -322,13 +361,22 @@ func (e *engine) arrive(s *des.Simulator) {
 		e.env.ApplyRun(run, to, strategy.RoleCleaner)
 		left -= len(run)
 	}
+	if e.kind == kindSynchronous {
+		return
+	}
+
+	if now := s.Now(); now != e.curTime {
+		e.curTime = now
+		e.landings = e.landings[:0]
+	}
+	e.landings = append(e.landings, int32(to))
 
 	b := e.b
 	m := bits.Msb(bits.Node(to))
 	k, agents := e.d-m, b.AgentsOn(to)
 	// complement(k), spelled out so that the read inlines into arrive.
 	required := heapqueue.AgentsRequired(k)
-	if e.clone {
+	if e.kind == kindCloning {
 		required = 1
 	}
 	if agents == count {
@@ -411,7 +459,7 @@ func (e *engine) fire(s *des.Simulator, v int) {
 	incumbent := e.stacks.Top(v) // a cloning node's one agent
 	for i := m; i < e.d; i++ {
 		child := v | 1<<i
-		if e.clone && i > m {
+		if e.kind == kindCloning && i > m {
 			e.stacks.Push(v, e.env.Clone(incumbent, v, strategy.RoleCleaner))
 		}
 		first, count, lat := -1, 0, int64(0) // the flight whose run is open
@@ -431,5 +479,37 @@ func (e *engine) fire(s *des.Simulator, v int) {
 	}
 	if e.stacks.Top(v) >= 0 {
 		panic(fmt.Sprintf("visibility: node %d kept agents after dispatch", v))
+	}
+}
+
+// tick is the synchronous variant's round clock. At t = m it steps
+// twice: the first step only queues the second behind every event
+// already due at t, so every hop landing at t applies first (in
+// continuous time an arrival "at t" precedes the dispatch "at t").
+// The second fires the nodes x with m(x) = m in increasing order and
+// schedules the next round, until round d. No visibility read decides
+// a firing: the schedule itself must have gathered each node's
+// complement, and tick asserts it.
+func (e *engine) tick(s *des.Simulator) {
+	if !e.waited {
+		e.waited = true
+		s.AfterInline(0, &e.clock)
+		return
+	}
+	e.waited = false
+	m := e.round
+	required := int(heapqueue.AgentsRequired(e.d - m))
+	// The nodes x with m(x) = m: 2^(m-1) .. 2^m - 1, or node 0 at m = 0.
+	// Until a node fires, the agents on it are those on its stack.
+	for v := 1 << m >> 1; v < 1<<m; v++ {
+		if got := e.b.AgentsOn(v); got != required {
+			panic(fmt.Sprintf("synchronous: node %d holds %d agents at t=%d, want %d",
+				v, got, s.Now(), required))
+		}
+		e.fire(s, v)
+	}
+	if m < e.d {
+		e.round++
+		s.AfterInline(1, &e.clock)
 	}
 }

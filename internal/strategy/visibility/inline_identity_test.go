@@ -2,6 +2,7 @@ package visibility
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -17,11 +18,14 @@ import (
 )
 
 // The inline event-driven engine claims byte-identity with the
-// node-actor reference paths of both strategies it runs: identical
-// traces (every event, in order, with times), identical metrics,
-// identical clean orders and clean times — under unit latency,
-// adversarial latency, and seeded fault plans alike. These tests state
-// that claim as a property over strategies, dimensions and seeds.
+// reference paths of the three strategies it runs: identical traces
+// (every event, in order, with times), identical metrics, identical
+// clean orders and clean times — under unit latency, adversarial
+// latency, and seeded fault plans alike. A synchronous run whose
+// schedule breaks panics on its lockstep assertion, and the two paths
+// must then break alike: with the same message, after the same trace.
+// These tests state that claim as a property over strategies,
+// dimensions and seeds.
 
 // pathPair is one strategy's engine entry point and its reference path.
 type pathPair struct {
@@ -34,6 +38,7 @@ type pathPair struct {
 var strategies = []pathPair{
 	{Name, RunEnv, runEnvLegacy},
 	{CloningName, RunCloningEnv, runCloningLegacy},
+	{SynchronousName, RunSynchronousEnv, runSynchronousLegacy},
 }
 
 // waker is the reference paths' wakeup source: one signal per node, and
@@ -156,7 +161,7 @@ func dispatch(env *strategy.Env, at [][]int, v int, landed func(a, v int)) {
 			agents := at[v]
 			a := agents[len(agents)-1]
 			at[v] = agents[:len(agents)-1]
-			env.Walk(a, child, strategy.RoleCleaner, landed)
+			env.Walk(a, child, landed)
 		}
 	}
 	if len(at[v]) != 0 {
@@ -228,13 +233,87 @@ func (n *cloningNode) step(*des.Simulator) {
 		r.movers = append(r.movers, env.Clone(a, v, strategy.RoleCleaner))
 	}
 	for i, mover := range r.movers {
-		env.Walk(mover, v|1<<(m+i), strategy.RoleCleaner, r.landed)
+		env.Walk(mover, v|1<<(m+i), r.landed)
+	}
+}
+
+// runSynchronousLegacy executes the synchronous variant's reference
+// path: a global round clock that, at each t = m, walks every agent of
+// the nodes x with m(x) = m to its child as an actor of its own. It
+// reads no visibility, so it parks nothing on the waker. It is the
+// identity oracle RunSynchronousEnv is tested against.
+func runSynchronousLegacy(env *strategy.Env, _ *waker) metrics.Result {
+	team := int(combin.VisibilityAgents(env.H.Dim()))
+	c := &legacyClock{env: env, at: env.Stacks(team)}
+	env.B.Reserve(team)
+	for i := 0; i < team; i++ {
+		c.at.Push(0, env.Place(strategy.RoleCleaner))
+	}
+
+	if env.H.Dim() > 0 {
+		c.landed = func(a, v int) { c.at.Push(v, a) }
+		c.Step = c.step
+		env.Sim.SpawnInline(&c.Inline)
+	}
+	env.Sim.Run()
+	return env.Result(SynchronousName)
+}
+
+// legacyClock is the global round clock: an actor that, at each time
+// t = m, dispatches the complements of the nodes x with m(x) = m, then
+// schedules itself one round later, until round d.
+type legacyClock struct {
+	des.Inline
+	env    *strategy.Env
+	at     strategy.Stacks // the agents standing on each node
+	landed func(a, v int)
+	m      int  // the round
+	waited bool // stepped once at t = m already, behind the round's arrivals
+}
+
+func (c *legacyClock) step(s *des.Simulator) {
+	if !c.waited {
+		// Step once more so that arrivals scheduled for this same
+		// round (from t = m-1) apply first: in continuous time an
+		// arrival "at t" precedes the dispatch "at t".
+		c.waited = true
+		s.AfterInline(0, &c.Inline)
+		return
+	}
+	c.waited = false
+	env, m := c.env, c.m
+	d := env.H.Dim()
+	required := int(heapqueue.AgentsRequired(d - m))
+	// The nodes x with m(x) = m: 2^(m-1) .. 2^m - 1, or node 0 at m = 0.
+	for v := 1 << m >> 1; v < 1<<m; v++ {
+		// No visibility read: the schedule itself must guarantee the
+		// complement has arrived. Assert it.
+		if got := c.at.Count(v); got != required {
+			panic(fmt.Sprintf("synchronous: node %d holds %d agents at t=%d, want %d",
+				v, got, s.Now(), required))
+		}
+		if m == d {
+			env.Terminate(c.at.Pop(v))
+			continue
+		}
+		// 2^(i-1) agents to the T(i) child and one to the T(0) child, in
+		// child order (heapqueue.DispatchPlan).
+		for i := m; i < d; i++ {
+			for j := heapqueue.AgentsRequired(d - i - 1); j > 0; j-- {
+				env.Walk(c.at.Pop(v), v|1<<i, c.landed)
+			}
+		}
+	}
+	if m < d {
+		c.m++
+		s.AfterInline(1, &c.Inline)
 	}
 }
 
 // capture is everything observable about one run.
 type capture struct {
 	res        metrics.Result
+	broke      string // the lockstep assertion a synchronous run panicked with
 	events     []trace.Event
 	cleanOrder []int
 	cleanTime  []int64
@@ -252,12 +331,13 @@ func runPath(s pathPair, d int, opts strategy.Options, legacy bool) capture {
 	}
 	env := strategy.NewEnv(d, opts)
 	var c capture
-	if legacy {
-		w.sim, w.d, w.sigs = env.Sim, d, make([]des.Signal, env.H.Order())
-		c.res = s.legacy(env, &w)
-	} else {
-		c.res = s.engine(env)
-	}
+	c.res, c.broke = lockstep(func() metrics.Result {
+		if legacy {
+			w.sim, w.d, w.sigs = env.Sim, d, make([]des.Signal, env.H.Order())
+			return s.legacy(env, &w)
+		}
+		return s.engine(env)
+	})
 	c.events = append(c.events, env.Log().Events()...)
 	n := env.H.Order()
 	c.cleanOrder = make([]int, n)
@@ -269,10 +349,30 @@ func runPath(s pathPair, d int, opts strategy.Options, legacy bool) capture {
 	return c
 }
 
+// lockstep runs run and returns its result, or the message of the
+// lockstep assertion it panicked with: a synchronous run whose schedule
+// has not gathered a node's complement by the node's round. Any other
+// panic propagates.
+func lockstep(run func() metrics.Result) (res metrics.Result, broke string) {
+	defer func() {
+		if p := recover(); p != nil {
+			msg, ok := p.(string)
+			if !ok || !strings.HasPrefix(msg, "synchronous: ") {
+				panic(p)
+			}
+			broke = msg
+		}
+	}()
+	return run(), ""
+}
+
 // assertIdentical compares two captures field by field with a usable
 // first-divergence report.
 func assertIdentical(t *testing.T, legacy, inline capture) {
 	t.Helper()
+	if legacy.broke != inline.broke {
+		t.Fatalf("lockstep assertions diverge:\nlegacy: %q\ninline: %q", legacy.broke, inline.broke)
+	}
 	if legacy.res != inline.res {
 		t.Fatalf("metrics diverge:\nlegacy: %+v\ninline: %+v", legacy.res, inline.res)
 	}
@@ -351,6 +451,9 @@ func TestInlineMatchesLegacyAdversarial(t *testing.T) {
 // stalls and latency spikes consult the injector's move counters in
 // move order, and kernel lag defers DES events as a pure function of
 // virtual time, so both paths must produce the same deferred schedule.
+// Every plan runs under the adversary and, in its unit/ subtests, under
+// the unit latency the synchronous variant is defined for; under the
+// adversary nearly every synchronous run breaks its lockstep.
 func TestInlineMatchesLegacyFaults(t *testing.T) {
 	plans := []*faults.Plan{
 		{Name: "stall-any", Seed: 3, Faults: []faults.Fault{
@@ -379,6 +482,11 @@ func TestInlineMatchesLegacyFaults(t *testing.T) {
 					}
 				})
 			})
+			t.Run(fmt.Sprintf("%s/unit/d=%d", plan.Name, d), func(t *testing.T) {
+				checkIdentity(t, d, func() strategy.Options {
+					return strategy.Options{Faults: faults.NewInjector(plan)}
+				})
+			})
 		}
 	}
 }
@@ -386,29 +494,31 @@ func TestInlineMatchesLegacyFaults(t *testing.T) {
 // flightCase is one FuzzInlineMatchesLegacy input, decoded by
 // options: dimension 1+D%6; unit latency when Bound%17 is 0, else the
 // adversary at bound Bound%17 seeded by Seed; a kernel-lag window
-// [LagFrom%32, LagFrom%32+LagLen%32) when LagLen%32 > 0; a stall of
-// StallDelay%16 on move 1+StallAt%64 when StallDelay%16 > 0; the
-// cloning variant when Cloning, else visibility.
+// [From%32, From%32+Len%32) for each of (LagFrom, LagLen) and
+// (Lag2From, Lag2Len) whose Len%32 > 0; a stall of StallDelay%16 on
+// move 1+StallAt%64 when StallDelay%16 > 0, of every move counted when
+// StallAgent%8 is 0, else of agent StallAgent%8-1's; a latency spike of
+// SpikeDelay%8 on moves 1+SpikeAt%64 through 1+SpikeAt%64+SpikeLen%8
+// when SpikeDelay%8 > 0; and strategies[Strategy%3].
 type flightCase struct {
-	D                   uint8
-	Seed                int64
-	Bound               uint8
-	LagFrom, LagLen     uint8
-	StallAt, StallDelay uint8
-	Cloning             bool
+	D                             uint8
+	Seed                          int64
+	Bound                         uint8
+	LagFrom, LagLen               uint8
+	Lag2From, Lag2Len             uint8
+	StallAt, StallDelay           uint8
+	StallAgent                    uint8
+	SpikeAt, SpikeLen, SpikeDelay uint8
+	Strategy                      uint8
 }
 
 func (c flightCase) dim() int     { return 1 + int(c.D%6) }
 func (c flightCase) bound() int64 { return int64(c.Bound % 17) }
-func (c flightCase) lag() [2]int64 {
-	return [2]int64{int64(c.LagFrom % 32), int64(c.LagFrom%32) + int64(c.LagLen%32)}
+func (c flightCase) lags() [2][2]int64 {
+	window := func(from, n uint8) [2]int64 { return [2]int64{int64(from % 32), int64(from%32) + int64(n%32)} }
+	return [2][2]int64{window(c.LagFrom, c.LagLen), window(c.Lag2From, c.Lag2Len)}
 }
-func (c flightCase) pair() pathPair {
-	if c.Cloning {
-		return strategies[1]
-	}
-	return strategies[0]
-}
+func (c flightCase) pair() pathPair { return strategies[int(c.Strategy)%len(strategies)] }
 
 // options builds a fresh run's options: each call has its own RNG and
 // injector, so the two paths consume identical sequences.
@@ -418,11 +528,21 @@ func (c flightCase) options() strategy.Options {
 		opts.Latency = strategy.NewAdversarial(c.Seed, b)
 	}
 	var fs []faults.Fault
-	if lag := c.lag(); lag[1] > lag[0] {
-		fs = append(fs, faults.Fault{Kind: faults.KernelLag, From: lag[0], To: lag[1]})
+	for _, lag := range c.lags() {
+		if lag[1] > lag[0] {
+			fs = append(fs, faults.Fault{Kind: faults.KernelLag, From: lag[0], To: lag[1]})
+		}
 	}
 	if delay := int64(c.StallDelay % 16); delay > 0 {
-		fs = append(fs, faults.Fault{Kind: faults.Stall, Target: faults.TargetAny, At: 1 + int(c.StallAt%64), Delay: delay})
+		target := faults.TargetAny
+		if a := c.StallAgent % 8; a > 0 {
+			target = fmt.Sprintf("agent:%d", a-1)
+		}
+		fs = append(fs, faults.Fault{Kind: faults.Stall, Target: target, At: 1 + int(c.StallAt%64), Delay: delay})
+	}
+	if delay := int64(c.SpikeDelay % 8); delay > 0 {
+		at := 1 + int(c.SpikeAt%64)
+		fs = append(fs, faults.Fault{Kind: faults.LatencySpike, Target: faults.TargetAny, At: at, Until: at + int(c.SpikeLen%8), Delay: delay})
 	}
 	if fs != nil {
 		opts.Faults = faults.NewInjector(&faults.Plan{Name: "fuzz", Seed: c.Seed, Faults: fs})
@@ -430,13 +550,18 @@ func (c flightCase) options() strategy.Options {
 	return opts
 }
 
-// FuzzInlineMatchesLegacy's seed corpus, run for visibility and then
-// for cloning: unit latency, bound 1 (every draw equal, so each
-// child's departures are one flight), splitSeed (mixed draws split a
-// child's departures into several flights), lagSeed (a kernel-lag
-// window defers a multi-agent flight) and lag plus a stall.
+// FuzzInlineMatchesLegacy's seed corpus, run for each strategy in turn:
+// unit latency, bound 1 (every draw equal, so each child's departures
+// are one flight), splitSeed (mixed draws split a child's departures
+// into several flights), lagSeed (a kernel-lag window defers a
+// multi-agent flight) and lag plus a stall; then lockstepSeed.
 // TestFlightSeedsCoverShapes checks, for visibility, the two seeds
 // whose shape depends on the draws; a cloning flight carries one agent.
+// lockstepSeed is a synchronous run at d=2 under unit latency with a
+// 3-step stall on agent 1's first move, kernel lag [0,1) and [2,6) and
+// a 3-step spike on moves 2 to 4: the two paths break on different
+// nodes if the engine's round clock fires each round in its first step
+// at t = m, without first queueing itself behind the hops due then.
 var (
 	splitSeed   = flightCase{D: 5, Seed: 1, Bound: 2}
 	lagSeed     = flightCase{D: 5, Seed: 3, Bound: 2, LagFrom: 2, LagLen: 4}
@@ -447,23 +572,63 @@ var (
 		lagSeed,
 		{D: 4, Seed: 11, Bound: 4, LagFrom: 2, LagLen: 4, StallAt: 4, StallDelay: 3},
 	}
+	lockstepSeed = flightCase{D: 1, LagLen: 1, Lag2From: 2, Lag2Len: 4, StallDelay: 3, StallAgent: 2,
+		SpikeAt: 1, SpikeLen: 2, SpikeDelay: 3, Strategy: 2}
 )
 
 // FuzzInlineMatchesLegacy: the engine's batched flights, board-read
-// readiness, replayed flush order and dispatch-time clones reproduce the
-// reference paths under fuzzed strategies, dimensions, latency bounds,
-// kernel-lag windows and stalls.
+// readiness, replayed flush order, dispatch-time clones and round clock
+// reproduce the reference paths under fuzzed strategies, dimensions,
+// latency bounds, kernel-lag windows, stalls and latency spikes. A run
+// that completes must match byte for byte, and a synchronous run that
+// breaks its lockstep must break with the same message after the same
+// trace.
 func FuzzInlineMatchesLegacy(f *testing.F) {
-	for _, cloning := range []bool{false, true} {
+	add := func(c flightCase) {
+		f.Add(c.D, c.Seed, c.Bound, c.LagFrom, c.LagLen, c.Lag2From, c.Lag2Len,
+			c.StallAt, c.StallDelay, c.StallAgent, c.SpikeAt, c.SpikeLen, c.SpikeDelay, c.Strategy)
+	}
+	for i := range strategies {
 		for _, c := range flightSeeds {
-			f.Add(c.D, c.Seed, c.Bound, c.LagFrom, c.LagLen, c.StallAt, c.StallDelay, cloning)
+			c.Strategy = uint8(i)
+			add(c)
 		}
 	}
-	f.Fuzz(func(t *testing.T, d uint8, seed int64, bound, lagFrom, lagLen, stallAt, stallDelay uint8, cloning bool) {
-		c := flightCase{D: d, Seed: seed, Bound: bound, LagFrom: lagFrom, LagLen: lagLen, StallAt: stallAt, StallDelay: stallDelay, Cloning: cloning}
+	add(lockstepSeed)
+	f.Fuzz(func(t *testing.T, d uint8, seed int64, bound, lagFrom, lagLen, lag2From, lag2Len,
+		stallAt, stallDelay, stallAgent, spikeAt, spikeLen, spikeDelay, strategy uint8) {
+		c := flightCase{D: d, Seed: seed, Bound: bound, LagFrom: lagFrom, LagLen: lagLen, Lag2From: lag2From, Lag2Len: lag2Len,
+			StallAt: stallAt, StallDelay: stallDelay, StallAgent: stallAgent, SpikeAt: spikeAt, SpikeLen: spikeLen, SpikeDelay: spikeDelay, Strategy: strategy}
 		s := c.pair()
 		assertIdentical(t, runPath(s, c.dim(), c.options(), true), runPath(s, c.dim(), c.options(), false))
 	})
+}
+
+// TestSynchronousDelayedHops: a move delay breaks a synchronous run
+// only when it holds a hop back past its destination's round. At d=2
+// node 0's two hops, moves 1 and 2, go to node 1 (round 1) and node 2
+// (round 2). A 1-step stall on move 2 lands its hop at t=2, in node
+// 2's round but before the node fires, and the run completes with
+// makespan 2; the same stall on move 1 leaves node 1 empty at t=1.
+// Both paths must reach either outcome alike.
+func TestSynchronousDelayedHops(t *testing.T) {
+	synchronous := strategies[2]
+	stall := func(move int) strategy.Options {
+		return strategy.Options{Faults: faults.NewInjector(&faults.Plan{Name: "stall", Faults: []faults.Fault{
+			{Kind: faults.Stall, Target: faults.TargetAny, At: move, Delay: 1},
+		}})}
+	}
+	done := runPath(synchronous, 2, stall(2), false)
+	if done.broke != "" || !done.res.Ok() || done.res.Makespan != 2 {
+		t.Errorf("stall on move 2: %s, broke %q; want a clean run of makespan 2", done.res.String(), done.broke)
+	}
+	assertIdentical(t, runPath(synchronous, 2, stall(2), true), done)
+
+	broke := runPath(synchronous, 2, stall(1), false)
+	if want := "synchronous: node 1 holds 0 agents at t=1, want 1"; broke.broke != want {
+		t.Errorf("stall on move 1: broke %q, want %q", broke.broke, want)
+	}
+	assertIdentical(t, runPath(synchronous, 2, stall(1), true), broke)
 }
 
 // drawLog is a latency model that records every draw with the time it
@@ -500,7 +665,7 @@ func flightShapes(c flightCase) (split, deferred bool) {
 	log.sim = env.Sim
 	RunEnv(env)
 
-	lag, ds := c.lag(), log.draws
+	lag, ds := c.lags()[0], log.draws
 	sameChild := func(i, j int) bool { return ds[i].from == ds[j].from && ds[i].to == ds[j].to }
 	for i := 0; i < len(ds); {
 		j := i + 1
@@ -530,19 +695,25 @@ func TestFlightSeedsCoverShapes(t *testing.T) {
 }
 
 // TestUnitLatencySchedulesOneFlightPerTreeEdge: under unit latency
-// every child's departures are one flight, so a run of either strategy
+// every child's departures are one flight, so a run of any strategy
 // schedules combin.CloningMoves(d) flights — one per broadcast-tree
-// edge — plus one flush per timestep 0..d.
+// edge — plus, at each timestep 0..d, one flush, or the synchronous
+// round clock's two steps.
 func TestUnitLatencySchedulesOneFlightPerTreeEdge(t *testing.T) {
 	for _, s := range strategies {
 		t.Run(s.name, func(t *testing.T) {
+			perStep := int64(1)
+			if s.name == SynchronousName {
+				perStep = 2
+			}
 			for d := 1; d <= 12; d++ {
 				env := strategy.NewEnv(d, strategy.Options{})
 				var events int64
 				env.Sim.Intercept(func(int64, int64) int64 { events++; return 0 })
 				s.engine(env)
-				if want := combin.CloningMoves(d) + int64(d) + 1; events != want {
-					t.Errorf("d=%d: %d events, want %d flights + %d flushes", d, events, combin.CloningMoves(d), d+1)
+				steps := perStep * int64(d+1)
+				if want := combin.CloningMoves(d) + steps; events != want {
+					t.Errorf("d=%d: %d events, want %d flights + %d flush or clock steps", d, events, combin.CloningMoves(d), steps)
 				}
 			}
 		})
